@@ -42,6 +42,7 @@ from .dynamics import (
     coupled_element_count,
     equation_dump,
     ground_populations,
+    pathway_denominator,
     population_map,
     solve_steady_state,
 )
@@ -49,11 +50,11 @@ from .spectra import (
     MediumParams,
     RotationAngle,
     SusceptibilityPair,
-    doppler_factor,
-    doppler_factors,
+    doppler_average,
     maxwellian_weight,
     rb_vapor_density,
     rotation_angle,
+    susceptibility_arrays,
     susceptibility_pair,
     thermal_v_width,
 )

@@ -34,8 +34,7 @@ from .atom import (
     TWO_PI,
     rabi_from_power,
 )
-from .dynamics import RelaxationRates, SteadyStateError
-from .quadrature import QuadratureError
+from .dynamics import RelaxationRates, SteadyStateError, check_rate
 from .scenarios import (
     EIT_CSV_COLUMNS,
     POWER_SCAN_CSV_COLUMNS,
@@ -87,7 +86,7 @@ _KNOWN = {
     "": {
         "scenario", "scheme", "output_basename", "probe", "coupling",
         "medium", "magnetic_field_g", "stark_shifts", "population_policy",
-        "rates", "quadrature", "power_scan", "temp_scan", "cg_overrides",
+        "rates", "power_scan", "temp_scan", "cg_overrides",
     },
     "probe": {"rabi_mhz", "power_uw", "detuning_min_mhz", "detuning_max_mhz", "points"},
     "coupling": {"rabi_mhz", "power_mw", "detuning_mhz"},
@@ -99,10 +98,19 @@ _KNOWN = {
         "gamma_mhz", "gamma_ca_mhz", "gamma_ba_mhz", "gamma_ground_mhz",
         "transit_mhz",
     },
-    "quadrature": {"rtol", "max_panels"},
     "power_scan": {"powers_mw"},
     "temp_scan": {"temperatures_c"},
 }
+
+
+# (config key under 'rates', RelaxationRates field, default in MHz)
+_RATE_KEYS = (
+    ("gamma_mhz", "gamma", 5.75),
+    ("gamma_ca_mhz", "gamma_ca", 3.5),
+    ("gamma_ba_mhz", "gamma_ba", 1.1),
+    ("gamma_ground_mhz", "gamma_ground", None),
+    ("transit_mhz", "gamma_transit", 1.2),
+)
 
 
 def _check_keys(section: dict, path: str) -> None:
@@ -239,19 +247,16 @@ def parse_config(doc: dict) -> RunSpec:
 
     rates_sec = _section(doc, "rates")
     gamma_ground = _number(rates_sec, "rates", "gamma_ground_mhz")
-    rates = RelaxationRates(
-        gamma=_number(rates_sec, "rates", "gamma_mhz", 5.75) * _MHZ,
-        gamma_ca=_number(rates_sec, "rates", "gamma_ca_mhz", 3.5) * _MHZ,
-        gamma_ba=_number(rates_sec, "rates", "gamma_ba_mhz", 1.1) * _MHZ,
-        gamma_ground=None if gamma_ground is None else gamma_ground * _MHZ,
-        gamma_transit=_number(rates_sec, "rates", "transit_mhz", 1.2) * _MHZ,
-    )
-
-    quad = _section(doc, "quadrature")
-    rtol = _number(quad, "quadrature", "rtol", 1e-6)
-    max_panels = quad.get("max_panels", 4000)
-    if not isinstance(max_panels, int) or isinstance(max_panels, bool):
-        raise ConfigError("key 'quadrature.max_panels' must be an integer")
+    rate_values = {}
+    for key, field, default in _RATE_KEYS:
+        value = _number(rates_sec, "rates", key, default)
+        if value is not None:
+            try:
+                check_rate(field, value * _MHZ, f"key 'rates.{key}'")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            rate_values[field] = value * _MHZ
+    rates = RelaxationRates(**rate_values)
 
     overrides_raw = doc.get("cg_overrides") or {}
     if not isinstance(overrides_raw, dict):
@@ -304,8 +309,6 @@ def parse_config(doc: dict) -> RunSpec:
             population_policy=policy,
             cg_overrides=overrides or None,
             rates=rates,
-            rtol=rtol,
-            max_panels=max_panels,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -338,7 +341,6 @@ def parse_config(doc: dict) -> RunSpec:
             "gamma_ground_mhz": None if gamma_ground is None else gamma_ground,
             "transit_mhz": rates.gamma_transit / _MHZ,
         },
-        "quadrature": {"rtol": rtol, "max_panels": max_panels},
         "power_scan": {"powers_mw": [float(p) for p in powers_mw]},
         "temp_scan": {"temperatures_c": [float(t) for t in temps_c]},
     }
@@ -582,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except (SteadyStateError, QuadratureError) as exc:
+    except SteadyStateError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -40,6 +40,7 @@ from .atom import (
     NO_STARK,
     FieldDrive,
     LevelScheme,
+    ProbePathway,
     StarkShifts,
     Sublevel,
     ZeemanField,
@@ -51,17 +52,34 @@ from .atom import (
 __all__ = [
     "RelaxationRates",
     "SteadyStateError",
+    "check_rate",
     "build_hamiltonian",
     "build_liouvillian",
     "solve_steady_state",
     "ground_populations",
     "analytic_coherences",
+    "pathway_denominator",
     "equation_dump",
     "coupled_element_count",
     "level_index",
 ]
 
 DEFAULT_TRANSIT_RATE = TWO_PI * 1.2e6
+
+# Rates that must be strictly positive; all others may be zero. A positive
+# gamma_ca keeps every pathway denominator in the right half plane, which is
+# where the Faddeeva form of the Doppler average holds (see spectra).
+_POSITIVE_RATES = ("gamma", "gamma_ca")
+
+
+def check_rate(field: str, value: float, name: str | None = None) -> None:
+    """Raise ValueError unless rate ``field`` is finite and non-negative, and
+    positive for gamma and gamma_ca. ``name`` is how the message
+    refers to the value (default: ``field``)."""
+    positive = field in _POSITIVE_RATES
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name or field} must be finite and {bound}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +91,12 @@ class RelaxationRates:
     gamma_ba: float = TWO_PI * 1.1e6
     gamma_ground: float | None = None   # None -> same as gamma_ba
     gamma_transit: float = DEFAULT_TRANSIT_RATE
+
+    def __post_init__(self):
+        for field in ("gamma", "gamma_ca", "gamma_ba", "gamma_ground", "gamma_transit"):
+            value = getattr(self, field)
+            if value is not None:
+                check_rate(field, value)
 
     @property
     def ground_coherence(self) -> float:
@@ -232,6 +256,33 @@ def population_map(rho: np.ndarray, scheme: LevelScheme) -> dict[Sublevel, float
     return {s: float(rho[i, i].real) for s, i in idx.items()}
 
 
+def pathway_denominator(
+    p: ProbePathway,
+    probe_detuning,
+    coupling_detuning: float,
+    rates: RelaxationRates,
+    zeeman: ZeemanField | None = None,
+):
+    """Dressed line denominator of one probe pathway for an atom at rest,
+
+        gamma_ca - i Delta1 + (|Omega_c|^2/4) / (gamma_ba - i Delta2),
+
+    with Delta1 the one-photon and Delta2 the two-photon detuning, the
+    partner's light shift and any Zeeman offsets folded in. A pathway with
+    no coupling partner drops the EIT term. ``probe_detuning`` may be an
+    array; the result then has its shape.
+    """
+    z_g = zeeman_shift(p.ground, zeeman)
+    z_e = zeeman_shift(p.excited, zeeman)
+    denom = rates.gamma_ca - 1j * (probe_detuning - (z_e - z_g))
+    if p.partner is not None and p.coupling_rabi != 0.0:
+        z_b = zeeman_shift(p.partner, zeeman)
+        two_photon = probe_detuning - coupling_detuning + p.stark_shift + z_g - z_b
+        eit = abs(p.coupling_rabi) ** 2 / 4.0
+        denom = denom + eit / (rates.gamma_ba - 1j * two_photon)
+    return denom
+
+
 def analytic_coherences(
     populations: dict[Sublevel, float],
     scheme: LevelScheme,
@@ -243,23 +294,14 @@ def analytic_coherences(
 ) -> dict[tuple[str, str], complex]:
     """Weak-probe closed forms for the optical coherences, keyed (upper, lower).
 
-    Each driven route gives
-        rho_eg = (i Omega_p/2) rho_gg / (gamma_ca - i(one-photon detuning)
-                 + (|Omega_c|^2/4) / (gamma_ba - i(two-photon detuning)))
-    with the partner's light shift and any Zeeman offsets folded into the
-    detunings; a route with no coupling partner just drops the EIT term.
+    Each driven route gives rho_eg = (i Omega_p/2) rho_gg / D, with D the
+    route's ``pathway_denominator``.
     """
     out = {}
-    two_photon = probe.detuning - coupling.detuning
     for component in probe.components():
         for p in probe_pathways(scheme, probe, coupling, component, stark):
-            z_g = zeeman_shift(p.ground, zeeman)
-            z_e = zeeman_shift(p.excited, zeeman)
-            denom = rates.gamma_ca - 1j * (probe.detuning - (z_e - z_g))
-            if p.partner is not None:
-                z_b = zeeman_shift(p.partner, zeeman)
-                d2 = two_photon + p.stark_shift + z_g - z_b
-                denom += (abs(p.coupling_rabi) ** 2 / 4.0) / (rates.gamma_ba - 1j * d2)
+            denom = pathway_denominator(
+                p, probe.detuning, coupling.detuning, rates, zeeman)
             rho_gg = populations.get(p.ground, 0.0)
             value = 0.5j * p.probe_rabi * rho_gg / denom
             out[(scheme.label(p.excited), scheme.label(p.ground))] = value

@@ -2,12 +2,14 @@
 EIT transmission peak counting, and their CSV/metadata serialization.
 
 Each sweep resolves a ScenarioConfig into a level scheme, field drives,
-relaxation rates, and medium parameters, then evaluates the susceptibility
-pair and the detection chain per detuning point. Ground-state populations
+relaxation rates, and medium parameters. The probe pathways do not depend on
+the probe detuning, so they are built once per sweep, and the
+susceptibilities of the whole grid come from one closed-form evaluation;
+the detection chain then runs per detuning point. Ground-state populations
 follow one of two policies: the default solves the steady state once at
 two-photon resonance and reuses it across the sweep (the line shapes then
-come entirely from the detuning factors), while ``per_point`` re-solves at
-every detuning for sensitivity studies.
+come entirely from the Doppler-averaged denominators), while ``per_point``
+re-solves at every detuning for sensitivity studies.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .atom import (
     ZeemanField,
     build_level_scheme,
     coupling_polarization,
+    probe_pathways,
     stark_shifts,
 )
 from .detection import (
@@ -55,8 +58,9 @@ from .dynamics import (
 from .spectra import (
     SPECTRUM_CSV_COLUMNS,
     MediumParams,
+    SusceptibilityPair,
     rotation_angle,
-    susceptibility_pair,
+    susceptibility_arrays,
 )
 
 __all__ = [
@@ -118,8 +122,6 @@ class ScenarioConfig:
     population_policy: str = "fixed"
     cg_overrides: dict | None = None
     rates: RelaxationRates = field(default_factory=RelaxationRates)
-    rtol: float = 1e-6
-    max_panels: int = 4000
 
     def __post_init__(self):
         if self.scheme_id not in SCHEME_IDS:
@@ -265,16 +267,23 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     stark = cfg.stark(scheme)
     zeeman = cfg.zeeman() if cfg.b_field else None
     medium = cfg.medium()
-    rates = cfg.rates
     dets = cfg.detunings()
 
-    fixed_pops = None
-    if cfg.population_policy == "fixed":
-        fixed_pops = steady_populations(cfg)
+    # the metadata always reports the populations at two-photon resonance
+    meta_pops = pops = steady_populations(cfg)
+    if cfg.population_policy == "per_point":
+        point_pops = [steady_populations(cfg, probe_detuning=det) for det in dets]
+        pops = {s: np.array([p[s] for p in point_pops]) for s in scheme.ground()}
+
+    # pathways carry no probe detuning, so one set serves the whole grid
+    probe = cfg.probe_drive(cfg.coupling_detuning)
+    chi_m, chi_p = susceptibility_arrays(
+        probe_pathways(scheme, probe, coupling, SIGMA_MINUS, stark),
+        probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark),
+        dets, coupling, cfg.rates, pops, medium, zeeman,
+    )
 
     n = len(dets)
-    chi_m = np.empty(n, complex)
-    chi_p = np.empty(n, complex)
     n_m = np.empty(n)
     n_p = np.empty(n)
     a_m = np.empty(n)
@@ -282,24 +291,15 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     phi_ex = np.empty(n)
     phi_ap = np.empty(n)
     signals = []
-    for i, det in enumerate(dets):
-        pops = fixed_pops
-        if pops is None:
-            pops = steady_populations(cfg, probe_detuning=det)
-        probe = cfg.probe_drive(det)
-        pair, _ = susceptibility_pair(
-            scheme, probe, coupling, rates, pops, medium,
-            stark=stark, zeeman=zeeman, rtol=cfg.rtol, max_panels=cfg.max_panels,
-        )
+    for i in range(n):
+        pair = SusceptibilityPair.from_chis(complex(chi_m[i]), complex(chi_p[i]), medium)
         ang = rotation_angle(pair, medium)
-        chi_m[i], chi_p[i] = pair.chi_minus, pair.chi_plus
         n_m[i], n_p[i] = pair.n_minus, pair.n_plus
         a_m[i], a_p[i] = pair.alpha_minus, pair.alpha_plus
         phi_ex[i], phi_ap[i] = ang.exact, ang.approx
         out = propagate_cell(JonesVector.linear(), pair, medium)
         signals.append(detector_intensities(out, 1.0))
 
-    meta_pops = fixed_pops if fixed_pops is not None else steady_populations(cfg)
     metadata = {
         "scheme": cfg.scheme_id,
         "populations": _population_metadata(scheme, meta_pops),
@@ -416,8 +416,7 @@ def count_transmission_peaks(
     """Number of local transmission maxima above a prominence floor.
 
     The floor is a fraction of the curve's peak-to-valley range, so the
-    count is stable under grid refinement and immune to quadrature-level
-    ripple.
+    count is stable under grid refinement and immune to numerical ripple.
     """
     t = curve.transmission
     span = float(np.max(t) - np.min(t))

@@ -4,12 +4,24 @@ Each probe pathway contributes a partial susceptibility
 
     chi_t = (i / (hbar eps0)) * mu_t^2 * rho_gg * N0 * F_t,
 
-where F_t is the thermal average of the inverse dressed-line denominator:
-the one-photon detuning rides the atomic velocity through the first-order
-Doppler shift, while the two-photon (EIT) term stays velocity-free because
-probe and coupling co-propagate. Summing the pathway partials per circular
-component gives chi- and chi+, hence refractive indices, absorption
-coefficients, and the rotation angle of the linear probe polarization.
+where F_t is the Maxwellian average of the inverse dressed-line denominator.
+For an atom moving at u along the beams that denominator is A - i k u: the
+one-photon detuning rides the first-order Doppler shift, while the
+two-photon (EIT) term stays velocity-free because probe and coupling
+co-propagate, and the populations are taken as velocity-independent. So A,
+the ``pathway_denominator`` at rest, is the same for every velocity class,
+and the average is a Voigt integral with a closed form,
+
+    F = integral du exp(-u^2/V^2) / (V sqrt(pi)) / (A - i k u)
+      = sqrt(pi) / (k V) * w(i A / (k V)),
+
+with w the Faddeeva function (scipy.special.wofz). The identity holds for
+Im(i A / (k V)) = Re(A) / (k V) > 0, which positive gamma_ca and
+non-negative gamma_ba guarantee (``RelaxationRates`` enforces both). The
+kernel evaluates it for every pathway and probe detuning in one call, and
+sums the partials per circular component into chi- and chi+, hence
+refractive indices, absorption coefficients, and the rotation angle of the
+linear probe polarization.
 
 The mapping from cell temperature to vapor density uses the liquid-phase Rb
 vapor-pressure curve rescaled to pass through a measured anchor point, so
@@ -20,8 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy.special import wofz
 
 from .atom import (
     D1_WAVELENGTH,
@@ -39,10 +53,8 @@ from .atom import (
     StarkShifts,
     ZeemanField,
     probe_pathways,
-    zeeman_shift,
 )
-from .dynamics import RelaxationRates
-from .quadrature import QuadratureResult, integrate_adaptive
+from .dynamics import RelaxationRates, pathway_denominator
 
 __all__ = [
     "MediumParams",
@@ -51,8 +63,8 @@ __all__ = [
     "maxwellian_weight",
     "rb_vapor_density",
     "thermal_v_width",
-    "doppler_factor",
-    "doppler_factors",
+    "doppler_average",
+    "susceptibility_arrays",
     "susceptibility_pair",
     "rotation_angle",
     "SPECTRUM_CSV_COLUMNS",
@@ -180,80 +192,61 @@ class RotationAngle:
     approx: float
 
 
-def _pathway_integrand(
-    p: ProbePathway,
-    probe: FieldDrive,
-    coupling: FieldDrive,
-    rates: RelaxationRates,
-    medium: MediumParams,
-    zeeman: ZeemanField | None,
-):
-    """Velocity integrand 1/denominator and the one-photon resonance velocity."""
-    z_g = zeeman_shift(p.ground, zeeman)
-    z_e = zeeman_shift(p.excited, zeeman)
-    one_photon = probe.detuning - (z_e - z_g)
-    k = medium.wavevector
-    eit = 0.0j
-    if p.partner is not None and p.coupling_rabi != 0.0:
-        z_b = zeeman_shift(p.partner, zeeman)
-        two_photon = probe.detuning - coupling.detuning + p.stark_shift + z_g - z_b
-        eit = (abs(p.coupling_rabi) ** 2 / 4.0) / (rates.gamma_ba - 1j * two_photon)
-    base = rates.gamma_ca + eit
+def doppler_average(denominator, kv: float):
+    """Maxwellian average of 1/(denominator - i k u), units of 1/denominator.
 
-    def inv_denominator(u):
-        return 1.0 / (base - 1j * (one_photon + k * u))
-
-    return inv_denominator, -one_photon / k
-
-
-def doppler_factors(
-    pathways,
-    probe: FieldDrive,
-    coupling: FieldDrive,
-    rates: RelaxationRates,
-    medium: MediumParams,
-    zeeman: ZeemanField | None = None,
-    rtol: float = 1e-6,
-    max_panels: int = 4000,
-) -> QuadratureResult:
-    """Thermal averages of the pathway denominators, all in one refinement.
-
-    Returns one complex value per pathway (units: seconds), normalized by the
-    total density, i.e. the velocity weight integrates to one.
+    ``kv`` is k V; ``denominator`` (complex, any shape) must have a positive
+    real part. See the module docstring for the closed form.
     """
-    pathways = tuple(pathways)
-    parts = [
-        _pathway_integrand(p, probe, coupling, rates, medium, zeeman)
-        for p in pathways
-    ]
-    v = medium.v_width
-    span = 6.0 * v
-
-    def integrand(u):
-        w = maxwellian_weight(u, v)
-        return np.stack([w * f(u) for f, _ in parts])
-
-    breakpoints = [ur for _, ur in parts if -span < ur < span]
-    return integrate_adaptive(
-        integrand, -span, span,
-        breakpoints=breakpoints, rtol=rtol, max_panels=max_panels,
-    )
+    return math.sqrt(math.pi) / kv * wofz(1j * np.asarray(denominator) / kv)
 
 
-def doppler_factor(
-    pathway: ProbePathway,
-    probe: FieldDrive,
+def _component_sum(partials: np.ndarray) -> np.ndarray:
+    # Summing in a canonical order makes mirror-image pathway sets, whose
+    # partials agree bit for bit, give bit-identical totals.
+    return np.sort(partials, axis=0).sum(axis=0)
+
+
+def susceptibility_arrays(
+    paths_minus: Sequence[ProbePathway],
+    paths_plus: Sequence[ProbePathway],
+    detunings,
     coupling: FieldDrive,
     rates: RelaxationRates,
+    populations: dict,
     medium: MediumParams,
     zeeman: ZeemanField | None = None,
-    rtol: float = 1e-6,
-    max_panels: int = 4000,
-) -> complex:
-    result = doppler_factors(
-        [pathway], probe, coupling, rates, medium, zeeman, rtol, max_panels
-    )
-    return complex(result.value)
+) -> tuple[np.ndarray, np.ndarray]:
+    """chi- and chi+ at each probe detuning in ``detunings`` (rad/s).
+
+    ``populations`` maps ground sublevels to occupations, either one number
+    per sublevel or one array per sublevel with one entry per detuning.
+    All pathways and detunings share one Faddeeva evaluation.
+    """
+    dets = np.atleast_1d(np.asarray(detunings, dtype=float))
+    paths = (*paths_minus, *paths_plus)
+    shape = (len(paths), len(dets))
+    kv = medium.wavevector * medium.v_width
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denominators = np.array([
+            pathway_denominator(p, dets, coupling.detuning, rates, zeeman)
+            for p in paths
+        ]).reshape(shape)
+        # An undamped ground coherence (gamma_ba = 0) at exact two-photon
+        # resonance makes the dressed denominator infinite; the average then
+        # tends to zero: that pathway is fully transparent.
+        factors = np.where(np.isinf(denominators), 0.0,
+                           doppler_average(denominators, kv))
+    prefactor = 1j * medium.density / (HBAR * EPSILON_0)
+    weights = np.array([
+        np.broadcast_to(
+            prefactor * p.probe_dipole ** 2 * populations.get(p.ground, 0.0),
+            dets.shape)
+        for p in paths
+    ]).reshape(shape)
+    partials = weights * factors
+    split = len(paths_minus)
+    return _component_sum(partials[:split]), _component_sum(partials[split:])
 
 
 def susceptibility_pair(
@@ -265,34 +258,19 @@ def susceptibility_pair(
     medium: MediumParams,
     stark: StarkShifts = NO_STARK,
     zeeman: ZeemanField | None = None,
-    rtol: float = 1e-6,
-    max_panels: int = 4000,
-) -> tuple[SusceptibilityPair, QuadratureResult]:
+) -> SusceptibilityPair:
     """Total chi-, chi+ at the probe detuning carried by ``probe``.
 
     ``populations`` maps ground sublevels to steady-state occupations; they
     multiply the pathway partials and are treated as velocity-independent.
-    Both components' pathways share one adaptive refinement, so mirror-
-    symmetric schemes cancel to machine precision.
     """
-    paths_minus = probe_pathways(scheme, probe, coupling, SIGMA_MINUS, stark)
-    paths_plus = probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark)
-    all_paths = paths_minus + paths_plus
-    if not all_paths:
-        empty = SusceptibilityPair.from_chis(0.0j, 0.0j, medium)
-        return empty, QuadratureResult(np.zeros(0), np.zeros(0), 0, 0)
-    result = doppler_factors(
-        all_paths, probe, coupling, rates, medium, zeeman, rtol, max_panels
+    chi_minus, chi_plus = susceptibility_arrays(
+        probe_pathways(scheme, probe, coupling, SIGMA_MINUS, stark),
+        probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark),
+        probe.detuning, coupling, rates, populations, medium, zeeman,
     )
-    factors = np.atleast_1d(result.value)
-    prefactor = 1j * medium.density / (HBAR * EPSILON_0)
-    chis = np.array([
-        prefactor * p.probe_dipole ** 2 * populations.get(p.ground, 0.0) * f
-        for p, f in zip(all_paths, factors)
-    ])
-    chi_minus = complex(chis[: len(paths_minus)].sum())
-    chi_plus = complex(chis[len(paths_minus):].sum())
-    return SusceptibilityPair.from_chis(chi_minus, chi_plus, medium), result
+    return SusceptibilityPair.from_chis(
+        complex(chi_minus[0]), complex(chi_plus[0]), medium)
 
 
 def rotation_angle(pair: SusceptibilityPair, medium: MediumParams) -> RotationAngle:

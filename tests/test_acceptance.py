@@ -43,7 +43,6 @@ from eitrot.dynamics import (
     population_map,
     solve_steady_state,
 )
-from eitrot.quadrature import integrate_adaptive
 from eitrot.scenarios import (
     ScenarioConfig,
     count_transmission_peaks,
@@ -52,7 +51,12 @@ from eitrot.scenarios import (
     sweep_coupling_power,
     sweep_probe_detuning,
 )
-from eitrot.spectra import MediumParams, SusceptibilityPair, rotation_angle
+from eitrot.spectra import (
+    MediumParams,
+    SusceptibilityPair,
+    doppler_average,
+    rotation_angle,
+)
 
 WP10 = FieldDrive(PROBE, LINEAR, TWO_PI * 10e6)
 WC80 = FieldDrive(COUPLING, SIGMA_MINUS, TWO_PI * 80e6)
@@ -277,7 +281,7 @@ def test_10_numerical_hygiene():
                       abs(np.trace(rho).real - 1.0), abs(np.trace(rho).imag),
                       max(0.0, -float(np.linalg.eigvalsh(rho).min())))
 
-    # (b) velocity quadrature against a dense trapezoid oracle
+    # (b) closed-form velocity average against a dense trapezoid oracle
     rng = np.random.default_rng(424242)
     k = TWO_PI / 795e-9
     quad_worst = 0.0
@@ -295,8 +299,8 @@ def test_10_numerical_hygiene():
                      + (omega_c2 / 4) / (gamma_ba - 1j * delta2))
             return weight / denom
 
-        got = integrate_adaptive(f, -6 * v, 6 * v,
-                                 breakpoints=(-delta1 / k,), rtol=1e-7).value
+        got = doppler_average(
+            gamma_ca - 1j * delta1 + (omega_c2 / 4) / (gamma_ba - 1j * delta2), k * v)
         grid = np.linspace(-6 * v, 6 * v, 1_200_001)
         oracle = np.trapezoid(f(grid), grid)
         quad_worst = max(quad_worst, abs(got - oracle) / abs(oracle))
@@ -334,6 +338,6 @@ def test_10_numerical_hygiene():
     ok = (hygiene < 1e-10 and quad_worst < 1e-4
           and coh_worst < 0.05 and angle_worst < 0.01)
     report("criterion 10 numerical hygiene", ok,
-           f"state hygiene {hygiene:.1e} < 1e-10, quadrature vs oracle "
+           f"state hygiene {hygiene:.1e} < 1e-10, Doppler average vs oracle "
            f"{quad_worst:.1e} < 1e-4, weak-probe coherences {coh_worst:.3f} "
            f"< 0.05, angle formulas {angle_worst:.1e} < 0.01")

@@ -134,10 +134,35 @@ class TestMainErrors:
         assert "cannot read config" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        cfg = write(tmp_path, SPECTRUM_YAML + "quadrature:\n  max_panels: 3\n")
-        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+        # no fields and no transit exchange: every ground population is
+        # stationary, so the steady state is not unique
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", "probe.rabi_mhz=0", "--set", "coupling.rabi_mhz=0",
+                     "--set", "rates.transit_mhz=0"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: numeric:")
+        assert err.startswith("error: numeric: steady-state system is singular")
+
+    def test_quadrature_section_is_unknown(self, tmp_path, capsys):
+        cfg = write(tmp_path, SPECTRUM_YAML + "quadrature:\n  max_panels: 3\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+        assert "unknown key 'quadrature'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma_ca_mhz", "-3.5"),
+        ("gamma_ca_mhz", ".nan"),
+        ("gamma_mhz", "0"),
+        ("gamma_ba_mhz", "-1"),
+        ("gamma_ground_mhz", ".inf"),
+        ("transit_mhz", "-0.1"),
+    ])
+    def test_rate_out_of_domain_exit_code(self, tmp_path, capsys, key, value):
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", f"rates.{key}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: key 'rates.{key}' must be finite")
+        assert not (tmp_path / "spectrum.csv").exists()
 
 
 class TestOtherScenarios:

@@ -161,6 +161,15 @@ class TestLiouvillianStructure:
         got = lio_entry(lio, SCHEME, ("b2", "b3"), ("b2", "b3"))
         assert got.real == pytest.approx(-TWO_PI * 0.3e6, rel=1e-9)
 
+    def test_rates_domain(self):
+        # zero is allowed where the closed-form Doppler average stays valid
+        RelaxationRates(gamma_ba=0.0, gamma_ground=0.0, gamma_transit=0.0)
+        for field, value in (("gamma", 0.0), ("gamma_ca", 0.0),
+                             ("gamma_ba", -1.0), ("gamma_ground", math.nan),
+                             ("gamma_transit", math.inf)):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                RelaxationRates(**{field: value})
+
     def test_equation_dump_shows_eit_link(self):
         dump = equation_dump(default_lio(), SCHEME).splitlines()
         c1a1 = [l for l in dump if l.startswith("d rho[c1,a1]/dt")]

@@ -7,6 +7,8 @@ import pytest
 
 from eitrot.atom import (
     COUPLING,
+    EPSILON_0,
+    HBAR,
     LINEAR,
     PROBE,
     SIGMA_MINUS,
@@ -21,10 +23,11 @@ from eitrot.dynamics import RelaxationRates
 from eitrot.spectra import (
     MediumParams,
     SusceptibilityPair,
-    doppler_factor,
+    doppler_average,
     maxwellian_weight,
     rb_vapor_density,
     rotation_angle,
+    susceptibility_arrays,
     susceptibility_pair,
     thermal_v_width,
 )
@@ -38,6 +41,14 @@ WC80 = FieldDrive(COUPLING, SIGMA_MINUS, TWO_PI * 80e6)
 
 def probe_at(det, rabi=TWO_PI * 10e6):
     return FieldDrive(PROBE, LINEAR, rabi, detuning=det)
+
+
+def doppler_factor(path, probe, coupling, rates, medium):
+    """Velocity average of one pathway's denominator, read back from chi."""
+    chi_minus, _ = susceptibility_arrays((path,), (), probe.detuning, coupling,
+                                         rates, {path.ground: 1.0}, medium)
+    prefactor = 1j * medium.density / (HBAR * EPSILON_0)
+    return complex(chi_minus[0]) / (prefactor * path.probe_dipole ** 2)
 
 
 def bare_path(probe, coupling=WC80):
@@ -107,7 +118,7 @@ class TestDopplerFactor:
         v = medium.v_width
         path = next(p for p in probe_pathways(SCHEME, probe, off, SIGMA_MINUS)
                     if SCHEME.label(p.excited) == "c1")
-        got = doppler_factor(path, probe, off, rates, medium, rtol=1e-9)
+        got = doppler_factor(path, probe, off, rates, medium)
         u = np.linspace(-6 * v, 6 * v, 2_000_001)
         oracle = np.trapezoid(
             maxwellian_weight(u, v) / (GAMMA_CA - 1j * (det + k * u)), u)
@@ -125,6 +136,26 @@ class TestDopplerFactor:
         assert abs(with_eit) < 0.2 * abs(without)
 
 
+class TestAgainstTrapezoid:
+    def test_twenty_random_parameter_sets(self):
+        # Maxwellian envelope against an EIT-style denominator whose width can
+        # sit three decades below the envelope width
+        rng = np.random.default_rng(20260814)
+        k = 2 * math.pi / 795e-9
+        for trial in range(20):
+            v = rng.uniform(150.0, 350.0)
+            gamma_ca = rng.uniform(1e6, 5e7)
+            gamma_ba = rng.uniform(1e5, 1e7)
+            delta1 = rng.uniform(-3e8, 3e8)
+            delta2 = rng.uniform(-3e7, 3e7)
+            omega_c2 = rng.uniform(0.0, (2 * math.pi * 1e8) ** 2)
+            a = gamma_ca - 1j * delta1 + (omega_c2 / 4) / (gamma_ba - 1j * delta2)
+            u = np.linspace(-6 * v, 6 * v, 1_200_001)
+            oracle = np.trapezoid(maxwellian_weight(u, v) / (a - 1j * k * u), u)
+            got = doppler_average(a, k * v)
+            assert abs(got - oracle) <= 1e-4 * abs(oracle), trial
+
+
 class TestSusceptibility:
     def setup_method(self):
         self.rates = RelaxationRates()
@@ -136,30 +167,60 @@ class TestSusceptibility:
     def test_scales_linearly_with_density(self):
         probe = probe_at(TWO_PI * 3e6)
         stark = stark_shifts(WC80, SCHEME)
-        pair1, _ = susceptibility_pair(SCHEME, probe, WC80, self.rates,
-                                       self.pops, self.medium, stark=stark)
+        pair1 = susceptibility_pair(SCHEME, probe, WC80, self.rates,
+                                    self.pops, self.medium, stark=stark)
         double = MediumParams(density=2 * self.medium.density, temperature=328.15,
                               v_width=self.medium.v_width)
-        pair2, _ = susceptibility_pair(SCHEME, probe, WC80, self.rates,
-                                       self.pops, double, stark=stark)
+        pair2 = susceptibility_pair(SCHEME, probe, WC80, self.rates,
+                                    self.pops, double, stark=stark)
         assert pair2.chi_minus == pytest.approx(2 * pair1.chi_minus, rel=1e-9)
         assert pair2.chi_plus == pytest.approx(2 * pair1.chi_plus, rel=1e-9)
 
     def test_absorptive_part_positive(self):
-        pair, _ = susceptibility_pair(SCHEME, probe_at(TWO_PI * 3e6), WC80,
-                                      self.rates, self.pops, self.medium,
-                                      stark=stark_shifts(WC80, SCHEME))
+        pair = susceptibility_pair(SCHEME, probe_at(TWO_PI * 3e6), WC80,
+                                   self.rates, self.pops, self.medium,
+                                   stark=stark_shifts(WC80, SCHEME))
         assert pair.chi_minus.imag > 0
         assert pair.chi_plus.imag > 0
         assert pair.alpha_minus > 0
         assert pair.alpha_plus > 0
 
+    def test_grid_matches_single_points(self):
+        # one call over a grid, with populations that vary along it, agrees
+        # with the single-detuning entry point at every point
+        stark = stark_shifts(WC80, SCHEME)
+        dets = TWO_PI * np.array([-250e6, -3e6, 0.0, 2e6, 30e6])
+        probe = probe_at(0.0)
+        paths = [probe_pathways(SCHEME, probe, WC80, c, stark)
+                 for c in (SIGMA_MINUS, SIGMA_PLUS)]
+        scale = np.linspace(0.5, 1.5, len(dets))
+        pops = {s: v * scale for s, v in self.pops.items()}
+        chi_m, chi_p = susceptibility_arrays(*paths, dets, WC80, self.rates,
+                                             pops, self.medium)
+        for i, det in enumerate(dets):
+            pair = susceptibility_pair(
+                SCHEME, probe_at(det), WC80, self.rates,
+                {s: v[i] for s, v in pops.items()}, self.medium, stark=stark)
+            assert chi_m[i] == pytest.approx(pair.chi_minus, rel=1e-12)
+            assert chi_p[i] == pytest.approx(pair.chi_plus, rel=1e-12)
+
+    def test_undamped_two_photon_resonance_is_transparent_limit(self):
+        # gamma_ba = 0 at exact two-photon resonance: each lambda pathway's
+        # denominator is infinite, and chi is the limit of tiny gamma_ba
+        probe = probe_at(0.0)
+        pair = susceptibility_pair(SCHEME, probe, WC80, RelaxationRates(gamma_ba=0.0),
+                                   self.pops, self.medium)
+        near = susceptibility_pair(SCHEME, probe, WC80, RelaxationRates(gamma_ba=1e-30),
+                                   self.pops, self.medium)
+        assert pair.chi_minus == pytest.approx(near.chi_minus, rel=1e-12)
+        assert pair.chi_plus == pytest.approx(near.chi_plus, rel=1e-12)
+
     def test_mirror_scheme_components_cancel(self):
         scheme = build_level_scheme("pi_f2")
         coupling = FieldDrive(COUPLING, "pi", TWO_PI * 80e6)
         pops = {s: 1.0 / 8.0 for s in scheme.ground()}
-        pair, _ = susceptibility_pair(scheme, probe_at(TWO_PI * 2e6), coupling,
-                                      self.rates, pops, self.medium)
+        pair = susceptibility_pair(scheme, probe_at(TWO_PI * 2e6), coupling,
+                                   self.rates, pops, self.medium)
         assert pair.chi_plus == pytest.approx(pair.chi_minus, rel=0, abs=1e-22)
 
 
