@@ -24,7 +24,6 @@ from .atom import (
     Transition,
     ZeemanField,
     build_level_scheme,
-    cg_table_csv,
     clebsch_gordan,
     coupling_polarization,
     lambda_subsystems,

@@ -24,8 +24,6 @@ sublevel over both ground manifolds).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -169,18 +167,6 @@ class StarkShifts:
         if s.manifold != GROUND_F2:
             return 0.0
         return self.shifts.get(s.m, 0.0)
-
-    @property
-    def delta_b3(self) -> float:
-        return self.shifts.get(0, 0.0)
-
-    @property
-    def delta_b4(self) -> float:
-        return self.shifts.get(1, 0.0)
-
-    @property
-    def delta_b5(self) -> float:
-        return self.shifts.get(2, 0.0)
 
 
 NO_STARK = StarkShifts(shifts={}, from_far_level=False)
@@ -391,14 +377,3 @@ def lambda_subsystems(
             triples.append((p.ground, p.excited, p.partner))
     return tuple(triples)
 
-
-def cg_table_csv(scheme: LevelScheme) -> str:
-    """Transition table as CSV text: lower, upper, polarization, cg."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lower", "upper", "polarization", "cg"])
-    for t in scheme.transitions:
-        writer.writerow([
-            scheme.label(t.lower), scheme.label(t.upper), t.polarization, f"{t.cg:.9g}",
-        ])
-    return buf.getvalue()

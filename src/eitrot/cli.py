@@ -6,9 +6,9 @@ keys carry an explicit unit suffix (_mhz means ordinary frequency in MHz,
 converted to angular rad/s internally); powers are _mw or _uw, lengths _mm,
 temperatures _c or _k, densities _per_cm3 or _per_m3, magnetic field _g.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure. Errors
-are single lines on stderr of the form ``error: config: ...`` or
-``error: numeric: ...``.
+Exit codes: 0 success, 1 configuration error (including a non-finite
+number and a bad command-line flag), 2 numerical failure. Errors are single
+lines on stderr of the form ``error: config: ...`` or ``error: numeric: ...``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -79,7 +79,6 @@ class RunSpec:
     temperatures_k: tuple[float, ...]
     basename: str
     resolved: dict  # canonical config document, round-trips through parse_config
-    threads: int = 1
 
 
 _KNOWN = {
@@ -136,30 +135,30 @@ def _section(doc: dict, name: str) -> dict:
     return value
 
 
-def _as_float(value):
-    """Float from a YAML scalar; accepts '1e17'-style strings (YAML 1.1
-    leaves exponent forms without a sign as plain strings)."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+def _as_float(value, name: str) -> float:
+    """Finite float from the YAML scalar under key ``name``; accepts
+    '1e17'-style strings (YAML 1.1 leaves exponent forms without a sign as
+    plain strings)."""
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+    elif isinstance(value, str):
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
-            return None
-    return None
+            pass
+    if number is None:
+        raise ConfigError(f"key '{name}' must be a number")
+    if not math.isfinite(number):
+        raise ConfigError(f"key '{name}' must be finite")
+    return number
 
 
 def _number(section: dict, path: str, key: str, default=None):
     value = section.get(key, default)
     if value is None:
         return None
-    converted = _as_float(value)
-    if converted is None:
-        name = f"{path}.{key}" if path else key
-        raise ConfigError(f"key '{name}' must be a number")
-    return converted
+    return _as_float(value, f"{path}.{key}" if path else key)
 
 
 def _exclusive(section: dict, path: str, a: str, b: str):
@@ -268,19 +267,14 @@ def parse_config(doc: dict) -> RunSpec:
             raise ConfigError(
                 f"cg_overrides key '{pair}' must look like 'a1->c1'"
             )
-        cg = _as_float(value)
-        if cg is None:
-            raise ConfigError(f"cg_overrides['{pair}'] must be a number")
-        overrides[(parts[0].strip(), parts[1].strip())] = cg
+        overrides[(parts[0].strip(), parts[1].strip())] = _as_float(
+            value, f"cg_overrides.{pair}")
 
     def _number_list(section: dict, path: str, key: str, default: list):
         values = section.get(key, default)
         if not isinstance(values, list) or not values:
             raise ConfigError(f"key '{path}.{key}' must be a non-empty number list")
-        converted = [_as_float(v) for v in values]
-        if any(v is None for v in converted):
-            raise ConfigError(f"key '{path}.{key}' must be a non-empty number list")
-        return converted
+        return [_as_float(v, f"{path}.{key}") for v in values]
 
     scan_p = _section(doc, "power_scan")
     powers_mw = _number_list(scan_p, "power_scan", "powers_mw",
@@ -403,11 +397,23 @@ def _metadata(spec: RunSpec, extra: dict | None = None) -> dict:
                 "rabi_mhz": RABI_ANCHORS[PROBE][1] / _MHZ,
             },
         },
-        "threads": spec.threads,
     }
     if extra:
         payload.update(extra)
     return payload
+
+
+_PEAK_KEYS = (
+    "left_detuning_mhz", "left_phi_deg", "right_detuning_mhz", "right_phi_deg",
+)
+
+
+def _peak_values(peaks) -> tuple[float, float, float, float]:
+    """Both dispersion peaks as MHz, deg, MHz, deg; all NaN if none found."""
+    if not peaks.found:
+        return (math.nan,) * 4
+    return (peaks.left.detuning / _MHZ, math.degrees(peaks.left.phi),
+            peaks.right.detuning / _MHZ, math.degrees(peaks.right.phi))
 
 
 def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
@@ -432,15 +438,9 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
         meta = _metadata(spec, {"sweep": result.metadata})
         peaks = find_dispersion_peaks(result)
         if peaks.found:
-            meta["peaks"] = {
-                "left_detuning_mhz": peaks.left.detuning / _MHZ,
-                "left_phi_deg": math.degrees(peaks.left.phi),
-                "right_detuning_mhz": peaks.right.detuning / _MHZ,
-                "right_phi_deg": math.degrees(peaks.right.phi),
-            }
+            meta["peaks"] = dict(zip(_PEAK_KEYS, _peak_values(peaks)))
         written.append(csv_path)
-        max_phi = math.degrees(max(abs(result.phi_exact.min()),
-                                   abs(result.phi_exact.max())))
+        max_phi = math.degrees(abs(result.phi_exact).max())
         print(f"{spec.scenario}: {cfg.points} points, max |phi| = {max_phi:.6g} deg")
 
     elif spec.scenario == "power-scan":
@@ -451,11 +451,7 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
                 raise SteadyStateError(
                     f"no dispersion peaks at {power * 1e3:g} mW", 0
                 )
-            rows.append((
-                power * 1e3, rabi / _MHZ,
-                peaks.left.detuning / _MHZ, math.degrees(peaks.left.phi),
-                peaks.right.detuning / _MHZ, math.degrees(peaks.right.phi),
-            ))
+            rows.append((power * 1e3, rabi / _MHZ, *_peak_values(peaks)))
         csv_path = base.with_suffix(".csv")
         write_csv(csv_path, POWER_SCAN_CSV_COLUMNS, rows)
         meta = _metadata(spec)
@@ -471,19 +467,10 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
             sub_path = outdir / f"{spec.basename}_t{i}.csv"
             write_csv(sub_path, SPECTRUM_CSV_COLUMNS, result.spectrum_rows())
             per_temp_files.append(str(sub_path.name))
-            peaks = find_dispersion_peaks(result)
-            left_det = left_phi = right_det = right_phi = math.nan
-            if peaks.found:
-                left_det = peaks.left.detuning / _MHZ
-                left_phi = math.degrees(peaks.left.phi)
-                right_det = peaks.right.detuning / _MHZ
-                right_phi = math.degrees(peaks.right.phi)
-            max_abs = max(abs(float(result.phi_exact.min())),
-                          abs(float(result.phi_exact.max())))
             rows.append((
                 t, result.metadata["density_m3"],
-                left_det, left_phi, right_det, right_phi,
-                math.degrees(max_abs),
+                *_peak_values(find_dispersion_peaks(result)),
+                math.degrees(abs(result.phi_exact).max()),
             ))
             written.append(sub_path)
         csv_path = base.with_suffix(".csv")
@@ -540,8 +527,16 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
     return written
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as configuration errors (exit 1), not argparse's
+    exit 2, which here means a numerical failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="eitrot",
         description="EIT polarization-rotation simulator for the Rb D1 line.",
     )
@@ -557,18 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH=VALUE",
         help="override a config key by dotted path, e.g. coupling.power_mw=10",
     )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker-count hint recorded in metadata (execution is serial)",
-    )
     parser.add_argument("-v", "--verbose", action="store_true")
     parser.add_argument("--version", action="version", version=__version__)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
@@ -579,7 +570,6 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"malformed YAML: {exc}") from exc
         doc = apply_overrides(doc if doc is not None else {}, args.overrides)
         spec = parse_config(doc)
-        spec = replace(spec, threads=max(1, args.threads))
         run(spec, Path(args.outdir), verbose=args.verbose)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -55,7 +55,8 @@ class IndeterminateAngleError(ValueError):
 
 @dataclass(frozen=True)
 class JonesVector:
-    """Transverse field amplitudes in the fixed x/y basis."""
+    """Transverse field amplitudes in the fixed x/y basis; scalars, or arrays
+    of one shape for a field per detuning."""
 
     ex: complex
     ey: complex
@@ -74,7 +75,8 @@ class DetectorSignals:
     """The four analysis-arm intensities plus the input intensity i0.
 
     With ideal optics d1 + d2 = d3 + d4 (each arm carries half the output
-    power), and everything scales linearly with i0.
+    power), and everything scales linearly with i0. The four intensities are
+    scalars, or arrays of one shape; i0 is a scalar.
     """
 
     d1: float
@@ -85,7 +87,7 @@ class DetectorSignals:
 
     def __post_init__(self):
         for name in ("d1", "d2", "d3", "d4"):
-            if getattr(self, name) < 0:
+            if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be non-negative")
 
     @property
@@ -103,7 +105,8 @@ def propagate_cell(
     """Apply the cell's circular birefringence and dichroism to the field.
 
     The sigma+ component maps to (x + i y)/sqrt(2) and sigma- to its
-    conjugate; each acquires exp(-i k n d - alpha d / 2).
+    conjugate; each acquires exp(-i k n d - alpha d / 2). Array-valued
+    ``pair`` fields give a field per entry.
     """
     c_plus = (e_in.ex - 1j * e_in.ey) / 2.0
     c_minus = (e_in.ex + 1j * e_in.ey) / 2.0
@@ -125,9 +128,9 @@ def detector_intensities(e_out: JonesVector, i0: float) -> DetectorSignals:
     half = 0.5  # intensity fraction in each arm of the 50/50 splitter
     d2 = half * abs(e_out.ex) ** 2 * i0
     d1 = half * abs(e_out.ey) ** 2 * i0
-    reflected = HALF_WAVE_MATRIX @ np.array([e_out.ex, e_out.ey]) / math.sqrt(2.0)
-    d3 = abs(reflected[0]) ** 2 * i0
-    d4 = abs(reflected[1]) ** 2 * i0
+    (m00, m01), (m10, m11) = HALF_WAVE_MATRIX / math.sqrt(2.0)
+    d3 = abs(m00 * e_out.ex + m01 * e_out.ey) ** 2 * i0
+    d4 = abs(m10 * e_out.ex + m11 * e_out.ey) ** 2 * i0
     return DetectorSignals(d1=d1, d2=d2, d3=d3, d4=d4, i0=i0)
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "check_rate",
     "build_hamiltonian",
     "build_liouvillian",
+    "probe_detuning_slope",
     "solve_steady_state",
     "ground_populations",
     "analytic_coherences",
@@ -188,6 +189,19 @@ def build_liouvillian(
         for g2 in grounds:
             lio[g * n + g, g2 * n + g2] += fill
     return lio
+
+
+def probe_detuning_slope(scheme: LevelScheme) -> np.ndarray:
+    """Derivative of the superoperator diagonal by the probe detuning.
+
+    The probe detuning enters the Hamiltonian only on its diagonal, as -1 on
+    the excited and F=2 sublevels and 0 on F=1 (see ``build_hamiltonian``).
+    So moving it by x adds x * slope to the diagonal of ``build_liouvillian``
+    and changes nothing else; element (r, c) of the slope is -i (s_r - s_c).
+    """
+    s = np.array([0.0 if sub.manifold == GROUND_F1 else -1.0
+                  for sub in scheme.sublevels])
+    return -1j * (s[:, None] - s[None, :]).reshape(-1)
 
 
 def solve_steady_state(lio: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:

@@ -1,21 +1,22 @@
 """Composed experiments: detuning sweeps, power and temperature scans,
 EIT transmission peak counting, and their CSV/metadata serialization.
 
-Each sweep resolves a ScenarioConfig into a level scheme, field drives,
-relaxation rates, and medium parameters. The probe pathways do not depend on
-the probe detuning, so they are built once per sweep, and the
-susceptibilities of the whole grid come from one closed-form evaluation;
-the detection chain then runs per detuning point. Ground-state populations
-follow one of two policies: the default solves the steady state once at
-two-photon resonance and reuses it across the sweep (the line shapes then
-come entirely from the Doppler-averaged denominators), while ``per_point``
-re-solves at every detuning for sensitivity studies.
+Each sweep resolves a ScenarioConfig once into a level scheme, field
+drives, light shifts, relaxation rates, and medium parameters. The probe
+pathways do not depend on the probe detuning, so they are built once per
+sweep, the susceptibilities of the whole grid come from one closed-form
+evaluation, and the detection chain runs once on the resulting arrays.
+Ground-state populations follow one of two policies: the default solves the
+steady state once at two-photon resonance and reuses it across the sweep
+(the line shapes then come entirely from the Doppler-averaged
+denominators), while ``per_point`` re-solves at every detuning for
+sensitivity studies. Both solve the superoperator assembled once at
+two-photon resonance, with the probe detuning added on its diagonal.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -35,10 +36,12 @@ from .atom import (
     FieldDrive,
     LevelScheme,
     StarkShifts,
+    Sublevel,
     ZeemanField,
     build_level_scheme,
     coupling_polarization,
     probe_pathways,
+    rabi_from_power,
     stark_shifts,
 )
 from .detection import (
@@ -52,7 +55,8 @@ from .dynamics import (
     RelaxationRates,
     build_hamiltonian,
     build_liouvillian,
-    population_map,
+    level_index,
+    probe_detuning_slope,
     solve_steady_state,
 )
 from .spectra import (
@@ -149,8 +153,8 @@ class ScenarioConfig:
             wavelength=self.wavelength,
         )
 
-    def zeeman(self) -> ZeemanField:
-        return ZeemanField(b_field=self.b_field)
+    def zeeman(self) -> ZeemanField | None:
+        return ZeemanField(b_field=self.b_field) if self.b_field else None
 
     def coupling_drive(self) -> FieldDrive:
         return FieldDrive(
@@ -203,27 +207,26 @@ class SweepResult:
     alpha_plus: np.ndarray
     phi_exact: np.ndarray
     phi_approx: np.ndarray
-    signals: tuple[DetectorSignals, ...]
+    signals: DetectorSignals  # one array per detector, over the detunings
     metadata: dict
 
     def spectrum_rows(self):
-        for i, det in enumerate(self.detunings):
-            yield (
-                det / TWO_PI / 1e6,
-                self.chi_minus[i].real, self.chi_minus[i].imag,
-                self.chi_plus[i].real, self.chi_plus[i].imag,
-                self.n_plus[i] - self.n_minus[i],
-                self.alpha_plus[i], self.alpha_minus[i],
-                math.degrees(self.phi_exact[i]),
-            )
+        return zip(
+            self.detunings / TWO_PI / 1e6,
+            self.chi_minus.real, self.chi_minus.imag,
+            self.chi_plus.real, self.chi_plus.imag,
+            self.n_plus - self.n_minus,
+            self.alpha_plus, self.alpha_minus,
+            np.degrees(self.phi_exact),
+        )
 
     def trace_rows(self):
-        for det, s in zip(self.detunings, self.signals):
-            yield (
-                det / TWO_PI / 1e6,
-                s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0,
-                math.degrees(0.5 * math.atan2(-(s.d3 - s.d4), -(s.d1 - s.d2))),
-            )
+        s = self.signals
+        phi = np.degrees(0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2)))
+        return zip(
+            self.detunings / TWO_PI / 1e6,
+            s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0, phi,
+        )
 
 
 @dataclass(frozen=True)
@@ -234,46 +237,67 @@ class TransmissionCurve:
     metadata: dict
 
 
-def steady_populations(
+def _ground_populations(
     cfg: ScenarioConfig,
-    probe_detuning: float | None = None,
-    probe_polarization: str | None = None,
-) -> dict:
-    """Ground-sublevel occupations from the full steady-state solve.
+    scheme: LevelScheme,
+    coupling: FieldDrive,
+    stark: StarkShifts,
+    zeeman: ZeemanField | None,
+    offsets: Sequence[float],
+) -> dict[Sublevel, np.ndarray]:
+    """Steady-state ground occupations with the probe detuned by each of
+    ``offsets`` (rad/s) from two-photon resonance, one entry per offset.
 
-    Defaults to two-photon resonance (probe detuning equal to the coupling
-    detuning), the representative point for the fixed-population policy.
+    The superoperator is assembled once, at resonance; each offset only
+    moves its diagonal (see ``probe_detuning_slope``) before the solve.
+    """
+    # Work arrays come first and the diagonal is rewritten in place, so
+    # nothing is allocated between assembling the superoperator and solving
+    # it; measured, that keeps each sweep from growing the heap by about
+    # one superoperator (peak RSS).
+    slope = probe_detuning_slope(scheme)
+    at_resonance = np.empty_like(slope)
+    idx = level_index(scheme)
+    grounds = [idx[s] for s in scheme.ground()]
+    out = np.empty((len(grounds), len(offsets)))
+    probe = cfg.probe_drive(cfg.coupling_detuning)
+    h = build_hamiltonian(scheme, probe, coupling, stark, zeeman)
+    lio = build_liouvillian(scheme, h, cfg.rates)
+    diagonal = lio.reshape(-1)[:: len(slope) + 1]  # a view: lio is C-contiguous
+    at_resonance[:] = diagonal
+    for k, offset in enumerate(offsets):
+        np.multiply(offset, slope, out=diagonal)
+        diagonal += at_resonance
+        out[:, k] = solve_steady_state(lio).diagonal()[grounds].real
+    return dict(zip(scheme.ground(), out))
+
+
+def steady_populations(cfg: ScenarioConfig) -> dict:
+    """Ground-sublevel occupations from the full steady-state solve at
+    two-photon resonance (probe detuning equal to the coupling detuning),
+    the representative point for the fixed-population policy.
     """
     scheme = cfg.scheme()
-    det = cfg.coupling_detuning if probe_detuning is None else probe_detuning
-    pol = cfg.probe_polarization if probe_polarization is None else probe_polarization
-    probe = FieldDrive(PROBE, pol, cfg.probe_rabi, det)
-    coupling = cfg.coupling_drive()
-    zeeman = cfg.zeeman() if cfg.b_field else None
-    h = build_hamiltonian(scheme, probe, coupling, cfg.stark(scheme), zeeman)
-    lio = build_liouvillian(scheme, h, cfg.rates)
-    rho = solve_steady_state(lio)
-    pops = population_map(rho, scheme)
-    return {s: pops[s].real for s in scheme.ground()}
-
-
-def _population_metadata(scheme: LevelScheme, pops: dict) -> dict:
-    return {scheme.label(s): pops[s] for s in scheme.ground()}
+    pops = _ground_populations(cfg, scheme, cfg.coupling_drive(),
+                               cfg.stark(scheme), cfg.zeeman(), [0.0])
+    return {s: float(v[0]) for s, v in pops.items()}
 
 
 def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     scheme = cfg.scheme()
     coupling = cfg.coupling_drive()
     stark = cfg.stark(scheme)
-    zeeman = cfg.zeeman() if cfg.b_field else None
+    zeeman = cfg.zeeman()
     medium = cfg.medium()
     dets = cfg.detunings()
 
-    # the metadata always reports the populations at two-photon resonance
-    meta_pops = pops = steady_populations(cfg)
-    if cfg.population_policy == "per_point":
-        point_pops = [steady_populations(cfg, probe_detuning=det) for det in dets]
-        pops = {s: np.array([p[s] for p in point_pops]) for s in scheme.ground()}
+    # the metadata always reports the populations at two-photon resonance,
+    # so that point is solved first under either policy
+    per_point = cfg.population_policy == "per_point"
+    offsets = [0.0, *(dets - cfg.coupling_detuning)] if per_point else [0.0]
+    all_pops = _ground_populations(cfg, scheme, coupling, stark, zeeman, offsets)
+    meta_pops = {s: float(v[0]) for s, v in all_pops.items()}
+    pops = {s: v[1:] for s, v in all_pops.items()} if per_point else meta_pops
 
     # pathways carry no probe detuning, so one set serves the whole grid
     probe = cfg.probe_drive(cfg.coupling_detuning)
@@ -283,26 +307,14 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
         dets, coupling, cfg.rates, pops, medium, zeeman,
     )
 
-    n = len(dets)
-    n_m = np.empty(n)
-    n_p = np.empty(n)
-    a_m = np.empty(n)
-    a_p = np.empty(n)
-    phi_ex = np.empty(n)
-    phi_ap = np.empty(n)
-    signals = []
-    for i in range(n):
-        pair = SusceptibilityPair.from_chis(complex(chi_m[i]), complex(chi_p[i]), medium)
-        ang = rotation_angle(pair, medium)
-        n_m[i], n_p[i] = pair.n_minus, pair.n_plus
-        a_m[i], a_p[i] = pair.alpha_minus, pair.alpha_plus
-        phi_ex[i], phi_ap[i] = ang.exact, ang.approx
-        out = propagate_cell(JonesVector.linear(), pair, medium)
-        signals.append(detector_intensities(out, 1.0))
+    pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
+    angle = rotation_angle(pair, medium)
+    signals = detector_intensities(
+        propagate_cell(JonesVector.linear(), pair, medium), 1.0)
 
     metadata = {
         "scheme": cfg.scheme_id,
-        "populations": _population_metadata(scheme, meta_pops),
+        "populations": {scheme.label(s): v for s, v in meta_pops.items()},
         "population_policy": cfg.population_policy,
         "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
         "density_m3": medium.density,
@@ -312,10 +324,10 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     return SweepResult(
         detunings=dets,
         chi_minus=chi_m, chi_plus=chi_p,
-        n_minus=n_m, n_plus=n_p,
-        alpha_minus=a_m, alpha_plus=a_p,
-        phi_exact=phi_ex, phi_approx=phi_ap,
-        signals=tuple(signals),
+        n_minus=pair.n_minus, n_plus=pair.n_plus,
+        alpha_minus=pair.alpha_minus, alpha_plus=pair.alpha_plus,
+        phi_exact=angle.exact, phi_approx=angle.approx,
+        signals=signals,
         metadata=metadata,
     )
 
@@ -359,8 +371,6 @@ def sweep_coupling_power(
     cfg: ScenarioConfig, powers: Sequence[float]
 ) -> list[tuple[float, float, PeakPair]]:
     """Per-power dispersion peaks: (power W, coupling Rabi rad/s, peaks)."""
-    from .atom import rabi_from_power
-
     if any(p <= 0 for p in powers):
         raise ValueError("powers must be positive")
     if list(powers) != sorted(powers):

@@ -158,7 +158,10 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class SusceptibilityPair:
-    """chi, refractive index, and absorption per circular component."""
+    """chi, refractive index, and absorption per circular component.
+
+    The fields are scalars, or arrays of one shape (one entry per detuning).
+    """
 
     chi_minus: complex
     chi_plus: complex
@@ -168,21 +171,26 @@ class SusceptibilityPair:
     alpha_plus: float
 
     @classmethod
-    def from_chis(cls, chi_minus: complex, chi_plus: complex, medium: MediumParams):
+    def from_chis(cls, chi_minus, chi_plus, medium: MediumParams):
+        """n and alpha from the complex index sqrt(1 + chi): n = Re,
+        alpha = 2 k Im."""
         k = medium.wavevector
+        index_minus = np.sqrt(1.0 + np.asarray(chi_minus, dtype=complex))
+        index_plus = np.sqrt(1.0 + np.asarray(chi_plus, dtype=complex))
         return cls(
             chi_minus=chi_minus,
             chi_plus=chi_plus,
-            n_minus=math.sqrt(1.0 + chi_minus.real),
-            n_plus=math.sqrt(1.0 + chi_plus.real),
-            alpha_minus=2.0 * k * np.sqrt(1.0 + complex(chi_minus)).imag,
-            alpha_plus=2.0 * k * np.sqrt(1.0 + complex(chi_plus)).imag,
+            n_minus=index_minus.real,
+            n_plus=index_plus.real,
+            alpha_minus=2.0 * k * index_minus.imag,
+            alpha_plus=2.0 * k * index_plus.imag,
         )
 
 
 @dataclass(frozen=True)
 class RotationAngle:
-    """Rotation of the probe polarization plane, radians.
+    """Rotation of the probe polarization plane, radians; scalars or arrays
+    like the ``SusceptibilityPair`` they come from.
 
     ``exact`` uses the index difference, (pi/lambda)(n+ - n-)d; ``approx``
     the small-chi form (pi/2 lambda) Re(chi+ - chi-) d.
@@ -269,8 +277,7 @@ def susceptibility_pair(
         probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark),
         probe.detuning, coupling, rates, populations, medium, zeeman,
     )
-    return SusceptibilityPair.from_chis(
-        complex(chi_minus[0]), complex(chi_plus[0]), medium)
+    return SusceptibilityPair.from_chis(chi_minus[0], chi_plus[0], medium)
 
 
 def rotation_angle(pair: SusceptibilityPair, medium: MediumParams) -> RotationAngle:

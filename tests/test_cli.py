@@ -164,8 +164,55 @@ class TestMainErrors:
         assert err.startswith(f"error: config: key 'rates.{key}' must be finite")
         assert not (tmp_path / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("medium.density_per_cm3", ".nan"),
+        ("medium.cell_length_mm", ".nan"),
+        ("coupling.detuning_mhz", ".nan"),
+        ("magnetic_field_g", ".inf"),
+        ("probe.rabi_mhz", ".nan"),
+        ("power_scan.powers_mw", "[.nan, 5]"),
+        ("cg_overrides.a1->c1", "-.inf"),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, key, value):
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", f"{key}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config: key '{key}' must be finite\n"
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_unknown_flag_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--threads", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: unrecognized arguments: --threads")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+
 
 class TestOtherScenarios:
+    def test_detector_trace_rows(self, tmp_path):
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", "scenario=detector-trace"]) == 0
+        rows = (tmp_path / "detector_trace.csv").read_text().splitlines()
+        assert rows[0] == "detuning_mhz,i_d1,i_d2,i_d3,i_d4,phi_deg"
+        assert len(rows) == 1 + 11
+        trace = [[float(x) for x in r.split(",")] for r in rows[1:]]
+        spectrum = [[float(x) for x in r.split(",")] for r in
+                    (tmp_path / "spectrum.csv").read_text().splitlines()[1:]]
+        for t, s in zip(trace, spectrum):
+            assert t[0] == s[0]
+            assert t[5] == pytest.approx(s[-1], abs=1e-6)
+
     def test_eit_peaks_counts(self, tmp_path, capsys):
         cfg = write(tmp_path, EIT_YAML)
         assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 0

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from eitrot.atom import SIGMA_MINUS, SIGMA_PLUS, TWO_PI
+from eitrot.detection import JonesVector, detector_intensities, propagate_cell
+from eitrot.dynamics import build_hamiltonian, build_liouvillian, solve_steady_state
 from eitrot.scenarios import (
     Peak,
     PeakPair,
@@ -19,7 +21,9 @@ from eitrot.scenarios import (
     sweep_coupling_power,
     sweep_probe_detuning,
     sweep_temperature,
+    _ground_populations,
 )
+from eitrot.spectra import SusceptibilityPair
 
 FIG_CFG = ScenarioConfig(
     scheme_id="sigma_f2",
@@ -119,9 +123,38 @@ class TestSweep:
         assert peaks.left.phi > 0 > peaks.right.phi
         assert abs(peaks.left.phi) != pytest.approx(abs(peaks.right.phi), rel=0.05)
         # detector trace and direct angle agree point by point
-        for s, phi in zip(result.signals, result.phi_exact):
-            rec = 0.5 * math.atan2(-(s.d3 - s.d4), -(s.d1 - s.d2))
-            assert rec == pytest.approx(phi, abs=1e-9)
+        s = result.signals
+        rec = 0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2))
+        assert rec == pytest.approx(result.phi_exact, abs=1e-9)
+
+    def test_detector_arrays_match_scalar_chain(self):
+        result = sweep_probe_detuning(FIG_CFG)
+        medium = FIG_CFG.medium()
+        for i in (0, 17, 40, 63, 80):
+            pair = SusceptibilityPair.from_chis(
+                complex(result.chi_minus[i]), complex(result.chi_plus[i]), medium)
+            point = detector_intensities(
+                propagate_cell(JonesVector.linear(), pair, medium), 1.0)
+            for name in ("d1", "d2", "d3", "d4"):
+                assert getattr(result.signals, name)[i] == pytest.approx(
+                    getattr(point, name), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("b_field", [0.0, 10e-4])
+    def test_shifted_diagonal_populations_match_direct_solve(self, b_field):
+        cfg = replace(FIG_CFG, b_field=b_field, coupling_detuning=TWO_PI * 2e6)
+        scheme = cfg.scheme()
+        coupling = cfg.coupling_drive()
+        stark = cfg.stark(scheme)
+        zeeman = cfg.zeeman()
+        dets = TWO_PI * np.array([-40e6, -7.5e6, 0.0, 2e6, 3.1e6, 25e6])
+        pops = _ground_populations(cfg, scheme, coupling, stark, zeeman,
+                                   dets - cfg.coupling_detuning)
+        for k, det in enumerate(dets):
+            h = build_hamiltonian(scheme, cfg.probe_drive(det), coupling, stark, zeeman)
+            rho = solve_steady_state(build_liouvillian(scheme, h, cfg.rates))
+            for i, s in enumerate(scheme.sublevels):
+                if s in pops:
+                    assert pops[s][k] == pytest.approx(rho[i, i].real, abs=1e-12)
 
     def test_population_metadata_and_policy(self):
         fixed = sweep_probe_detuning(replace(FIG_CFG, points=11))

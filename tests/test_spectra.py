@@ -247,8 +247,19 @@ class TestRotationAngle:
     def test_index_from_chi(self):
         medium = MediumParams.from_temperature(328.15)
         pair = SusceptibilityPair.from_chis(4e-4 + 1e-5j, -2e-4 + 3e-5j, medium)
-        assert pair.n_minus == pytest.approx(math.sqrt(1.0 + 4e-4), rel=1e-12)
-        assert pair.n_plus == pytest.approx(math.sqrt(1.0 - 2e-4), rel=1e-12)
+        assert pair.n_minus == pytest.approx(np.sqrt(1 + 4e-4 + 1e-5j).real, rel=1e-12)
+        assert pair.n_plus == pytest.approx(np.sqrt(1 - 2e-4 + 3e-5j).real, rel=1e-12)
         k = medium.wavevector
         assert pair.alpha_minus == pytest.approx(
             2 * k * np.sqrt(1 + 4e-4 + 1e-5j).imag, rel=1e-12)
+
+    def test_index_below_minus_one_is_finite(self):
+        # Re chi < -1 has no real sqrt(1 + Re chi); the complex index does
+        medium = MediumParams.from_temperature(328.15)
+        chi = -1.5 + 2e-3j
+        pair = SusceptibilityPair.from_chis(chi, chi, medium)
+        index = np.sqrt(1 + chi)
+        assert math.isfinite(pair.n_minus) and math.isfinite(pair.alpha_minus)
+        assert pair.n_minus == pytest.approx(index.real, rel=1e-12)
+        assert pair.alpha_minus == pytest.approx(
+            2 * medium.wavevector * index.imag, rel=1e-12)
