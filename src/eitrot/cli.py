@@ -34,6 +34,7 @@ from .atom import (
     TWO_PI,
     rabi_from_power,
 )
+from .detection import IndeterminateAngleError
 from .dynamics import RelaxationRates, SteadyStateError, check_rate
 from .scenarios import (
     EIT_CSV_COLUMNS,
@@ -574,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except SteadyStateError as exc:
+    except (SteadyStateError, IndeterminateAngleError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -134,23 +134,22 @@ def detector_intensities(e_out: JonesVector, i0: float) -> DetectorSignals:
     return DetectorSignals(d1=d1, d2=d2, d3=d3, d4=d4, i0=i0)
 
 
-def recover_angle(signals: DetectorSignals, floor: float = 1e-12) -> float:
-    """Polarization-plane angle, radians, in (-pi/2, pi/2].
+def recover_angle(signals: DetectorSignals, floor: float = 1e-12) -> float | np.ndarray:
+    """Polarization-plane angle, radians, in (-pi/2, pi/2]: a scalar, or an
+    array for array-valued signals.
 
     Uses the two-argument arctangent of the difference-signal pair, so any
     common attenuation cancels. ``floor`` is the indeterminacy threshold
     relative to the total detected power: if both differences sit below it
-    the polarization state carries no angle information (e.g. pure circular
-    light or a dark output).
+    at any entry, the polarization state there carries no angle information
+    (e.g. pure circular light or a dark output) and the call raises.
     """
     num = -signals.reflected_difference
     den = -signals.transmitted_difference
     total = signals.d1 + signals.d2 + signals.d3 + signals.d4
-    if math.hypot(num, den) <= floor * total or total == 0.0:
+    if np.any((np.hypot(num, den) <= floor * total) | (total == 0.0)):
         raise IndeterminateAngleError(
             "difference signals below the indeterminacy floor"
         )
-    phi = 0.5 * math.atan2(num, den)
-    if phi <= -math.pi / 2.0:
-        phi += math.pi
-    return phi
+    phi = 0.5 * np.arctan2(num, den)
+    return np.where(phi <= -np.pi / 2.0, phi + np.pi, phi)[()]

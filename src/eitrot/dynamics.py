@@ -24,6 +24,13 @@ exchange the outermost F=2 sublevel is a one-way optical-pumping trap (it is
 coupled to nothing but decay inflow) and the only steady state is everything
 parked there; the default rate is calibrated against the steady-state
 F=1 populations quoted for this system (see tests).
+
+The probe detuning moves only the superoperator diagonal, and only on the
+F=1 coherences with F=2 and the excited manifold. So the steady states over
+a whole grid of probe detunings come from one factorization at two-photon
+resonance plus a low-rank (Woodbury) update per detuning
+(``steady_state_populations``); every solution is checked against its own
+superoperator, as ``solve_steady_state`` checks a single one.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ __all__ = [
     "build_liouvillian",
     "probe_detuning_slope",
     "solve_steady_state",
+    "steady_state_populations",
     "ground_populations",
     "analytic_coherences",
     "pathway_denominator",
@@ -211,39 +219,133 @@ def solve_steady_state(lio: np.ndarray, residual_tol: float = 1e-9) -> np.ndarra
     system solved densely. The residual ||L rho|| (relative to ||L|| ||rho||)
     must come out below ``residual_tol``; if not, the null space is sized via
     SVD to distinguish a degenerate steady state from plain ill-conditioning.
+    A non-finite superoperator or solution raises with no null-space size.
+    ``lio`` serves as scratch for the trace row and is restored on return.
     """
+    n = _side(lio)
+    (vec,) = _steady_states(lio, np.zeros(n * n), [0.0], np.arange(n * n),
+                            residual_tol)
+    return vec.reshape(n, n)
+
+
+def steady_state_populations(
+    lio: np.ndarray, slope: np.ndarray, offsets, residual_tol: float = 1e-9
+) -> np.ndarray:
+    """Steady-state populations (the diagonal of rho) of the superoperator
+    ``lio + offset * diag(slope)``, one row per entry of ``offsets``.
+
+    One factorization serves every offset. With A0 the system of ``lio``
+    (trace row in place of row 0), J the entries that ``slope`` moves and
+    d = slope[J], A0 is solved for [e0, e_J], giving x0 and Y, and the small
+    matrix K = diag(d) Y[J] = W diag(lambda) W^-1 is diagonalized once. By
+    the Woodbury identity each offset's solution is then
+
+        x = x0 - (Y W) [offset / (1 + offset lambda) * W^-1 (d x0[J])],
+
+    a matrix product over blocks of offsets. When every offset is zero, J is
+    empty and this is a single solve. Each solution passes the residual test
+    of ``solve_steady_state`` on its own unmodified superoperator, whose
+    Frobenius norm follows in closed form from the diagonal.
+    """
+    n = _side(lio)
+    return _steady_states(lio, slope, offsets, np.arange(0, n * n, n + 1),
+                          residual_tol).real
+
+
+# Offsets per block in ``_steady_states``: each temporary then holds 32
+# solution columns, a fifth of one superoperator for the 13-level schemes.
+_OFFSET_BLOCK = 32
+
+
+def _side(lio: np.ndarray) -> int:
     n2 = lio.shape[0]
     n = math.isqrt(n2)
     if n * n != n2 or lio.shape != (n2, n2):
         raise ValueError("superoperator must be square with square side")
-    a = lio.copy()
-    trace_row = np.zeros(n2, dtype=complex)
-    trace_row[:: n + 1] = 1.0
-    a[0, :] = trace_row
-    rhs = np.zeros(n2, dtype=complex)
-    rhs[0] = 1.0
-    scale = np.linalg.norm(lio)
+    return n
+
+
+def _steady_states(lio, slope, offsets, rows, residual_tol) -> np.ndarray:
+    """Entries ``rows`` of vec(rho) for the checked steady state of
+    ``lio + offset * diag(slope)``, one row per offset (see
+    ``steady_state_populations``)."""
+    n2 = lio.shape[0]
+    offsets = np.asarray(offsets, dtype=float)
+    # row 0 holds the trace constraint, which no offset moves
+    moving = np.flatnonzero(slope[1:]) + 1 if offsets.any() else np.empty(0, int)
+    d = slope[moving]
     try:
-        vec = np.linalg.solve(a, rhs)
+        sol = _solve_with_trace_row(lio, moving)
     except np.linalg.LinAlgError as exc:
-        null_dim = _null_space_dim(lio, scale)
-        raise SteadyStateError(
-            f"steady-state system is singular (null-space dimension {null_dim}); "
-            "no unique stationary density matrix", null_dim,
-        ) from exc
-    residual = np.linalg.norm(lio @ vec) / (scale * np.linalg.norm(vec))
-    if residual > residual_tol:
-        null_dim = _null_space_dim(lio, scale)
-        raise SteadyStateError(
-            f"steady-state residual {residual:.2e} exceeds {residual_tol:.0e} "
-            f"(null-space dimension {null_dim})", null_dim,
-        )
-    return vec.reshape(n, n)
+        raise _failure(
+            lio, "steady-state system is singular (null-space dimension {}); "
+            "no unique stationary density matrix") from exc
+    _check_finite(sol)
+    x0 = sol[:, 0].copy()
+    lam, yw, c = d, sol[:, 1:], d  # all empty when no entry moves
+    if moving.size:
+        lam, w = np.linalg.eig(d[:, None] * sol[moving, 1:])
+        yw = sol[:, 1:] @ w
+        c = np.linalg.solve(w, d * x0[moving])
+    del sol  # only x0 and Y W are needed from here on
+
+    # ||L + offset diag(slope)||_F^2
+    #   = ||L||_F^2 + 2 offset Re(diag(L)^H slope) + offset^2 ||slope||^2
+    norm2 = np.vdot(lio, lio).real
+    cross = 2.0 * np.vdot(np.diagonal(lio), slope).real
+    slope2 = np.vdot(slope, slope).real
+    out = np.empty((offsets.size, rows.size), dtype=complex)
+    for start in range(0, offsets.size, _OFFSET_BLOCK):
+        delta = offsets[start:start + _OFFSET_BLOCK]
+        x = x0[:, None] - yw @ (c[:, None] * (delta / (1.0 + delta * lam[:, None])))
+        resid = lio @ x
+        resid += slope[:, None] * delta * x
+        residual = np.linalg.norm(resid, axis=0) / (
+            np.sqrt(norm2 + delta * (cross + delta * slope2))
+            * np.linalg.norm(x, axis=0))
+        failed = np.flatnonzero(~(residual <= residual_tol))
+        if failed.size:
+            k = failed[0]
+            shifted = lio.copy()
+            shifted.reshape(-1)[:: n2 + 1] += delta[k] * slope
+            raise _failure(
+                shifted, f"steady-state residual {residual[k]:.2e} exceeds "
+                f"{residual_tol:.0e} (null-space dimension {{}})", x[:, k])
+        out[start:start + delta.size] = x[rows].T
+    return out
 
 
-def _null_space_dim(lio: np.ndarray, scale: float) -> int:
+def _solve_with_trace_row(lio: np.ndarray, moving: np.ndarray) -> np.ndarray:
+    """Solve ``lio``, with its row 0 replaced by the trace row, for e_0 and
+    then e_k for each k in ``moving``. The row is replaced in place, so no
+    copy of the superoperator is made, and restored on return."""
+    n2 = lio.shape[0]
+    rhs = np.zeros((n2, 1 + moving.size), dtype=complex)
+    rhs[0, 0] = 1.0
+    rhs[moving, np.arange(1, 1 + moving.size)] = 1.0
+    saved = lio[0].copy()
+    lio[0] = 0.0
+    lio[0, :: math.isqrt(n2) + 1] = 1.0
+    try:
+        return np.linalg.solve(lio, rhs)
+    finally:
+        lio[0] = saved
+
+
+def _failure(lio: np.ndarray, template: str, *solutions) -> SteadyStateError:
+    """The error for a failed solve of ``lio``: ``template`` filled in with the
+    null-space dimension from an SVD, after ``_check_finite``."""
+    _check_finite(lio, *solutions)
     sv = np.linalg.svd(lio, compute_uv=False)
-    return int(np.sum(sv < scale * 1e-12))
+    null_dim = int(np.sum(sv < np.linalg.norm(lio) * 1e-12))
+    return SteadyStateError(template.format(null_dim), null_dim)
+
+
+def _check_finite(*arrays) -> None:
+    """Raise unless every array is finite: a non-finite superoperator or
+    solution leaves no null space for the SVD to size (it fails on NaN)."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SteadyStateError("steady-state superoperator or solution is not finite")
 
 
 def ground_populations(

@@ -9,9 +9,11 @@ evaluation, and the detection chain runs once on the resulting arrays.
 Ground-state populations follow one of two policies: the default solves the
 steady state once at two-photon resonance and reuses it across the sweep
 (the line shapes then come entirely from the Doppler-averaged
-denominators), while ``per_point`` re-solves at every detuning for
-sensitivity studies. Both solve the superoperator assembled once at
-two-photon resonance, with the probe detuning added on its diagonal.
+denominators), while ``per_point`` takes the steady state at every detuning
+for sensitivity studies. Both start from the superoperator assembled once at
+two-photon resonance; ``per_point`` gets every detuning from its one
+factorization plus a low-rank update, since the probe detuning moves only
+the superoperator diagonal.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .atom import (
     COUPLING,
@@ -50,6 +51,7 @@ from .detection import (
     JonesVector,
     detector_intensities,
     propagate_cell,
+    recover_angle,
 )
 from .dynamics import (
     RelaxationRates,
@@ -57,7 +59,7 @@ from .dynamics import (
     build_liouvillian,
     level_index,
     probe_detuning_slope,
-    solve_steady_state,
+    steady_state_populations,
 )
 from .spectra import (
     SPECTRUM_CSV_COLUMNS,
@@ -222,7 +224,7 @@ class SweepResult:
 
     def trace_rows(self):
         s = self.signals
-        phi = np.degrees(0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2)))
+        phi = np.degrees(recover_angle(s))
         return zip(
             self.detunings / TWO_PI / 1e6,
             s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0, phi,
@@ -248,28 +250,17 @@ def _ground_populations(
     """Steady-state ground occupations with the probe detuned by each of
     ``offsets`` (rad/s) from two-photon resonance, one entry per offset.
 
-    The superoperator is assembled once, at resonance; each offset only
-    moves its diagonal (see ``probe_detuning_slope``) before the solve.
+    The superoperator is assembled once, at resonance; an offset only moves
+    its diagonal (see ``probe_detuning_slope``), so one factorization serves
+    every offset (see ``steady_state_populations``).
     """
-    # Work arrays come first and the diagonal is rewritten in place, so
-    # nothing is allocated between assembling the superoperator and solving
-    # it; measured, that keeps each sweep from growing the heap by about
-    # one superoperator (peak RSS).
     slope = probe_detuning_slope(scheme)
-    at_resonance = np.empty_like(slope)
-    idx = level_index(scheme)
-    grounds = [idx[s] for s in scheme.ground()]
-    out = np.empty((len(grounds), len(offsets)))
     probe = cfg.probe_drive(cfg.coupling_detuning)
     h = build_hamiltonian(scheme, probe, coupling, stark, zeeman)
     lio = build_liouvillian(scheme, h, cfg.rates)
-    diagonal = lio.reshape(-1)[:: len(slope) + 1]  # a view: lio is C-contiguous
-    at_resonance[:] = diagonal
-    for k, offset in enumerate(offsets):
-        np.multiply(offset, slope, out=diagonal)
-        diagonal += at_resonance
-        out[:, k] = solve_steady_state(lio).diagonal()[grounds].real
-    return dict(zip(scheme.ground(), out))
+    pops = steady_state_populations(lio, slope, offsets)
+    idx = level_index(scheme)
+    return {s: pops[:, idx[s]] for s in scheme.ground()}
 
 
 def steady_populations(cfg: ScenarioConfig) -> dict:
@@ -427,13 +418,25 @@ def count_transmission_peaks(
 
     The floor is a fraction of the curve's peak-to-valley range, so the
     count is stable under grid refinement and immune to numerical ripple.
+    A maximum's prominence is its height over the higher of the two lowest
+    points between it and the nearest higher sample (or the end) on either
+    side, as in ``scipy.signal.peak_prominences``.
     """
     t = curve.transmission
     span = float(np.max(t) - np.min(t))
     if span == 0.0:
         return 0
-    peaks, _ = find_peaks(t, prominence=prominence_fraction * span)
-    return int(len(peaks))
+    floor = prominence_fraction * span
+    v = t[np.r_[True, t[1:] != t[:-1]]]  # a flat top counts once
+    count = 0
+    for i in np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1:
+        higher = np.flatnonzero(v > v[i])
+        before, after = higher[higher < i], higher[higher > i]
+        left = v[before[-1] + 1 if before.size else 0:i].min()
+        right = v[i + 1:after[0] if after.size else None].min()
+        if v[i] - max(left, right) >= floor:
+            count += 1
+    return count
 
 
 def _format_float(x: float) -> str:

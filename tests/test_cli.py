@@ -1,10 +1,17 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import eitrot
+from eitrot.atom import TWO_PI
 from eitrot.cli import ConfigError, main, parse_config
+from eitrot.scenarios import TRACE_CSV_COLUMNS, sweep_probe_detuning, write_csv
 
 SPECTRUM_YAML = """\
 scenario: spectrum
@@ -142,6 +149,23 @@ class TestMainErrors:
                      "--set", "rates.transit_mhz=0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: numeric: steady-state system is singular")
+        # the per-point policy factors the same system at resonance
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", "probe.rabi_mhz=0", "--set", "coupling.rabi_mhz=0",
+                     "--set", "rates.transit_mhz=0",
+                     "--set", "population_policy=per_point"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: steady-state system is singular")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_dark_detectors_exit_code(self, tmp_path, capsys):
+        # an optically thick cell absorbs the probe entirely: no angle
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", "scenario=detector-trace",
+                     "--set", "medium.density_per_cm3=1e15"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: numeric: difference signals below the indeterminacy floor\n"
 
     def test_quadrature_section_is_unknown(self, tmp_path, capsys):
         cfg = write(tmp_path, SPECTRUM_YAML + "quadrature:\n  max_panels: 3\n")
@@ -213,6 +237,18 @@ class TestOtherScenarios:
             assert t[0] == s[0]
             assert t[5] == pytest.approx(s[-1], abs=1e-6)
 
+    def test_default_detector_trace_angle_is_the_plain_arctangent(self, tmp_path):
+        cfg = write(tmp_path, "scenario: detector-trace\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+        result = sweep_probe_detuning(parse_config({"scenario": "detector-trace"}).config)
+        s = result.signals
+        phi = np.degrees(0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2)))
+        write_csv(tmp_path / "want.csv", TRACE_CSV_COLUMNS, zip(
+            result.detunings / TWO_PI / 1e6,
+            s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0, phi))
+        assert ((tmp_path / "detector_trace.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
     def test_eit_peaks_counts(self, tmp_path, capsys):
         cfg = write(tmp_path, EIT_YAML)
         assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 0
@@ -239,3 +275,17 @@ class TestOtherScenarios:
         rows = (tmp_path / "power_scan.csv").read_text().splitlines()
         assert rows[0].startswith("power_mw,rabi_mhz,")
         assert len(rows) == 4
+
+
+def test_import_leaves_out_unused_scipy_modules():
+    # scipy.signal and scipy.stats would add about a second and 50 MB to
+    # every start-up; only scipy.special is used at run time
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import eitrot.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    src = Path(eitrot.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "eitrot.cli" in loaded
+    assert "scipy.special" in loaded
+    assert not {"scipy.signal", "scipy.stats"} & loaded

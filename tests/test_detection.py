@@ -125,6 +125,32 @@ class TestRecovery:
         got = recover_angle(detector_intensities(out, i0=1.0))
         assert got == pytest.approx(math.radians(89.0), rel=1e-9)
 
+    def test_array_call_matches_scalar_calls(self):
+        phis = np.radians(np.linspace(-89.0, 89.0, 37))
+        pair = SusceptibilityPair(
+            chi_minus=np.zeros(phis.size, complex), chi_plus=np.zeros(phis.size, complex),
+            n_minus=np.ones(phis.size),
+            n_plus=1.0 + phis * MEDIUM.wavelength / (math.pi * MEDIUM.cell_length),
+            alpha_minus=np.linspace(0.0, 40.0, phis.size),
+            alpha_plus=np.linspace(30.0, 0.0, phis.size),
+        )
+        signals = detector_intensities(
+            propagate_cell(JonesVector.linear(0.0), pair, MEDIUM), i0=1.0)
+        got = recover_angle(signals)
+        assert got.shape == phis.shape
+        for i, phi in enumerate(phis):
+            point = DetectorSignals(d1=signals.d1[i], d2=signals.d2[i],
+                                    d3=signals.d3[i], d4=signals.d4[i], i0=1.0)
+            assert got[i] == recover_angle(point)
+            assert got[i] == pytest.approx(phi, abs=1e-9)
+
+    def test_one_indeterminate_entry_fails_the_array(self):
+        signals = DetectorSignals(d1=np.array([0.0, 0.25]), d2=np.array([0.3, 0.25]),
+                                  d3=np.array([0.1, 0.25]), d4=np.array([0.1, 0.25]),
+                                  i0=1.0)
+        with pytest.raises(IndeterminateAngleError):
+            recover_angle(signals)
+
     def test_balanced_signals_are_indeterminate(self):
         flat = DetectorSignals(d1=0.25, d2=0.25, d3=0.25, d4=0.25, i0=1.0)
         with pytest.raises(IndeterminateAngleError):

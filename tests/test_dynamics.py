@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitrot.atom import (
     COUPLING,
@@ -29,8 +31,11 @@ from eitrot.dynamics import (
     ground_populations,
     level_index,
     population_map,
+    probe_detuning_slope,
     solve_steady_state,
+    steady_state_populations,
 )
+from eitrot.scenarios import ScenarioConfig
 
 GAMMA = TWO_PI * 5.75e6
 GAMMA_CA = TWO_PI * 3.5e6
@@ -228,6 +233,28 @@ class TestSteadyState:
             solve_steady_state(lio)
         assert err.value.null_dim is None or err.value.null_dim >= 2
 
+    def test_non_finite_superoperator_raises_without_diagnosis(self):
+        lio = default_lio()
+        lio[5, 7] = np.nan
+        with pytest.raises(SteadyStateError, match="not finite") as err:
+            solve_steady_state(lio)
+        assert err.value.null_dim is None
+        with pytest.raises(SteadyStateError, match="not finite") as err:
+            steady_state_populations(lio, probe_detuning_slope(SCHEME),
+                                     [0.0, TWO_PI * 3e6])
+        assert err.value.null_dim is None
+
+    def test_overflowing_solution_raises_without_diagnosis(self):
+        # finite two-level system whose solution overflows:
+        # rho[0, 1] = -1e300 / 1e-10 * rho[0, 0]
+        lio = np.zeros((4, 4), dtype=complex)
+        lio[1, 0], lio[1, 1], lio[2, 2], lio[3, 3] = 1e300, 1e-10, 1.0, 1.0
+        with pytest.raises(SteadyStateError, match="not finite") as err:
+            solve_steady_state(lio)
+        assert err.value.null_dim is None
+        # and the superoperator is handed back unchanged
+        assert lio[0].tolist() == [0, 0, 0, 0]
+
     def test_quoted_population_triples(self):
         targets = {
             60e6: (0.219, 0.228, 0.066),
@@ -244,6 +271,74 @@ class TestSteadyState:
 
 def coupling_pol(scheme_id):
     return "pi" if scheme_id == "pi_f2" else SIGMA_MINUS
+
+
+MHZ = TWO_PI * 1e6
+
+
+class TestSteadyStatePopulations:
+    """One factorization plus a low-rank update against a dense solve of the
+    superoperator rebuilt at each probe detuning."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme_id=st.sampled_from(["sigma_f2", "pi_f2", "sigma_f1"]),
+        probe_mhz=st.floats(0.1, 40.0),
+        coupling_mhz=st.floats(0.0, 150.0),
+        coupling_detuning_mhz=st.floats(-20.0, 20.0),
+        b_gauss=st.sampled_from([0.0, 1.0, 10.0, 25.0]),
+        stark=st.booleans(),
+        gamma_mhz=st.floats(3.0, 10.0),
+        gamma_ca_mhz=st.floats(1.0, 10.0),
+        # undamped ground coherences make the steady state degenerate
+        gamma_ba_mhz=st.floats(0.05, 3.0),
+        gamma_ground_mhz=st.none() | st.floats(0.05, 3.0),
+        transit_mhz=st.floats(0.05, 3.0),
+        probe_detunings_mhz=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6),
+    )
+    def test_matches_per_point_dense_solve(
+        self, scheme_id, probe_mhz, coupling_mhz, coupling_detuning_mhz, b_gauss,
+        stark, gamma_mhz, gamma_ca_mhz, gamma_ba_mhz, gamma_ground_mhz,
+        transit_mhz, probe_detunings_mhz,
+    ):
+        cfg = ScenarioConfig(
+            scheme_id=scheme_id,
+            probe_rabi=probe_mhz * MHZ,
+            coupling_rabi=coupling_mhz * MHZ,
+            coupling_detuning=coupling_detuning_mhz * MHZ,
+            b_field=b_gauss * 1e-4,
+            stark_enabled=stark,
+            rates=RelaxationRates(
+                gamma=gamma_mhz * MHZ, gamma_ca=gamma_ca_mhz * MHZ,
+                gamma_ba=gamma_ba_mhz * MHZ,
+                gamma_ground=None if gamma_ground_mhz is None else gamma_ground_mhz * MHZ,
+                gamma_transit=transit_mhz * MHZ,
+            ),
+        )
+        scheme = cfg.scheme()
+        coupling = cfg.coupling_drive()
+        stark_shift = cfg.stark(scheme)
+        zeeman = cfg.zeeman()
+        dets = MHZ * np.array([0.0, *probe_detunings_mhz]) + cfg.coupling_detuning
+
+        def lio_at(det):
+            h = build_hamiltonian(scheme, cfg.probe_drive(det), coupling,
+                                  stark_shift, zeeman)
+            return build_liouvillian(scheme, h, cfg.rates)
+
+        pops = steady_state_populations(lio_at(cfg.coupling_detuning),
+                                        probe_detuning_slope(scheme),
+                                        dets - cfg.coupling_detuning)
+        assert pops.shape == (len(dets), len(scheme.sublevels))
+        for k, det in enumerate(dets):
+            rho = solve_steady_state(lio_at(det))
+            assert pops[k] == pytest.approx(rho.diagonal().real, abs=1e-12)
+
+    def test_zero_offsets_give_the_resonance_solve(self):
+        lio = default_lio()
+        pops = steady_state_populations(lio, probe_detuning_slope(SCHEME), [0.0, 0.0])
+        direct = solve_steady_state(lio).diagonal().real
+        assert np.array_equal(pops, [direct, direct])
 
 
 class TestAnalyticCoherences:

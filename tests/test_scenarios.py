@@ -5,6 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import find_peaks
 
 from eitrot.atom import SIGMA_MINUS, SIGMA_PLUS, TWO_PI
 from eitrot.detection import JonesVector, detector_intensities, propagate_cell
@@ -14,6 +18,7 @@ from eitrot.scenarios import (
     PeakPair,
     ScenarioConfig,
     SweepResult,
+    TransmissionCurve,
     count_transmission_peaks,
     eit_transmission,
     find_dispersion_peaks,
@@ -233,3 +238,17 @@ class TestTransmission:
     def test_rejects_linear_component(self):
         with pytest.raises(ValueError):
             eit_transmission(EIT_CFG, "linear")
+
+    # few distinct levels, so ties, plateaus and flat ends come up often
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=arrays(np.float64, st.integers(1, 40),
+                 elements=st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+                 | st.floats(0.0, 1.0)),
+        fraction=st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]),
+    )
+    def test_peak_count_matches_scipy_find_peaks(self, t, fraction):
+        curve = TransmissionCurve(np.arange(t.size, dtype=float), t, SIGMA_MINUS, {})
+        span = t.max() - t.min()
+        want = 0 if span == 0 else len(find_peaks(t, prominence=fraction * span)[0])
+        assert count_transmission_peaks(curve, fraction) == want
