@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 from .atom import (
     EXCITED,
@@ -74,6 +75,9 @@ __all__ = [
 ]
 
 DEFAULT_TRANSIT_RATE = TWO_PI * 1.2e6
+
+# Largest accepted steady-state residual ||L rho|| / (||L||_F ||rho||).
+_RESIDUAL_TOL = 1e-9
 
 # Rates that must be strictly positive; all others may be zero. A positive
 # gamma_ca keeps every pathway denominator in the right half plane, which is
@@ -212,7 +216,7 @@ def probe_detuning_slope(scheme: LevelScheme) -> np.ndarray:
     return -1j * (s[:, None] - s[None, :]).reshape(-1)
 
 
-def solve_steady_state(lio: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
+def solve_steady_state(lio: np.ndarray, residual_tol: float = _RESIDUAL_TOL) -> np.ndarray:
     """Unique trace-one null vector of the superoperator, as a density matrix.
 
     One redundant population row is replaced by the trace constraint and the
@@ -220,36 +224,36 @@ def solve_steady_state(lio: np.ndarray, residual_tol: float = 1e-9) -> np.ndarra
     must come out below ``residual_tol``; if not, the null space is sized via
     SVD to distinguish a degenerate steady state from plain ill-conditioning.
     A non-finite superoperator or solution raises with no null-space size.
-    ``lio`` serves as scratch for the trace row and is restored on return.
     """
     n = _side(lio)
-    (vec,) = _steady_states(lio, np.zeros(n * n), [0.0], np.arange(n * n),
+    (vec,) = _steady_states(lio.copy(), np.zeros(n * n), [0.0], np.arange(n * n),
                             residual_tol)
     return vec.reshape(n, n)
 
 
-def steady_state_populations(
-    lio: np.ndarray, slope: np.ndarray, offsets, residual_tol: float = 1e-9
-) -> np.ndarray:
+def steady_state_populations(lio: np.ndarray, slope: np.ndarray, offsets) -> np.ndarray:
     """Steady-state populations (the diagonal of rho) of the superoperator
     ``lio + offset * diag(slope)``, one row per entry of ``offsets``.
 
     One factorization serves every offset. With A0 the system of ``lio``
     (trace row in place of row 0), J the entries that ``slope`` moves and
-    d = slope[J], A0 is solved for [e0, e_J], giving x0 and Y, and the small
-    matrix K = diag(d) Y[J] = W diag(lambda) W^-1 is diagonalized once. By
-    the Woodbury identity each offset's solution is then
+    d = slope[J], A0 is solved for [e0, e_J], giving x0 and Y. By the
+    Woodbury identity each offset's solution is x = x0 - Y c, where c solves
+    the small system (I + offset K) c = offset (d x0[J]) with K = diag(d) Y[J].
+    K is brought to Schur form Q T Q^H once (Q unitary, so nothing hangs on
+    eigenvector conditioning), and every offset's system is then one
+    back substitution with the triangular I + offset T. When every offset is
+    zero, J is empty and this is a single solve. Each solution passes the
+    residual test of ``solve_steady_state`` on its own unmodified
+    superoperator, whose Frobenius norm follows in closed form from the
+    diagonal.
 
-        x = x0 - (Y W) [offset / (1 + offset lambda) * W^-1 (d x0[J])],
-
-    a matrix product over blocks of offsets. When every offset is zero, J is
-    empty and this is a single solve. Each solution passes the residual test
-    of ``solve_steady_state`` on its own unmodified superoperator, whose
-    Frobenius norm follows in closed form from the diagonal.
+    ``lio`` must be writeable: its row 0 holds the trace row during the
+    factorization, so the superoperator is never copied, and is restored on
+    return.
     """
     n = _side(lio)
-    return _steady_states(lio, slope, offsets, np.arange(0, n * n, n + 1),
-                          residual_tol).real
+    return _steady_states(lio, slope, offsets, np.arange(0, n * n, n + 1)).real
 
 
 # Offsets per block in ``_steady_states``: each temporary then holds 32
@@ -265,10 +269,11 @@ def _side(lio: np.ndarray) -> int:
     return n
 
 
-def _steady_states(lio, slope, offsets, rows, residual_tol) -> np.ndarray:
+def _steady_states(lio, slope, offsets, rows, residual_tol=_RESIDUAL_TOL) -> np.ndarray:
     """Entries ``rows`` of vec(rho) for the checked steady state of
     ``lio + offset * diag(slope)``, one row per offset (see
-    ``steady_state_populations``)."""
+    ``steady_state_populations``). ``lio`` serves as scratch for the trace
+    row and is restored on return."""
     n2 = lio.shape[0]
     offsets = np.asarray(offsets, dtype=float)
     # row 0 holds the trace constraint, which no offset moves
@@ -282,12 +287,12 @@ def _steady_states(lio, slope, offsets, rows, residual_tol) -> np.ndarray:
             "no unique stationary density matrix") from exc
     _check_finite(sol)
     x0 = sol[:, 0].copy()
-    lam, yw, c = d, sol[:, 1:], d  # all empty when no entry moves
+    t, yq, b = np.empty((0, 0)), sol[:, 1:], d  # all empty when no entry moves
     if moving.size:
-        lam, w = np.linalg.eig(d[:, None] * sol[moving, 1:])
-        yw = sol[:, 1:] @ w
-        c = np.linalg.solve(w, d * x0[moving])
-    del sol  # only x0 and Y W are needed from here on
+        t, q = schur(d[:, None] * sol[moving, 1:], output="complex")
+        yq = sol[:, 1:] @ q
+        b = q.conj().T @ (d * x0[moving])
+    del sol  # only x0 and Y Q are needed from here on
 
     # ||L + offset diag(slope)||_F^2
     #   = ||L||_F^2 + 2 offset Re(diag(L)^H slope) + offset^2 ||slope||^2
@@ -297,7 +302,12 @@ def _steady_states(lio, slope, offsets, rows, residual_tol) -> np.ndarray:
     out = np.empty((offsets.size, rows.size), dtype=complex)
     for start in range(0, offsets.size, _OFFSET_BLOCK):
         delta = offsets[start:start + _OFFSET_BLOCK]
-        x = x0[:, None] - yw @ (c[:, None] * (delta / (1.0 + delta * lam[:, None])))
+        # Q^H c for every offset: (I + offset T) u = offset b, bottom row first
+        scale = delta / (1.0 + delta * np.diagonal(t)[:, None])
+        u = np.empty_like(scale)
+        for i in range(moving.size - 1, -1, -1):
+            u[i] = scale[i] * (b[i] - t[i, i + 1:] @ u[i + 1:])
+        x = x0[:, None] - yq @ u
         resid = lio @ x
         resid += slope[:, None] * delta * x
         residual = np.linalg.norm(resid, axis=0) / (

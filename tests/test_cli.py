@@ -279,7 +279,7 @@ class TestOtherScenarios:
 
 def test_import_leaves_out_unused_scipy_modules():
     # scipy.signal and scipy.stats would add about a second and 50 MB to
-    # every start-up; only scipy.special is used at run time
+    # every start-up; only scipy.special and scipy.linalg are used at run time
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import eitrot.cli; "
             "print(' '.join(sorted(sys.modules)))")
     src = Path(eitrot.__file__).resolve().parents[1]

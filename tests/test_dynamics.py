@@ -254,6 +254,24 @@ class TestSteadyState:
         assert err.value.null_dim is None
         # and the superoperator is handed back unchanged
         assert lio[0].tolist() == [0, 0, 0, 0]
+        with pytest.raises(SteadyStateError, match="not finite"):
+            steady_state_populations(lio, np.zeros(4), [0.0])
+        assert lio[0].tolist() == [0, 0, 0, 0]
+
+    def test_superoperator_is_not_modified(self):
+        lio = default_lio()
+        before = lio.copy()
+        lio.flags.writeable = False
+        rho = solve_steady_state(lio)  # copies, so a read-only input works
+        with pytest.raises(ValueError, match="read-only"):
+            steady_state_populations(lio, probe_detuning_slope(SCHEME), [0.0])
+        assert np.array_equal(lio, before)
+        lio.flags.writeable = True
+        pops = steady_state_populations(lio, probe_detuning_slope(SCHEME),
+                                        [0.0, TWO_PI * 3e6])
+        # row 0 held the trace row during the solve and is restored exactly
+        assert np.array_equal(lio, before)
+        assert pops[0] == pytest.approx(rho.diagonal().real, abs=1e-14)
 
     def test_quoted_population_triples(self):
         targets = {
