@@ -40,9 +40,7 @@ from .dynamics import (
     build_liouvillian,
     coupled_element_count,
     equation_dump,
-    ground_populations,
     pathway_denominator,
-    population_map,
     solve_steady_state,
 )
 from .spectra import (

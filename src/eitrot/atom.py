@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from .angular import decay_amplitude
 
 TWO_PI = 2.0 * math.pi
+MHZ = TWO_PI * 1e6  # rad/s of one MHz of ordinary frequency
 
 HBAR = 1.054571817e-34        # J s
 K_BOLTZMANN = 1.380649e-23    # J/K
@@ -269,7 +270,8 @@ def build_level_scheme(scheme_id: str, cg_overrides: dict | None = None) -> Leve
             else:
                 updated.append(t)
         if pending:
-            raise KeyError(f"cg override names no existing transition: {sorted(pending)}")
+            lower, upper = next(iter(pending))
+            raise KeyError(f"{lower}->{upper} names no transition of {scheme_id}")
         scheme = replace(scheme, transitions=tuple(updated))
     return scheme
 
@@ -306,8 +308,8 @@ def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> StarkShifts:
 
 def rabi_from_power(power: float, which: str) -> float:
     """Rabi frequency from beam power by square-root scaling off one anchor."""
-    if power < 0:
-        raise ValueError("beam power must be >= 0")
+    if not power >= 0:
+        raise ValueError("power must be >= 0")
     p_ref, omega_ref = RABI_ANCHORS[which]
     return omega_ref * math.sqrt(power / p_ref)
 

@@ -6,18 +6,19 @@ keys carry an explicit unit suffix (_mhz means ordinary frequency in MHz,
 converted to angular rad/s internally); powers are _mw or _uw, lengths _mm,
 temperatures _c or _k, densities _per_cm3 or _per_m3, magnetic field _g.
 
-Exit codes: 0 success, 1 configuration error (including a non-finite
-number and a bad command-line flag), 2 numerical failure. Errors are single
+Exit codes: 0 success, 1 configuration error (including a number that is
+not finite or out of its domain, and a bad command-line flag), 2 numerical
+failure (including a scan step without dispersion peaks). Errors are single
 lines on stderr of the form ``error: config: ...`` or ``error: numeric: ...``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import yaml
@@ -25,24 +26,24 @@ import yaml
 from . import __version__
 from .atom import (
     COUPLING,
-    LINEAR,
+    MHZ,
     PROBE,
     RABI_ANCHORS,
-    SCHEME_IDS,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    TWO_PI,
     rabi_from_power,
 )
 from .detection import IndeterminateAngleError
-from .dynamics import RelaxationRates, SteadyStateError, check_rate
+from .dynamics import RelaxationRates, SteadyStateError
 from .scenarios import (
     EIT_CSV_COLUMNS,
     POWER_SCAN_CSV_COLUMNS,
     SPECTRUM_CSV_COLUMNS,
     TEMP_SCAN_CSV_COLUMNS,
     TRACE_CSV_COLUMNS,
+    PeakPair,
     ScenarioConfig,
+    check_powers,
     count_transmission_peaks,
     eit_transmission,
     find_dispersion_peaks,
@@ -63,11 +64,13 @@ SCENARIOS = (
     "populations",
 )
 
-_MHZ = TWO_PI * 1e6
-
 
 class ConfigError(Exception):
     """Configuration document is invalid; message names the offending key."""
+
+
+class NumericError(Exception):
+    """A run produced no usable result, like a failed steady state."""
 
 
 @dataclass(frozen=True)
@@ -82,64 +85,100 @@ class RunSpec:
     resolved: dict  # canonical config document, round-trips through parse_config
 
 
-_KNOWN = {
-    "": {
-        "scenario", "scheme", "output_basename", "probe", "coupling",
-        "medium", "magnetic_field_g", "stark_shifts", "population_policy",
-        "rates", "power_scan", "temp_scan", "cg_overrides",
-    },
-    "probe": {"rabi_mhz", "power_uw", "detuning_min_mhz", "detuning_max_mhz", "points"},
-    "coupling": {"rabi_mhz", "power_mw", "detuning_mhz"},
-    "medium": {
-        "temperature_c", "temperature_k", "density_per_cm3", "density_per_m3",
-        "cell_length_mm",
-    },
-    "rates": {
-        "gamma_mhz", "gamma_ca_mhz", "gamma_ba_mhz", "gamma_ground_mhz",
-        "transit_mhz",
-    },
-    "power_scan": {"powers_mw"},
-    "temp_scan": {"temperatures_c"},
+# Keys of ScenarioConfig fields: dotted key -> (field, 'rates.<field>' for a
+# RelaxationRates field; factor from the key's unit to SI, or None for a
+# value taken as it is, of the type of the field's default). The defaults
+# are the dataclass defaults.
+_FIELDS = {
+    "scheme": ("scheme_id", None),
+    "probe.rabi_mhz": ("probe_rabi", MHZ),
+    "probe.detuning_min_mhz": ("detuning_min", MHZ),
+    "probe.detuning_max_mhz": ("detuning_max", MHZ),
+    "probe.points": ("points", None),
+    "coupling.rabi_mhz": ("coupling_rabi", MHZ),
+    "coupling.detuning_mhz": ("coupling_detuning", MHZ),
+    "medium.temperature_k": ("temperature", 1.0),
+    "medium.density_per_m3": ("density", 1.0),
+    "medium.cell_length_mm": ("cell_length", 1e-3),
+    "magnetic_field_g": ("b_field", 1e-4),
+    "stark_shifts": ("stark_enabled", None),
+    "population_policy": ("population_policy", None),
+    "rates.gamma_mhz": ("rates.gamma", MHZ),
+    "rates.gamma_ca_mhz": ("rates.gamma_ca", MHZ),
+    "rates.gamma_ba_mhz": ("rates.gamma_ba", MHZ),
+    "rates.gamma_ground_mhz": ("rates.gamma_ground", MHZ),
+    "rates.transit_mhz": ("rates.gamma_transit", MHZ),
 }
 
 
-# (config key under 'rates', RelaxationRates field, default in MHz)
-_RATE_KEYS = (
-    ("gamma_mhz", "gamma", 5.75),
-    ("gamma_ca_mhz", "gamma_ca", 3.5),
-    ("gamma_ba_mhz", "gamma_ba", 1.1),
-    ("gamma_ground_mhz", "gamma_ground", None),
-    ("transit_mhz", "gamma_transit", 1.2),
-)
+def _kelvin(celsius: float) -> float:
+    return celsius + 273.15
 
 
-def _check_keys(section: dict, path: str) -> None:
-    known = _KNOWN[path]
-    prefix = f"{path}." if path else ""
-    for key in section:
-        if key in known:
+def _check_temperatures(temperatures) -> None:
+    """Raise ValueError for a temperature (K) that the configs of a
+    temperature scan reject."""
+    for t in temperatures:
+        ScenarioConfig(temperature=t)
+
+
+# Keys that give the quantity of a _FIELDS key in another unit: key -> (the
+# key it replaces, conversion into that key's unit).
+_ALTERNATIVES = {
+    "probe.power_uw": (
+        "probe.rabi_mhz", lambda uw: rabi_from_power(uw * 1e-6, PROBE) / MHZ),
+    "coupling.power_mw": (
+        "coupling.rabi_mhz", lambda mw: rabi_from_power(mw * 1e-3, COUPLING) / MHZ),
+    "medium.temperature_c": ("medium.temperature_k", _kelvin),
+    "medium.density_per_cm3": ("medium.density_per_m3", lambda n: n * 1e6),
+}
+
+# The scan lists: key -> (RunSpec field, conversion to SI, default, check).
+_SCANS = {
+    "power_scan.powers_mw": (
+        "powers_w", lambda mw: mw * 1e-3, [6.0, 8.0, 10.0, 12.0, 15.0], check_powers),
+    "temp_scan.temperatures_c": (
+        "temperatures_k", _kelvin, [45.0, 55.0, 65.0], _check_temperatures),
+}
+
+# Section of free keys 'lower->upper', each a transition amplitude override.
+_OVERRIDES = "cg_overrides"
+
+_KEYS = (*_FIELDS, *_ALTERNATIVES, *_SCANS)
+_SECTIONS = {key.partition(".")[0] for key in _KEYS if "." in key} | {_OVERRIDES}
+_DEFAULTS = ScenarioConfig()
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _flatten(doc) -> dict:
+    """The document's values by dotted key; a null value counts as absent."""
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration must be a mapping")
+    flat = {}
+    for name, value in doc.items():
+        if "." in str(name):
+            raise ConfigError(f"unknown key '{name}'")
+        if value is None:
             continue
-        suffixed = sorted(k for k in known if k.startswith(f"{key}_"))
-        if suffixed:
-            raise ConfigError(
-                f"unknown key '{prefix}{key}': unit suffix required,"
-                f" use '{prefix}{suffixed[0]}'"
-            )
-        raise ConfigError(f"unknown key '{prefix}{key}'")
+        if name not in _SECTIONS:
+            flat[name] = value
+        elif not isinstance(value, dict):
+            raise ConfigError(f"key '{name}' must be a mapping")
+        else:
+            flat.update((f"{name}.{k}", v) for k, v in value.items() if v is not None)
+    return flat
 
 
-def _section(doc: dict, name: str) -> dict:
-    value = doc.get(name) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"key '{name}' must be a mapping")
-    _check_keys(value, name)
-    return value
+def _rejected(key: str, exc: ValueError) -> ConfigError:
+    """``exc``, whose message starts with the name of what it rejects, as a
+    configuration error naming ``key`` instead."""
+    return ConfigError(f"key '{key}' {str(exc).partition(' ')[2]}")
 
 
-def _as_float(value, name: str) -> float:
-    """Finite float from the YAML scalar under key ``name``; accepts
-    '1e17'-style strings (YAML 1.1 leaves exponent forms without a sign as
-    plain strings)."""
+def _number(value, key: str, convert=float) -> float:
+    """``convert`` of the number under ``key``; it must be finite before and
+    after. Accepts '1e17'-style strings (YAML 1.1 leaves exponent forms
+    without a sign as plain strings)."""
     number = None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         number = float(value)
@@ -149,211 +188,118 @@ def _as_float(value, name: str) -> float:
         except ValueError:
             pass
     if number is None:
-        raise ConfigError(f"key '{name}' must be a number")
+        raise ConfigError(f"key '{key}' must be a number")
+    if math.isfinite(number):
+        try:
+            number = convert(number)
+        except ValueError as exc:
+            raise _rejected(key, exc) from exc
     if not math.isfinite(number):
-        raise ConfigError(f"key '{name}' must be finite")
+        raise ConfigError(f"key '{key}' must be finite")
     return number
 
 
-def _number(section: dict, path: str, key: str, default=None):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    return _as_float(value, f"{path}.{key}" if path else key)
-
-
-def _exclusive(section: dict, path: str, a: str, b: str):
-    if a in section and b in section:
-        raise ConfigError(
-            f"over-specified: give '{path}.{a}' or '{path}.{b}', not both"
-        )
+def _nested(flat: dict) -> dict:
+    """The document whose values by dotted key are ``flat``."""
+    doc = {}
+    for key, value in flat.items():
+        section, _, name = key.partition(".")
+        if name:
+            doc.setdefault(section, {})[name] = value
+        else:
+            doc[key] = value
+    return doc
 
 
 def parse_config(doc: dict) -> RunSpec:
     """Validate and resolve a configuration document into a RunSpec.
 
-    Defaults are materialized so the returned ``resolved`` dict re-parses to
-    the identical RunSpec.
+    ``resolved`` holds every key of the tables above in its own unit, the
+    defaults included, and re-parses to the identical RunSpec. A number out
+    of its domain is reported under the key that gave it.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration must be a mapping")
-    _check_keys(doc, "")
+    given = _flatten(doc)
+    values = {}  # the resolved document, by dotted key
+    named = {}  # first word of a domain error (field or pair) -> its key
 
-    scenario = doc.get("scenario")
+    def take(key, default=None):
+        values[key] = given.pop(key, default)
+        return values[key]
+
+    scenario = take("scenario")
     if scenario is None:
         raise ConfigError("missing required key 'scenario'")
     if scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario '{scenario}'; choose from {', '.join(SCENARIOS)}"
         )
+    basename = take("output_basename", scenario.replace("-", "_"))
 
-    scheme = doc.get("scheme", "sigma_f2")
-    if scheme not in SCHEME_IDS:
-        raise ConfigError(
-            f"unknown scheme '{scheme}'; choose from {', '.join(SCHEME_IDS)}"
-        )
+    for key, (replaced, convert) in _ALTERNATIVES.items():
+        if key in given:
+            if replaced in given:
+                raise ConfigError(
+                    f"over-specified: give '{replaced}' or '{key}', not both")
+            given[replaced] = _number(given.pop(key), key, convert)
+            named[_FIELDS[replaced][0]] = key
 
-    probe = _section(doc, "probe")
-    _exclusive(probe, "probe", "rabi_mhz", "power_uw")
-    probe_power_uw = _number(probe, "probe", "power_uw")
-    if probe_power_uw is not None:
-        probe_rabi = rabi_from_power(probe_power_uw * 1e-6, PROBE)
-    else:
-        probe_rabi = _number(probe, "probe", "rabi_mhz", 10.0) * _MHZ
-    det_min = _number(probe, "probe", "detuning_min_mhz", -400.0)
-    det_max = _number(probe, "probe", "detuning_max_mhz", 400.0)
-    points = probe.get("points", 1201)
-    if not isinstance(points, int) or isinstance(points, bool):
-        raise ConfigError("key 'probe.points' must be an integer")
-
-    coupling = _section(doc, "coupling")
-    _exclusive(coupling, "coupling", "rabi_mhz", "power_mw")
-    coupling_power_mw = _number(coupling, "coupling", "power_mw")
-    if coupling_power_mw is not None:
-        coupling_rabi = rabi_from_power(coupling_power_mw * 1e-3, COUPLING)
-    else:
-        rabi_mhz = _number(coupling, "coupling", "rabi_mhz")
-        if rabi_mhz is None:
-            coupling_power_mw = 15.0
-            coupling_rabi = rabi_from_power(coupling_power_mw * 1e-3, COUPLING)
+    config_fields, rates = {}, {}
+    for key, (field, factor) in _FIELDS.items():
+        section, _, name = field.rpartition(".")
+        named.setdefault(name, key)
+        default = attrgetter(field)(_DEFAULTS)
+        if key not in given:
+            value = default if factor is None or default is None else default / factor
+        elif factor is not None:
+            value = _number(given.pop(key), key)
         else:
-            coupling_rabi = rabi_mhz * _MHZ
-    coupling_det = _number(coupling, "coupling", "detuning_mhz", 0.0) * _MHZ
+            value = given.pop(key)
+            if type(value) is not type(default):
+                raise ConfigError(f"key '{key}' must be {_KINDS[type(default)]}")
+        if value is not None or field != "density":  # no density: the vapor curve
+            values[key] = value
+        (rates if section else config_fields)[name] = (
+            value if factor is None or value is None else value * factor)
 
-    medium = _section(doc, "medium")
-    _exclusive(medium, "medium", "temperature_c", "temperature_k")
-    _exclusive(medium, "medium", "density_per_cm3", "density_per_m3")
-    t_c = _number(medium, "medium", "temperature_c")
-    t_k = _number(medium, "medium", "temperature_k")
-    if t_k is None:
-        t_k = (55.0 if t_c is None else t_c) + 273.15
-    dens_cm3 = _number(medium, "medium", "density_per_cm3")
-    dens_m3 = _number(medium, "medium", "density_per_m3")
-    if dens_cm3 is not None:
-        dens_m3 = dens_cm3 * 1e6
-    cell_mm = _number(medium, "medium", "cell_length_mm", 50.0)
-
-    b_gauss = _number(doc, "", "magnetic_field_g", 0.0)
-
-    stark = doc.get("stark_shifts", True)
-    if not isinstance(stark, bool):
-        raise ConfigError("key 'stark_shifts' must be a boolean")
-
-    policy = doc.get("population_policy", "fixed")
-    if policy not in ("fixed", "per_point"):
-        raise ConfigError(
-            "key 'population_policy' must be 'fixed' or 'per_point'"
-        )
-
-    rates_sec = _section(doc, "rates")
-    gamma_ground = _number(rates_sec, "rates", "gamma_ground_mhz")
-    rate_values = {}
-    for key, field, default in _RATE_KEYS:
-        value = _number(rates_sec, "rates", key, default)
-        if value is not None:
-            try:
-                check_rate(field, value * _MHZ, f"key 'rates.{key}'")
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            rate_values[field] = value * _MHZ
-    rates = RelaxationRates(**rate_values)
-
-    overrides_raw = doc.get("cg_overrides") or {}
-    if not isinstance(overrides_raw, dict):
-        raise ConfigError("key 'cg_overrides' must be a mapping")
     overrides = {}
-    for pair, value in overrides_raw.items():
-        parts = str(pair).split("->")
+    for key in [k for k in given if k.startswith(f"{_OVERRIDES}.")]:
+        parts = [part.strip() for part in key.partition(".")[2].split("->")]
         if len(parts) != 2:
+            raise ConfigError(f"key '{key}' must name a pair like 'a1->c1'")
+        pair = "->".join(parts)
+        overrides[tuple(parts)] = _number(given.pop(key), key)
+        values[f"{_OVERRIDES}.{pair}"] = overrides[tuple(parts)]
+        named[pair] = key
+
+    scans = {}
+    for key, (field, convert, default, check) in _SCANS.items():
+        numbers = given.pop(key, default)
+        if not isinstance(numbers, list) or not numbers:
+            raise ConfigError(f"key '{key}' must be a non-empty number list")
+        values[key] = [_number(v, key) for v in numbers]
+        scans[field] = tuple(convert(v) for v in values[key])
+        try:
+            check(scans[field])
+        except ValueError as exc:
+            raise _rejected(key, exc) from exc
+
+    if given:
+        key = next(iter(given))
+        suffixed = sorted(k for k in _KEYS if k.startswith(f"{key}_"))
+        if suffixed:
             raise ConfigError(
-                f"cg_overrides key '{pair}' must look like 'a1->c1'"
-            )
-        overrides[(parts[0].strip(), parts[1].strip())] = _as_float(
-            value, f"cg_overrides.{pair}")
-
-    def _number_list(section: dict, path: str, key: str, default: list):
-        values = section.get(key, default)
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"key '{path}.{key}' must be a non-empty number list")
-        return [_as_float(v, f"{path}.{key}") for v in values]
-
-    scan_p = _section(doc, "power_scan")
-    powers_mw = _number_list(scan_p, "power_scan", "powers_mw",
-                             [6.0, 8.0, 10.0, 12.0, 15.0])
-    scan_t = _section(doc, "temp_scan")
-    temps_c = _number_list(scan_t, "temp_scan", "temperatures_c",
-                           [45.0, 55.0, 65.0])
-
-    basename = doc.get("output_basename", scenario.replace("-", "_"))
+                f"unknown key '{key}': unit suffix required, use '{suffixed[0]}'")
+        raise ConfigError(f"unknown key '{key}'")
 
     try:
-        config = ScenarioConfig(
-            scheme_id=scheme,
-            probe_rabi=probe_rabi,
-            probe_polarization=LINEAR,
-            coupling_rabi=coupling_rabi,
-            coupling_detuning=coupling_det,
-            detuning_min=det_min * _MHZ,
-            detuning_max=det_max * _MHZ,
-            points=points,
-            temperature=t_k,
-            density=dens_m3,
-            cell_length=cell_mm * 1e-3,
-            b_field=b_gauss * 1e-4,
-            stark_enabled=stark,
-            population_policy=policy,
-            cg_overrides=overrides or None,
-            rates=rates,
-        )
+        config = ScenarioConfig(**config_fields, rates=RelaxationRates(**rates),
+                                cg_overrides=overrides or None)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        subject = str(exc).partition(" ")[0]
+        raise _rejected(named.get(subject, subject), exc) from exc
 
-    resolved = {
-        "scenario": scenario,
-        "scheme": scheme,
-        "output_basename": basename,
-        "probe": {
-            "rabi_mhz": probe_rabi / _MHZ,
-            "detuning_min_mhz": det_min,
-            "detuning_max_mhz": det_max,
-            "points": points,
-        },
-        "coupling": {
-            "rabi_mhz": coupling_rabi / _MHZ,
-            "detuning_mhz": coupling_det / _MHZ,
-        },
-        "medium": {
-            "temperature_k": t_k,
-            "cell_length_mm": cell_mm,
-        },
-        "magnetic_field_g": b_gauss,
-        "stark_shifts": stark,
-        "population_policy": policy,
-        "rates": {
-            "gamma_mhz": rates.gamma / _MHZ,
-            "gamma_ca_mhz": rates.gamma_ca / _MHZ,
-            "gamma_ba_mhz": rates.gamma_ba / _MHZ,
-            "gamma_ground_mhz": None if gamma_ground is None else gamma_ground,
-            "transit_mhz": rates.gamma_transit / _MHZ,
-        },
-        "power_scan": {"powers_mw": [float(p) for p in powers_mw]},
-        "temp_scan": {"temperatures_c": [float(t) for t in temps_c]},
-    }
-    if dens_m3 is not None:
-        resolved["medium"]["density_per_m3"] = dens_m3
-    if overrides:
-        resolved["cg_overrides"] = {
-            f"{lo}->{up}": cg for (lo, up), cg in overrides.items()
-        }
-
-    return RunSpec(
-        scenario=scenario,
-        config=config,
-        powers_w=tuple(float(p) * 1e-3 for p in powers_mw),
-        temperatures_k=tuple(float(t) + 273.15 for t in temps_c),
-        basename=str(basename),
-        resolved=resolved,
-    )
+    return RunSpec(scenario=scenario, config=config, basename=str(basename),
+                   resolved=_nested(values), **scans)
 
 
 def apply_overrides(doc: dict, assignments: list[str]) -> dict:
@@ -391,11 +337,11 @@ def _metadata(spec: RunSpec, extra: dict | None = None) -> dict:
         "calibration": {
             "coupling_anchor": {
                 "power_w": RABI_ANCHORS[COUPLING][0],
-                "rabi_mhz": RABI_ANCHORS[COUPLING][1] / _MHZ,
+                "rabi_mhz": RABI_ANCHORS[COUPLING][1] / MHZ,
             },
             "probe_anchor": {
                 "power_w": RABI_ANCHORS[PROBE][0],
-                "rabi_mhz": RABI_ANCHORS[PROBE][1] / _MHZ,
+                "rabi_mhz": RABI_ANCHORS[PROBE][1] / MHZ,
             },
         },
     }
@@ -409,12 +355,13 @@ _PEAK_KEYS = (
 )
 
 
-def _peak_values(peaks) -> tuple[float, float, float, float]:
-    """Both dispersion peaks as MHz, deg, MHz, deg; all NaN if none found."""
+def _peak_values(peaks: PeakPair, where: str) -> tuple[float, float, float, float]:
+    """Both dispersion peaks as MHz, deg, MHz, deg; a spectrum without them
+    (``where`` names it) fails the run."""
     if not peaks.found:
-        return (math.nan,) * 4
-    return (peaks.left.detuning / _MHZ, math.degrees(peaks.left.phi),
-            peaks.right.detuning / _MHZ, math.degrees(peaks.right.phi))
+        raise NumericError(f"no dispersion peaks at {where}")
+    return (peaks.left.detuning / MHZ, math.degrees(peaks.left.phi),
+            peaks.right.detuning / MHZ, math.degrees(peaks.right.phi))
 
 
 def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
@@ -438,8 +385,8 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
             write_csv(csv_path, TRACE_CSV_COLUMNS, result.trace_rows())
         meta = _metadata(spec, {"sweep": result.metadata})
         peaks = find_dispersion_peaks(result)
-        if peaks.found:
-            meta["peaks"] = dict(zip(_PEAK_KEYS, _peak_values(peaks)))
+        if peaks.found:  # a pi_f2 spectrum has none
+            meta["peaks"] = dict(zip(_PEAK_KEYS, _peak_values(peaks, spec.scenario)))
         written.append(csv_path)
         max_phi = math.degrees(abs(result.phi_exact).max())
         print(f"{spec.scenario}: {cfg.points} points, max |phi| = {max_phi:.6g} deg")
@@ -448,11 +395,8 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
         rows = []
         for power, rabi, peaks in sweep_coupling_power(cfg, list(spec.powers_w)):
             log(f"power {power * 1e3:g} mW done")
-            if not peaks.found:
-                raise SteadyStateError(
-                    f"no dispersion peaks at {power * 1e3:g} mW", 0
-                )
-            rows.append((power * 1e3, rabi / _MHZ, *_peak_values(peaks)))
+            rows.append((power * 1e3, rabi / MHZ,
+                         *_peak_values(peaks, f"{power * 1e3:g} mW")))
         csv_path = base.with_suffix(".csv")
         write_csv(csv_path, POWER_SCAN_CSV_COLUMNS, rows)
         meta = _metadata(spec)
@@ -460,19 +404,18 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
         print(f"power-scan: {len(rows)} powers")
 
     elif spec.scenario == "temp-scan":
-        rows = []
-        per_temp_files = []
         results = sweep_temperature(cfg, list(spec.temperatures_k))
+        rows = [(  # every temperature has its peaks before any file is written
+            t, result.metadata["density_m3"],
+            *_peak_values(find_dispersion_peaks(result), f"{t:.2f} K"),
+            math.degrees(abs(result.phi_exact).max()),
+        ) for t, result in results]
+        per_temp_files = []
         for i, (t, result) in enumerate(results, start=1):
             log(f"temperature {t:.2f} K done")
             sub_path = outdir / f"{spec.basename}_t{i}.csv"
             write_csv(sub_path, SPECTRUM_CSV_COLUMNS, result.spectrum_rows())
             per_temp_files.append(str(sub_path.name))
-            rows.append((
-                t, result.metadata["density_m3"],
-                *_peak_values(find_dispersion_peaks(result)),
-                math.degrees(abs(result.phi_exact).max()),
-            ))
             written.append(sub_path)
         csv_path = base.with_suffix(".csv")
         write_csv(csv_path, TEMP_SCAN_CSV_COLUMNS, rows)
@@ -489,7 +432,7 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
             columns[comp] = curve
         dets = columns[SIGMA_MINUS].detunings
         rows = zip(
-            dets / _MHZ,
+            dets / MHZ,
             columns[SIGMA_MINUS].transmission,
             columns[SIGMA_PLUS].transmission,
         )
@@ -575,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except (SteadyStateError, IndeterminateAngleError) as exc:
+    except (NumericError, SteadyStateError, IndeterminateAngleError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 2
     return 0

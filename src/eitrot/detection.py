@@ -48,6 +48,8 @@ TRACE_CSV_COLUMNS = [
     "detuning_mhz", "i_d1", "i_d2", "i_d3", "i_d4", "phi_deg",
 ]
 
+_ANGLE_FLOOR = 1e-12
+
 
 class IndeterminateAngleError(ValueError):
     """Both difference signals vanished, so the angle is undefined."""
@@ -134,20 +136,20 @@ def detector_intensities(e_out: JonesVector, i0: float) -> DetectorSignals:
     return DetectorSignals(d1=d1, d2=d2, d3=d3, d4=d4, i0=i0)
 
 
-def recover_angle(signals: DetectorSignals, floor: float = 1e-12) -> float | np.ndarray:
+def recover_angle(signals: DetectorSignals) -> float | np.ndarray:
     """Polarization-plane angle, radians, in (-pi/2, pi/2]: a scalar, or an
     array for array-valued signals.
 
     Uses the two-argument arctangent of the difference-signal pair, so any
-    common attenuation cancels. ``floor`` is the indeterminacy threshold
-    relative to the total detected power: if both differences sit below it
-    at any entry, the polarization state there carries no angle information
-    (e.g. pure circular light or a dark output) and the call raises.
+    common attenuation cancels. If both differences sit below
+    ``_ANGLE_FLOOR`` times the total detected power at any entry, the
+    polarization state there carries no angle information (e.g. pure
+    circular light or a dark output) and the call raises.
     """
     num = -signals.reflected_difference
     den = -signals.transmitted_difference
     total = signals.d1 + signals.d2 + signals.d3 + signals.d4
-    if np.any((np.hypot(num, den) <= floor * total) | (total == 0.0)):
+    if np.any((np.hypot(num, den) <= _ANGLE_FLOOR * total) | (total == 0.0)):
         raise IndeterminateAngleError(
             "difference signals below the indeterminacy floor"
         )

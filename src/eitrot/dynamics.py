@@ -52,7 +52,7 @@ from .atom import (
     StarkShifts,
     Sublevel,
     ZeemanField,
-    TWO_PI,
+    MHZ,
     probe_pathways,
     zeeman_shift,
 )
@@ -60,21 +60,17 @@ from .atom import (
 __all__ = [
     "RelaxationRates",
     "SteadyStateError",
-    "check_rate",
     "build_hamiltonian",
     "build_liouvillian",
     "probe_detuning_slope",
     "solve_steady_state",
     "steady_state_populations",
-    "ground_populations",
     "analytic_coherences",
     "pathway_denominator",
     "equation_dump",
     "coupled_element_count",
     "level_index",
 ]
-
-DEFAULT_TRANSIT_RATE = TWO_PI * 1.2e6
 
 # Largest accepted steady-state residual ||L rho|| / (||L||_F ||rho||).
 _RESIDUAL_TOL = 1e-9
@@ -85,31 +81,27 @@ _RESIDUAL_TOL = 1e-9
 _POSITIVE_RATES = ("gamma", "gamma_ca")
 
 
-def check_rate(field: str, value: float, name: str | None = None) -> None:
-    """Raise ValueError unless rate ``field`` is finite and non-negative, and
-    positive for gamma and gamma_ca. ``name`` is how the message
-    refers to the value (default: ``field``)."""
-    positive = field in _POSITIVE_RATES
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name or field} must be finite and {bound}")
-
-
 @dataclass(frozen=True)
 class RelaxationRates:
-    """Total relaxation rates (rad/s) for the element classes described above."""
+    """Total relaxation rates (rad/s) for the element classes described above.
 
-    gamma: float = TWO_PI * 5.75e6
-    gamma_ca: float = TWO_PI * 3.5e6
-    gamma_ba: float = TWO_PI * 1.1e6
+    Every rate must be finite and >= 0, and gamma and gamma_ca > 0.
+    """
+
+    gamma: float = 5.75 * MHZ
+    gamma_ca: float = 3.5 * MHZ
+    gamma_ba: float = 1.1 * MHZ
     gamma_ground: float | None = None   # None -> same as gamma_ba
-    gamma_transit: float = DEFAULT_TRANSIT_RATE
+    gamma_transit: float = 1.2 * MHZ
 
     def __post_init__(self):
         for field in ("gamma", "gamma_ca", "gamma_ba", "gamma_ground", "gamma_transit"):
             value = getattr(self, field)
-            if value is not None:
-                check_rate(field, value)
+            positive = field in _POSITIVE_RATES
+            if value is not None and not (
+                    math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{field} must be finite and {bound}")
 
     @property
     def ground_coherence(self) -> float:
@@ -216,18 +208,17 @@ def probe_detuning_slope(scheme: LevelScheme) -> np.ndarray:
     return -1j * (s[:, None] - s[None, :]).reshape(-1)
 
 
-def solve_steady_state(lio: np.ndarray, residual_tol: float = _RESIDUAL_TOL) -> np.ndarray:
+def solve_steady_state(lio: np.ndarray) -> np.ndarray:
     """Unique trace-one null vector of the superoperator, as a density matrix.
 
     One redundant population row is replaced by the trace constraint and the
     system solved densely. The residual ||L rho|| (relative to ||L|| ||rho||)
-    must come out below ``residual_tol``; if not, the null space is sized via
+    must come out below ``_RESIDUAL_TOL``; if not, the null space is sized via
     SVD to distinguish a degenerate steady state from plain ill-conditioning.
     A non-finite superoperator or solution raises with no null-space size.
     """
     n = _side(lio)
-    (vec,) = _steady_states(lio.copy(), np.zeros(n * n), [0.0], np.arange(n * n),
-                            residual_tol)
+    (vec,) = _steady_states(lio.copy(), np.zeros(n * n), [0.0], np.arange(n * n))
     return vec.reshape(n, n)
 
 
@@ -269,7 +260,7 @@ def _side(lio: np.ndarray) -> int:
     return n
 
 
-def _steady_states(lio, slope, offsets, rows, residual_tol=_RESIDUAL_TOL) -> np.ndarray:
+def _steady_states(lio, slope, offsets, rows) -> np.ndarray:
     """Entries ``rows`` of vec(rho) for the checked steady state of
     ``lio + offset * diag(slope)``, one row per offset (see
     ``steady_state_populations``). ``lio`` serves as scratch for the trace
@@ -313,14 +304,14 @@ def _steady_states(lio, slope, offsets, rows, residual_tol=_RESIDUAL_TOL) -> np.
         residual = np.linalg.norm(resid, axis=0) / (
             np.sqrt(norm2 + delta * (cross + delta * slope2))
             * np.linalg.norm(x, axis=0))
-        failed = np.flatnonzero(~(residual <= residual_tol))
+        failed = np.flatnonzero(~(residual <= _RESIDUAL_TOL))
         if failed.size:
             k = failed[0]
             shifted = lio.copy()
             shifted.reshape(-1)[:: n2 + 1] += delta[k] * slope
             raise _failure(
                 shifted, f"steady-state residual {residual[k]:.2e} exceeds "
-                f"{residual_tol:.0e} (null-space dimension {{}})", x[:, k])
+                f"{_RESIDUAL_TOL:.0e} (null-space dimension {{}})", x[:, k])
         out[start:start + delta.size] = x[rows].T
     return out
 
@@ -356,30 +347,6 @@ def _check_finite(*arrays) -> None:
     solution leaves no null space for the SVD to size (it fails on NaN)."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise SteadyStateError("steady-state superoperator or solution is not finite")
-
-
-def ground_populations(
-    scheme: LevelScheme,
-    probe: FieldDrive,
-    coupling: FieldDrive,
-    rates: RelaxationRates,
-    stark: StarkShifts = NO_STARK,
-    zeeman: ZeemanField | None = None,
-) -> tuple[float, float, float]:
-    """Steady-state populations of the three F=1 sublevels, ascending m."""
-    h = build_hamiltonian(scheme, probe, coupling, stark, zeeman)
-    rho = solve_steady_state(build_liouvillian(scheme, h, rates))
-    idx = level_index(scheme)
-    return tuple(
-        float(rho[idx[s], idx[s]].real)
-        for s in scheme.sublevels
-        if s.manifold == GROUND_F1
-    )
-
-
-def population_map(rho: np.ndarray, scheme: LevelScheme) -> dict[Sublevel, float]:
-    idx = level_index(scheme)
-    return {s: float(rho[i, i].real) for s, i in idx.items()}
 
 
 def pathway_denominator(

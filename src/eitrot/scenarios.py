@@ -28,8 +28,10 @@ from .atom import (
     COUPLING,
     D1_WAVELENGTH,
     LINEAR,
+    MHZ,
     NO_STARK,
     PROBE,
+    RABI_ANCHORS,
     SCHEME_IDS,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -62,6 +64,7 @@ from .dynamics import (
     steady_state_populations,
 )
 from .spectra import (
+    CELL_LENGTH,
     SPECTRUM_CSV_COLUMNS,
     MediumParams,
     SusceptibilityPair,
@@ -78,6 +81,7 @@ __all__ = [
     "steady_populations",
     "sweep_probe_detuning",
     "find_dispersion_peaks",
+    "check_powers",
     "sweep_coupling_power",
     "sweep_temperature",
     "eit_transmission",
@@ -106,22 +110,29 @@ EIT_CSV_COLUMNS = [
     "detuning_mhz", "transmission_sigma_minus", "transmission_sigma_plus",
 ]
 
+_FLAT_TOL = 1e-12  # rad, see find_dispersion_peaks
+_PROMINENCE_FRACTION = 0.02  # see count_transmission_peaks
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved inputs for one sweep. All frequencies in rad/s."""
+    """Fully resolved inputs for one sweep. All frequencies in rad/s.
+
+    Every rejected value raises ValueError with a message that starts with
+    the name of its field (or, for ``cg_overrides``, the pair 'lower->upper').
+    """
 
     scheme_id: str = "sigma_f2"
-    probe_rabi: float = TWO_PI * 10e6
+    probe_rabi: float = 10.0 * MHZ
     probe_polarization: str = LINEAR
-    coupling_rabi: float = TWO_PI * 100e6
+    coupling_rabi: float = RABI_ANCHORS[COUPLING][1]  # at the 15 mW anchor
     coupling_detuning: float = 0.0
-    detuning_min: float = -TWO_PI * 400e6
-    detuning_max: float = TWO_PI * 400e6
+    detuning_min: float = -400.0 * MHZ
+    detuning_max: float = 400.0 * MHZ
     points: int = 1201
-    temperature: float = 328.15
-    density: float | None = None
-    cell_length: float = 0.05
+    temperature: float = 328.15  # K, i.e. 55 C
+    density: float | None = None  # m^-3; None follows the vapor-pressure curve
+    cell_length: float = CELL_LENGTH
     wavelength: float = D1_WAVELENGTH
     b_field: float = 0.0
     stark_enabled: bool = True
@@ -131,18 +142,27 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scheme_id not in SCHEME_IDS:
-            raise ValueError(f"unknown scheme_id: {self.scheme_id!r}")
-        if not self.detuning_min < self.detuning_max:
-            raise ValueError("detuning range must be ordered")
-        if self.points < 2:
-            raise ValueError("need at least two sweep points")
+            raise ValueError(f"scheme_id must be one of {', '.join(SCHEME_IDS)}")
         if self.population_policy not in ("fixed", "per_point"):
-            raise ValueError(
-                f"population_policy must be 'fixed' or 'per_point',"
-                f" got {self.population_policy!r}"
-            )
-        if self.probe_rabi < 0 or self.coupling_rabi < 0:
-            raise ValueError("Rabi frequencies must be non-negative")
+            raise ValueError("population_policy must be 'fixed' or 'per_point'")
+        if not self.points >= 2:
+            raise ValueError("points must be at least 2")
+        if not self.detuning_min < self.detuning_max:
+            raise ValueError("detuning_max must be above detuning_min")
+        for name in ("probe_rabi", "coupling_rabi"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be above absolute zero")
+        if self.density is not None and not self.density > 0:
+            raise ValueError("density must be > 0")
+        if not self.cell_length > 0:
+            raise ValueError("cell_length must be > 0")
+        if self.cg_overrides:
+            try:
+                self.scheme()
+            except KeyError as exc:  # an override that names no transition
+                raise ValueError(*exc.args) from None
 
     def scheme(self) -> LevelScheme:
         return build_level_scheme(self.scheme_id, self.cg_overrides)
@@ -323,18 +343,16 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     )
 
 
-def find_dispersion_peaks(
-    result: SweepResult, flat_tol: float = 1e-12
-) -> PeakPair:
+def find_dispersion_peaks(result: SweepResult) -> PeakPair:
     """Extremal angle on each side of the zero crossing nearest resonance.
 
-    Spectra whose largest |phi| sits below ``flat_tol`` (radians) carry no
+    Spectra whose largest |phi| sits below ``_FLAT_TOL`` (radians) carry no
     dispersion feature and give an empty pair, as do spectra that never
     change sign.
     """
     phi = result.phi_exact
     dets = result.detunings
-    if np.max(np.abs(phi)) < flat_tol:
+    if np.max(np.abs(phi)) < _FLAT_TOL:
         return PeakPair(None, None)
     sign = np.sign(phi)
     nonzero = sign != 0
@@ -358,14 +376,20 @@ def find_dispersion_peaks(
     )
 
 
+def check_powers(powers: Sequence[float]) -> None:
+    """Raise ValueError unless the coupling powers of a scan are positive
+    and ascending."""
+    if not all(p > 0 for p in powers):
+        raise ValueError("powers must be positive")
+    if list(powers) != sorted(powers):
+        raise ValueError("powers must be ascending")
+
+
 def sweep_coupling_power(
     cfg: ScenarioConfig, powers: Sequence[float]
 ) -> list[tuple[float, float, PeakPair]]:
     """Per-power dispersion peaks: (power W, coupling Rabi rad/s, peaks)."""
-    if any(p <= 0 for p in powers):
-        raise ValueError("powers must be positive")
-    if list(powers) != sorted(powers):
-        raise ValueError("powers must be ascending")
+    check_powers(powers)
     out = []
     for p in powers:
         rabi = rabi_from_power(p, COUPLING)
@@ -411,14 +435,12 @@ def eit_transmission(cfg: ScenarioConfig, component: str) -> TransmissionCurve:
     )
 
 
-def count_transmission_peaks(
-    curve: TransmissionCurve, prominence_fraction: float = 0.02
-) -> int:
+def count_transmission_peaks(curve: TransmissionCurve) -> int:
     """Number of local transmission maxima above a prominence floor.
 
-    The floor is a fraction of the curve's peak-to-valley range, so the
-    count is stable under grid refinement and immune to numerical ripple.
-    A maximum's prominence is its height over the higher of the two lowest
+    The floor is ``_PROMINENCE_FRACTION`` of the curve's peak-to-valley
+    range, so the count is stable under grid refinement and immune to
+    numerical ripple. A maximum's prominence is its height over the higher of the two lowest
     points between it and the nearest higher sample (or the end) on either
     side, as in ``scipy.signal.peak_prominences``.
     """
@@ -426,7 +448,7 @@ def count_transmission_peaks(
     span = float(np.max(t) - np.min(t))
     if span == 0.0:
         return 0
-    floor = prominence_fraction * span
+    floor = _PROMINENCE_FRACTION * span
     v = t[np.r_[True, t[1:] != t[:-1]]]  # a flat top counts once
     count = 0
     for i in np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1:

@@ -57,6 +57,7 @@ from .atom import (
 from .dynamics import RelaxationRates, pathway_denominator
 
 __all__ = [
+    "CELL_LENGTH",
     "MediumParams",
     "SusceptibilityPair",
     "RotationAngle",
@@ -73,6 +74,8 @@ __all__ = [
 # vapor-pressure anchor: density at 328.15 K fixed to the measured value
 _ANCHOR_TEMPERATURE = 328.15
 _ANCHOR_DENSITY = 1.62e17  # m^-3
+
+CELL_LENGTH = 0.05  # m, the default vapor-cell length
 
 SPECTRUM_CSV_COLUMNS = [
     "detuning_mhz",
@@ -98,7 +101,7 @@ _ANCHOR_SCALE = _ANCHOR_DENSITY / _raw_vapor_density(_ANCHOR_TEMPERATURE)
 
 def rb_vapor_density(t_kelvin: float) -> float:
     """Atomic number density (m^-3) of saturated Rb vapor at ``t_kelvin``."""
-    if t_kelvin <= 0:
+    if not t_kelvin > 0:
         raise ValueError("temperature must be positive")
     return _ANCHOR_SCALE * _raw_vapor_density(t_kelvin)
 
@@ -123,12 +126,12 @@ class MediumParams:
     density: float
     temperature: float
     v_width: float
-    cell_length: float = 0.05
+    cell_length: float = CELL_LENGTH
     wavelength: float = D1_WAVELENGTH
 
     def __post_init__(self):
         for name in ("density", "temperature", "v_width", "cell_length", "wavelength"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     @classmethod
@@ -136,7 +139,7 @@ class MediumParams:
         cls,
         t_kelvin: float,
         density: float | None = None,
-        cell_length: float = 0.05,
+        cell_length: float = CELL_LENGTH,
         wavelength: float = D1_WAVELENGTH,
     ) -> "MediumParams":
         return cls(

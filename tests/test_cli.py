@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eitrot
+from eitrot import cli
 from eitrot.atom import TWO_PI
 from eitrot.cli import ConfigError, main, parse_config
 from eitrot.scenarios import TRACE_CSV_COLUMNS, sweep_probe_detuning, write_csv
@@ -43,6 +47,34 @@ medium:
   temperature_c: 55
   density_per_cm3: 1.0e11
 """
+
+
+# An in-domain value for every numeric key, alternatives and scan lists
+# included, in the key's own unit.
+ROUND_TRIP_VALUES = {
+    "probe.rabi_mhz": st.floats(0.0, 1e3),
+    "probe.power_uw": st.floats(0.0, 1e4),
+    "probe.detuning_min_mhz": st.floats(-1e3, -1.0),
+    "probe.detuning_max_mhz": st.floats(1.0, 1e3),
+    "coupling.rabi_mhz": st.floats(0.0, 1e3),
+    "coupling.power_mw": st.floats(0.0, 100.0),
+    "coupling.detuning_mhz": st.floats(-100.0, 100.0),
+    "medium.temperature_k": st.floats(200.0, 500.0),
+    "medium.temperature_c": st.floats(-50.0, 200.0),
+    "medium.density_per_m3": st.floats(1e14, 1e19),
+    "medium.density_per_cm3": st.floats(1e8, 1e13),
+    "medium.cell_length_mm": st.floats(0.1, 1e3),
+    "magnetic_field_g": st.floats(-100.0, 100.0),
+    "rates.gamma_mhz": st.floats(0.1, 100.0),
+    "rates.gamma_ca_mhz": st.floats(0.1, 100.0),
+    "rates.gamma_ba_mhz": st.floats(0.0, 100.0),
+    "rates.gamma_ground_mhz": st.floats(0.0, 100.0),
+    "rates.transit_mhz": st.floats(0.0, 100.0),
+    "power_scan.powers_mw": st.lists(st.floats(0.01, 100.0), min_size=1,
+                                     max_size=5).map(sorted),
+    "temp_scan.temperatures_c": st.lists(st.floats(-50.0, 200.0), min_size=1,
+                                         max_size=4),
+}
 
 
 def write(tmp_path, text, name="run.yaml"):
@@ -83,6 +115,22 @@ class TestConfigParsing:
         spec = parse_config({"scenario": "spectrum",
                              "medium": {"density_per_m3": "1.0e17"}})
         assert spec.config.density == pytest.approx(1e17)
+
+    def test_round_trip_covers_every_numeric_key(self):
+        numeric = {key for key, (_, factor) in cli._FIELDS.items() if factor is not None}
+        assert set(ROUND_TRIP_VALUES) == numeric | set(cli._ALTERNATIVES) | set(cli._SCANS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(sorted(ROUND_TRIP_VALUES)))
+    def test_resolved_document_round_trips(self, data, key):
+        section, _, name = key.rpartition(".")
+        value = data.draw(ROUND_TRIP_VALUES[key])
+        doc = {"scenario": "spectrum", **({section: {name: value}} if section else {key: value})}
+        spec = parse_config(doc)
+        again = parse_config(copy.deepcopy(spec.resolved))
+        assert again.config == spec.config
+        assert again.resolved == spec.resolved
+        assert (again.powers_w, again.temperatures_k) == (spec.powers_w, spec.temperatures_k)
 
 
 class TestMainSpectrum:
@@ -204,6 +252,43 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err == f"error: config: key '{key}' must be finite\n"
         assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("medium.density_per_cm3", "-1"),
+        ("medium.temperature_k", "-5"),
+        ("medium.cell_length_mm", "0"),
+        ("probe.power_uw", "-3"),
+        ("coupling.power_mw", "-1"),
+        ("power_scan.powers_mw", "[-1]"),
+        ("power_scan.powers_mw", "[15, 6]"),
+        ("temp_scan.temperatures_c", "[-300]"),
+        ("cg_overrides.a1->c9", "0.3"),
+    ])
+    def test_out_of_domain_number_exit_code(self, tmp_path, capsys, key, value):
+        cfg = write(tmp_path, "scenario: spectrum\nprobe: {points: 11}\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", f"{key}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: key '{key}' ")
+        assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("scenario, where", [
+        ("power-scan", "6 mW"), ("temp-scan", "318.15 K"),
+    ])
+    def test_scan_without_dispersion_peaks_exit_code(self, tmp_path, capsys,
+                                                     scenario, where):
+        # the pi-coupling scheme rotates nothing, so no scan step has peaks
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", f"scenario={scenario}", "--set", "scheme=pi_f2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: numeric: no dispersion peaks at {where}\n"
+        assert not list(tmp_path.glob("*.csv"))
+        # a spectrum without peaks is a result: it records none
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", "scheme=pi_f2"]) == 0
+        assert "peaks" not in json.loads((tmp_path / "spectrum.meta.json").read_text())
 
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, SPECTRUM_YAML)

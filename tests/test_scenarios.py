@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.signal import find_peaks
 
 from eitrot.atom import SIGMA_MINUS, SIGMA_PLUS, TWO_PI
 from eitrot.detection import JonesVector, detector_intensities, propagate_cell
+from eitrot import scenarios
 from eitrot.dynamics import build_hamiltonian, build_liouvillian, solve_steady_state
 from eitrot.scenarios import (
     Peak,
@@ -79,6 +81,13 @@ class TestConfigValidation:
             ScenarioConfig(population_policy="sometimes")
         with pytest.raises(ValueError):
             ScenarioConfig(probe_rabi=-1.0)
+
+    def test_rejects_nan(self):
+        # each message starts with the field, which the CLI maps to its key
+        for name in ("probe_rabi", "coupling_rabi", "temperature", "density",
+                     "cell_length", "detuning_max", "points"):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                ScenarioConfig(**{name: math.nan})
 
     def test_medium_uses_vapor_curve_when_density_omitted(self):
         assert ScenarioConfig(temperature=328.15).medium().density == pytest.approx(
@@ -251,4 +260,5 @@ class TestTransmission:
         curve = TransmissionCurve(np.arange(t.size, dtype=float), t, SIGMA_MINUS, {})
         span = t.max() - t.min()
         want = 0 if span == 0 else len(find_peaks(t, prominence=fraction * span)[0])
-        assert count_transmission_peaks(curve, fraction) == want
+        with mock.patch.object(scenarios, "_PROMINENCE_FRACTION", fraction):
+            assert count_transmission_peaks(curve) == want

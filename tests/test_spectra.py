@@ -91,6 +91,12 @@ class TestVapor:
         peak = maxwellian_weight(0.0, v)
         assert maxwellian_weight(v, v) == pytest.approx(peak / math.e, rel=1e-12)
 
+    def test_medium_params_reject_nan(self):
+        for name in ("density", "temperature", "v_width", "cell_length"):
+            fields = dict(density=1e17, temperature=328.15, v_width=240.0)
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                MediumParams(**{**fields, name: math.nan})
+
     def test_medium_params_validation(self):
         with pytest.raises(ValueError):
             MediumParams(density=-1.0, temperature=328.15, v_width=240.0)
