@@ -22,7 +22,6 @@ from .atom import (
     StarkShifts,
     Sublevel,
     Transition,
-    ZeemanField,
     build_level_scheme,
     clebsch_gordan,
     coupling_polarization,
@@ -35,11 +34,9 @@ from .atom import (
 from .dynamics import (
     RelaxationRates,
     SteadyStateError,
-    analytic_coherences,
     build_hamiltonian,
     build_liouvillian,
     coupled_element_count,
-    equation_dump,
     pathway_denominator,
     solve_steady_state,
 )
@@ -48,11 +45,9 @@ from .spectra import (
     RotationAngle,
     SusceptibilityPair,
     doppler_average,
-    maxwellian_weight,
     rb_vapor_density,
     rotation_angle,
     susceptibility_arrays,
-    susceptibility_pair,
     thermal_v_width,
 )
 from .detection import (
@@ -64,6 +59,7 @@ from .detection import (
     recover_angle,
 )
 from .scenarios import (
+    NumericError,
     Peak,
     PeakPair,
     ScenarioConfig,

@@ -12,6 +12,10 @@ from math import factorial, sqrt
 
 __all__ = ["wigner_3j", "wigner_6j", "clebsch_gordan", "decay_amplitude"]
 
+# Rb-87 D1 line: J of 5S1/2 and of 5P1/2, and the nuclear spin
+J_GROUND = J_EXCITED = 0.5
+I_NUCLEAR = 1.5
+
 
 def _is_half_int(x) -> bool:
     return abs(2 * x - round(2 * x)) < 1e-9
@@ -97,8 +101,8 @@ def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> float:
     )
 
 
-def decay_amplitude(f_g, m_g, f_e, m_e, j_g=0.5, j_e=0.5, i_nuc=1.5) -> float:
-    """Signed dipole amplitude for (F', m') -> (F, m) emission, D1-line defaults.
+def decay_amplitude(f_g, m_g, f_e, m_e) -> float:
+    """Signed dipole amplitude for (F', m') -> (F, m) emission on the D1 line.
 
     Includes the hyperfine branching factor, so summing the squares over all
     (F, m) reachable from a fixed (F', m') yields exactly 1. The emitted
@@ -109,8 +113,8 @@ def decay_amplitude(f_g, m_g, f_e, m_e, j_g=0.5, j_e=0.5, i_nuc=1.5) -> float:
     if abs(q) > 1 or abs(m_g) > f_g or abs(m_e) > f_e or abs(f_g - f_e) > 1:
         return 0.0
     racah = (
-        (-1) ** round(f_e + j_g + 1 + i_nuc)
-        * sqrt((2 * f_e + 1) * (2 * j_g + 1))
-        * wigner_6j(j_g, j_e, 1, f_e, f_g, i_nuc)
+        (-1) ** round(f_e + J_GROUND + 1 + I_NUCLEAR)
+        * sqrt((2 * f_e + 1) * (2 * J_GROUND + 1))
+        * wigner_6j(J_GROUND, J_EXCITED, 1, f_e, f_g, I_NUCLEAR)
     )
     return racah * clebsch_gordan(f_e, m_e, 1, q, f_g, m_g)

@@ -25,7 +25,7 @@ sublevel over both ground manifolds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .angular import decay_amplitude
 
@@ -123,33 +123,21 @@ class FieldDrive:
         return (self.polarization,)
 
 
-@dataclass(frozen=True)
-class ZeemanField:
-    """Longitudinal magnetic field with per-manifold g-factors.
-
-    ``g_excited=None`` selects the Lande value by the excited F (+1/6 for
-    F'=2, -1/6 for F'=1).
-    """
-
-    b_field: float = 0.0  # tesla
-    g_ground_f1: float = -0.5
-    g_ground_f2: float = +0.5
-    g_excited: float | None = None
+# Lande g_F of each manifold, by (manifold, F)
+G_FACTORS = {
+    (GROUND_F1, 1): -0.5,
+    (GROUND_F2, 2): +0.5,
+    (EXCITED, 2): 1.0 / 6.0,
+    (EXCITED, 1): -1.0 / 6.0,
+}
 
 
-def zeeman_shift(s: Sublevel, zeeman: ZeemanField | None) -> float:
-    """Linear Zeeman shift m * g_F * mu_B * B / hbar in rad/s."""
-    if zeeman is None or zeeman.b_field == 0.0 or s.m == 0:
+def zeeman_shift(s: Sublevel, b_field: float) -> float:
+    """Linear Zeeman shift m * g_F * mu_B * B / hbar in rad/s of a longitudinal
+    field ``b_field`` (tesla)."""
+    if b_field == 0.0 or s.m == 0:
         return 0.0
-    if s.manifold == GROUND_F1:
-        g = zeeman.g_ground_f1
-    elif s.manifold == GROUND_F2:
-        g = zeeman.g_ground_f2
-    else:
-        g = zeeman.g_excited
-        if g is None:
-            g = {2: 1.0 / 6.0, 1: -1.0 / 6.0}[s.f]
-    return s.m * g * MU_BOHR * zeeman.b_field / HBAR
+    return s.m * G_FACTORS[s.manifold, s.f] * MU_BOHR * b_field / HBAR
 
 
 @dataclass(frozen=True)
@@ -157,12 +145,9 @@ class StarkShifts:
     """Light shifts of the F=2 sublevels from far-detuned coupling.
 
     ``shifts`` maps m of the F=2 sublevel to delta = |Omega_far|^2/(4 Delta).
-    ``from_far_level`` is False when the scheme has no far manifold and the
-    shifts were forced to zero.
     """
 
     shifts: dict
-    from_far_level: bool
 
     def of(self, s: Sublevel) -> float:
         if s.manifold != GROUND_F2:
@@ -170,7 +155,7 @@ class StarkShifts:
         return self.shifts.get(s.m, 0.0)
 
 
-NO_STARK = StarkShifts(shifts={}, from_far_level=False)
+NO_STARK = StarkShifts(shifts={})
 
 
 @dataclass(frozen=True)
@@ -197,12 +182,6 @@ class LevelScheme:
                 return s
         raise KeyError(f"no sublevel labelled {label!r}")
 
-    def transition(self, lower: Sublevel, upper: Sublevel) -> Transition | None:
-        for t in self.transitions:
-            if t.lower == lower and t.upper == upper:
-                return t
-        return None
-
     def decay_channels(self, upper: Sublevel) -> tuple[Transition, ...]:
         return tuple(t for t in self.transitions if t.upper == upper and t.cg != 0.0)
 
@@ -228,13 +207,8 @@ def clebsch_gordan(lower: Sublevel, upper: Sublevel) -> float:
     return decay_amplitude(lower.f, lower.m, upper.f, upper.m)
 
 
-def build_level_scheme(scheme_id: str, cg_overrides: dict | None = None) -> LevelScheme:
-    """Assemble sublevels and the full sigma/pi transition table for a scheme.
-
-    ``cg_overrides`` maps (lower_label, upper_label) pairs, e.g. ("b2", "c1"),
-    to replacement amplitudes; used for transition-strength what-if studies.
-    Overridden amplitudes affect driving and decay alike.
-    """
+def build_level_scheme(scheme_id: str) -> LevelScheme:
+    """Assemble sublevels and the full sigma/pi transition table for a scheme."""
     if scheme_id not in SCHEME_IDS:
         raise ValueError(f"unknown scheme {scheme_id!r}; expected one of {SCHEME_IDS}")
     excited_f = 1 if scheme_id == "sigma_f1" else 2
@@ -253,27 +227,13 @@ def build_level_scheme(scheme_id: str, cg_overrides: dict | None = None) -> Leve
                 continue
             pol = {-1: SIGMA_MINUS, 0: PI, +1: SIGMA_PLUS}[dm]
             transitions.append(Transition(g, e, pol, clebsch_gordan(g, e)))
-    scheme = LevelScheme(
+    return LevelScheme(
         scheme_id=scheme_id,
         sublevels=sublevels,
         transitions=tuple(transitions),
         excited_f=excited_f,
         far_level_detuning=FPRIME_SPLITTING if scheme_id == "sigma_f2" else None,
     )
-    if cg_overrides:
-        updated = []
-        pending = dict(cg_overrides)
-        for t in scheme.transitions:
-            key = (scheme.label(t.lower), scheme.label(t.upper))
-            if key in pending:
-                updated.append(replace(t, cg=float(pending.pop(key))))
-            else:
-                updated.append(t)
-        if pending:
-            lower, upper = next(iter(pending))
-            raise KeyError(f"{lower}->{upper} names no transition of {scheme_id}")
-        scheme = replace(scheme, transitions=tuple(updated))
-    return scheme
 
 
 def coupling_polarization(scheme_id: str) -> str:
@@ -286,7 +246,7 @@ def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> StarkShifts:
     The coupling also drives each b sublevel toward the far excited manifold
     (detuned by ``scheme.far_level_detuning``); the resulting shift moves the
     two-photon resonances of the affected lambda systems. Schemes without a
-    far manifold get all-zero shifts flagged ``from_far_level=False``.
+    far manifold get no shifts.
     """
     if scheme.far_level_detuning is None or coupling.which != COUPLING:
         return NO_STARK
@@ -303,7 +263,7 @@ def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> StarkShifts:
         amp = decay_amplitude(s.f, s.m, far_f, m_far)
         omega = coupling.rabi_scale * amp / norm
         shifts[s.m] = abs(omega) ** 2 / (4.0 * scheme.far_level_detuning)
-    return StarkShifts(shifts=shifts, from_far_level=True)
+    return StarkShifts(shifts=shifts)
 
 
 def rabi_from_power(power: float, which: str) -> float:

@@ -8,8 +8,9 @@ temperatures _c or _k, densities _per_cm3 or _per_m3, magnetic field _g.
 
 Exit codes: 0 success, 1 configuration error (including a number that is
 not finite or out of its domain, and a bad command-line flag), 2 numerical
-failure (including a scan step without dispersion peaks). Errors are single
-lines on stderr of the form ``error: config: ...`` or ``error: numeric: ...``.
+failure (including a scan step without dispersion peaks, a susceptibility
+that is not finite, and a floating-point overflow). Errors are single lines
+on stderr of the form ``error: config: ...`` or ``error: numeric: ...``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -41,6 +43,7 @@ from .scenarios import (
     SPECTRUM_CSV_COLUMNS,
     TEMP_SCAN_CSV_COLUMNS,
     TRACE_CSV_COLUMNS,
+    NumericError,
     PeakPair,
     ScenarioConfig,
     check_powers,
@@ -67,10 +70,6 @@ SCENARIOS = (
 
 class ConfigError(Exception):
     """Configuration document is invalid; message names the offending key."""
-
-
-class NumericError(Exception):
-    """A run produced no usable result, like a failed steady state."""
 
 
 @dataclass(frozen=True)
@@ -141,11 +140,8 @@ _SCANS = {
         "temperatures_k", _kelvin, [45.0, 55.0, 65.0], _check_temperatures),
 }
 
-# Section of free keys 'lower->upper', each a transition amplitude override.
-_OVERRIDES = "cg_overrides"
-
 _KEYS = (*_FIELDS, *_ALTERNATIVES, *_SCANS)
-_SECTIONS = {key.partition(".")[0] for key in _KEYS if "." in key} | {_OVERRIDES}
+_SECTIONS = {key.partition(".")[0] for key in _KEYS if "." in key}
 _DEFAULTS = ScenarioConfig()
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
 
@@ -220,7 +216,7 @@ def parse_config(doc: dict) -> RunSpec:
     """
     given = _flatten(doc)
     values = {}  # the resolved document, by dotted key
-    named = {}  # first word of a domain error (field or pair) -> its key
+    named = {}  # first word of a domain error (a field) -> its key
 
     def take(key, default=None):
         values[key] = given.pop(key, default)
@@ -261,16 +257,6 @@ def parse_config(doc: dict) -> RunSpec:
         (rates if section else config_fields)[name] = (
             value if factor is None or value is None else value * factor)
 
-    overrides = {}
-    for key in [k for k in given if k.startswith(f"{_OVERRIDES}.")]:
-        parts = [part.strip() for part in key.partition(".")[2].split("->")]
-        if len(parts) != 2:
-            raise ConfigError(f"key '{key}' must name a pair like 'a1->c1'")
-        pair = "->".join(parts)
-        overrides[tuple(parts)] = _number(given.pop(key), key)
-        values[f"{_OVERRIDES}.{pair}"] = overrides[tuple(parts)]
-        named[pair] = key
-
     scans = {}
     for key, (field, convert, default, check) in _SCANS.items():
         numbers = given.pop(key, default)
@@ -292,8 +278,7 @@ def parse_config(doc: dict) -> RunSpec:
         raise ConfigError(f"unknown key '{key}'")
 
     try:
-        config = ScenarioConfig(**config_fields, rates=RelaxationRates(**rates),
-                                cg_overrides=overrides or None)
+        config = ScenarioConfig(**config_fields, rates=RelaxationRates(**rates))
     except ValueError as exc:
         subject = str(exc).partition(" ")[0]
         raise _rejected(named.get(subject, subject), exc) from exc
@@ -514,12 +499,19 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"malformed YAML: {exc}") from exc
         doc = apply_overrides(doc if doc is not None else {}, args.overrides)
         spec = parse_config(doc)
-        run(spec, Path(args.outdir), verbose=args.verbose)
+        # an overflow or undefined operation anywhere fails the run
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            run(spec, Path(args.outdir), verbose=args.verbose)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
     except (NumericError, SteadyStateError, IndeterminateAngleError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, OverflowError) as exc:
+        # args[-1] is the message alone, without the errno of a math overflow
+        print(f"error: numeric: floating-point failure: {exc.args[-1]}",
+              file=sys.stderr)
         return 2
     return 0
 

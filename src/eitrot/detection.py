@@ -29,7 +29,6 @@ __all__ = [
     "JonesVector",
     "DetectorSignals",
     "IndeterminateAngleError",
-    "HALF_WAVE_MATRIX",
     "propagate_cell",
     "detector_intensities",
     "recover_angle",
@@ -63,13 +62,10 @@ class JonesVector:
     ex: complex
     ey: complex
 
-    @property
-    def intensity(self) -> float:
-        return abs(self.ex) ** 2 + abs(self.ey) ** 2
-
     @classmethod
-    def linear(cls, angle: float = 0.0, amplitude: float = 1.0) -> "JonesVector":
-        return cls(amplitude * math.cos(angle), amplitude * math.sin(angle))
+    def linear(cls, angle: float = 0.0) -> "JonesVector":
+        """Unit-amplitude linear polarization at ``angle`` from x."""
+        return cls(math.cos(angle), math.sin(angle))
 
 
 @dataclass(frozen=True)

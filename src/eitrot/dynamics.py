@@ -51,7 +51,6 @@ from .atom import (
     ProbePathway,
     StarkShifts,
     Sublevel,
-    ZeemanField,
     MHZ,
     probe_pathways,
     zeeman_shift,
@@ -65,9 +64,7 @@ __all__ = [
     "probe_detuning_slope",
     "solve_steady_state",
     "steady_state_populations",
-    "analytic_coherences",
     "pathway_denominator",
-    "equation_dump",
     "coupled_element_count",
     "level_index",
 ]
@@ -125,14 +122,16 @@ def build_hamiltonian(
     probe: FieldDrive,
     coupling: FieldDrive,
     stark: StarkShifts = NO_STARK,
-    zeeman: ZeemanField | None = None,
+    b_field: float = 0.0,
 ) -> np.ndarray:
+    """Interaction-picture Hamiltonian (rad/s) of the module docstring;
+    ``b_field`` in tesla."""
     idx = level_index(scheme)
     n = len(scheme.sublevels)
     h = np.zeros((n, n), dtype=complex)
     two_photon = probe.detuning - coupling.detuning
     for s, i in idx.items():
-        z = zeeman_shift(s, zeeman)
+        z = zeeman_shift(s, b_field)
         if s.manifold == EXCITED:
             h[i, i] = -probe.detuning + z
         elif s.manifold == GROUND_F2:
@@ -354,69 +353,26 @@ def pathway_denominator(
     probe_detuning,
     coupling_detuning: float,
     rates: RelaxationRates,
-    zeeman: ZeemanField | None = None,
+    b_field: float = 0.0,
 ):
     """Dressed line denominator of one probe pathway for an atom at rest,
 
         gamma_ca - i Delta1 + (|Omega_c|^2/4) / (gamma_ba - i Delta2),
 
     with Delta1 the one-photon and Delta2 the two-photon detuning, the
-    partner's light shift and any Zeeman offsets folded in. A pathway with
-    no coupling partner drops the EIT term. ``probe_detuning`` may be an
-    array; the result then has its shape.
+    partner's light shift and the Zeeman offsets of ``b_field`` (tesla)
+    folded in. A pathway with no coupling partner drops the EIT term.
+    ``probe_detuning`` may be an array; the result then has its shape.
     """
-    z_g = zeeman_shift(p.ground, zeeman)
-    z_e = zeeman_shift(p.excited, zeeman)
+    z_g = zeeman_shift(p.ground, b_field)
+    z_e = zeeman_shift(p.excited, b_field)
     denom = rates.gamma_ca - 1j * (probe_detuning - (z_e - z_g))
     if p.partner is not None and p.coupling_rabi != 0.0:
-        z_b = zeeman_shift(p.partner, zeeman)
+        z_b = zeeman_shift(p.partner, b_field)
         two_photon = probe_detuning - coupling_detuning + p.stark_shift + z_g - z_b
         eit = abs(p.coupling_rabi) ** 2 / 4.0
         denom = denom + eit / (rates.gamma_ba - 1j * two_photon)
     return denom
-
-
-def analytic_coherences(
-    populations: dict[Sublevel, float],
-    scheme: LevelScheme,
-    probe: FieldDrive,
-    coupling: FieldDrive,
-    rates: RelaxationRates,
-    stark: StarkShifts = NO_STARK,
-    zeeman: ZeemanField | None = None,
-) -> dict[tuple[str, str], complex]:
-    """Weak-probe closed forms for the optical coherences, keyed (upper, lower).
-
-    Each driven route gives rho_eg = (i Omega_p/2) rho_gg / D, with D the
-    route's ``pathway_denominator``.
-    """
-    out = {}
-    for component in probe.components():
-        for p in probe_pathways(scheme, probe, coupling, component, stark):
-            denom = pathway_denominator(
-                p, probe.detuning, coupling.detuning, rates, zeeman)
-            rho_gg = populations.get(p.ground, 0.0)
-            value = 0.5j * p.probe_rabi * rho_gg / denom
-            out[(scheme.label(p.excited), scheme.label(p.ground))] = value
-    return out
-
-
-def equation_dump(lio: np.ndarray, scheme: LevelScheme) -> str:
-    """One line per nonzero superoperator entry, in sublevel labels."""
-    n = len(scheme.sublevels)
-    labels = [scheme.label(s) for s in scheme.sublevels]
-    tol = 1e-12 * np.abs(lio).max()
-    lines = []
-    for row in range(n * n):
-        r, c = divmod(row, n)
-        for col in np.flatnonzero(np.abs(lio[row]) > tol):
-            rr, cc = divmod(int(col), n)
-            z = lio[row, col]
-            lines.append(
-                f"d rho[{labels[r]},{labels[c]}]/dt += ({z.real:+.6e}{z.imag:+.6e}j)"
-                f" * rho[{labels[rr]},{labels[cc]}]"
-            )
-    return "\n".join(lines)
 
 
 def coupled_element_count(

@@ -26,7 +26,6 @@ import numpy as np
 
 from .atom import (
     COUPLING,
-    D1_WAVELENGTH,
     LINEAR,
     MHZ,
     NO_STARK,
@@ -40,7 +39,6 @@ from .atom import (
     LevelScheme,
     StarkShifts,
     Sublevel,
-    ZeemanField,
     build_level_scheme,
     coupling_polarization,
     probe_pathways,
@@ -66,6 +64,7 @@ from .dynamics import (
 from .spectra import (
     CELL_LENGTH,
     SPECTRUM_CSV_COLUMNS,
+    VAPOR_CURVE_RANGE_K,
     MediumParams,
     SusceptibilityPair,
     rotation_angle,
@@ -73,6 +72,7 @@ from .spectra import (
 )
 
 __all__ = [
+    "NumericError",
     "ScenarioConfig",
     "SweepResult",
     "Peak",
@@ -114,12 +114,18 @@ _FLAT_TOL = 1e-12  # rad, see find_dispersion_peaks
 _PROMINENCE_FRACTION = 0.02  # see count_transmission_peaks
 
 
+class NumericError(Exception):
+    """A run produced no usable result, like a scan step without dispersion
+    peaks or a susceptibility that is not finite."""
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved inputs for one sweep. All frequencies in rad/s.
+    """Fully resolved inputs for one sweep. All frequencies in rad/s, the
+    field ``b_field`` in tesla.
 
     Every rejected value raises ValueError with a message that starts with
-    the name of its field (or, for ``cg_overrides``, the pair 'lower->upper').
+    the name of its field.
     """
 
     scheme_id: str = "sigma_f2"
@@ -133,11 +139,9 @@ class ScenarioConfig:
     temperature: float = 328.15  # K, i.e. 55 C
     density: float | None = None  # m^-3; None follows the vapor-pressure curve
     cell_length: float = CELL_LENGTH
-    wavelength: float = D1_WAVELENGTH
     b_field: float = 0.0
     stark_enabled: bool = True
     population_policy: str = "fixed"
-    cg_overrides: dict | None = None
     rates: RelaxationRates = field(default_factory=RelaxationRates)
 
     def __post_init__(self):
@@ -154,29 +158,24 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 0")
         if not self.temperature > 0:
             raise ValueError("temperature must be above absolute zero")
+        low, high = VAPOR_CURVE_RANGE_K
+        if self.density is None and not low <= self.temperature <= high:
+            raise ValueError(f"temperature must be within {low:g}-{high:g} K "
+                             "when the density follows the vapor curve")
         if self.density is not None and not self.density > 0:
             raise ValueError("density must be > 0")
         if not self.cell_length > 0:
             raise ValueError("cell_length must be > 0")
-        if self.cg_overrides:
-            try:
-                self.scheme()
-            except KeyError as exc:  # an override that names no transition
-                raise ValueError(*exc.args) from None
 
     def scheme(self) -> LevelScheme:
-        return build_level_scheme(self.scheme_id, self.cg_overrides)
+        return build_level_scheme(self.scheme_id)
 
     def medium(self) -> MediumParams:
         return MediumParams.from_temperature(
             self.temperature,
             density=self.density,
             cell_length=self.cell_length,
-            wavelength=self.wavelength,
         )
-
-    def zeeman(self) -> ZeemanField | None:
-        return ZeemanField(b_field=self.b_field) if self.b_field else None
 
     def coupling_drive(self) -> FieldDrive:
         return FieldDrive(
@@ -228,7 +227,6 @@ class SweepResult:
     alpha_minus: np.ndarray
     alpha_plus: np.ndarray
     phi_exact: np.ndarray
-    phi_approx: np.ndarray
     signals: DetectorSignals  # one array per detector, over the detunings
     metadata: dict
 
@@ -264,7 +262,6 @@ def _ground_populations(
     scheme: LevelScheme,
     coupling: FieldDrive,
     stark: StarkShifts,
-    zeeman: ZeemanField | None,
     offsets: Sequence[float],
 ) -> dict[Sublevel, np.ndarray]:
     """Steady-state ground occupations with the probe detuned by each of
@@ -276,7 +273,7 @@ def _ground_populations(
     """
     slope = probe_detuning_slope(scheme)
     probe = cfg.probe_drive(cfg.coupling_detuning)
-    h = build_hamiltonian(scheme, probe, coupling, stark, zeeman)
+    h = build_hamiltonian(scheme, probe, coupling, stark, cfg.b_field)
     lio = build_liouvillian(scheme, h, cfg.rates)
     pops = steady_state_populations(lio, slope, offsets)
     idx = level_index(scheme)
@@ -290,7 +287,7 @@ def steady_populations(cfg: ScenarioConfig) -> dict:
     """
     scheme = cfg.scheme()
     pops = _ground_populations(cfg, scheme, cfg.coupling_drive(),
-                               cfg.stark(scheme), cfg.zeeman(), [0.0])
+                               cfg.stark(scheme), [0.0])
     return {s: float(v[0]) for s, v in pops.items()}
 
 
@@ -298,7 +295,6 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     scheme = cfg.scheme()
     coupling = cfg.coupling_drive()
     stark = cfg.stark(scheme)
-    zeeman = cfg.zeeman()
     medium = cfg.medium()
     dets = cfg.detunings()
 
@@ -306,7 +302,7 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     # so that point is solved first under either policy
     per_point = cfg.population_policy == "per_point"
     offsets = [0.0, *(dets - cfg.coupling_detuning)] if per_point else [0.0]
-    all_pops = _ground_populations(cfg, scheme, coupling, stark, zeeman, offsets)
+    all_pops = _ground_populations(cfg, scheme, coupling, stark, offsets)
     meta_pops = {s: float(v[0]) for s, v in all_pops.items()}
     pops = {s: v[1:] for s, v in all_pops.items()} if per_point else meta_pops
 
@@ -315,8 +311,12 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     chi_m, chi_p = susceptibility_arrays(
         probe_pathways(scheme, probe, coupling, SIGMA_MINUS, stark),
         probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark),
-        dets, coupling, cfg.rates, pops, medium, zeeman,
+        dets, coupling, cfg.rates, pops, medium, cfg.b_field,
     )
+    bad = np.count_nonzero(~(np.isfinite(chi_m) & np.isfinite(chi_p)))
+    if bad:
+        raise NumericError(f"susceptibility not finite at {bad} of {dets.size} "
+                           "detunings")
 
     pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
     angle = rotation_angle(pair, medium)
@@ -337,7 +337,7 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
         chi_minus=chi_m, chi_plus=chi_p,
         n_minus=pair.n_minus, n_plus=pair.n_plus,
         alpha_minus=pair.alpha_minus, alpha_plus=pair.alpha_plus,
-        phi_exact=angle.exact, phi_approx=angle.approx,
+        phi_exact=angle.exact,
         signals=signals,
         metadata=metadata,
     )

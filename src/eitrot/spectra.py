@@ -42,17 +42,10 @@ from .atom import (
     EPSILON_0,
     HBAR,
     K_BOLTZMANN,
-    NO_STARK,
     RB87_MASS,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SPEED_OF_LIGHT,
     FieldDrive,
-    LevelScheme,
     ProbePathway,
-    StarkShifts,
-    ZeemanField,
-    probe_pathways,
 )
 from .dynamics import RelaxationRates, pathway_denominator
 
@@ -61,12 +54,11 @@ __all__ = [
     "MediumParams",
     "SusceptibilityPair",
     "RotationAngle",
-    "maxwellian_weight",
+    "VAPOR_CURVE_RANGE_K",
     "rb_vapor_density",
     "thermal_v_width",
     "doppler_average",
     "susceptibility_arrays",
-    "susceptibility_pair",
     "rotation_angle",
     "SPECTRUM_CSV_COLUMNS",
 ]
@@ -74,6 +66,12 @@ __all__ = [
 # vapor-pressure anchor: density at 328.15 K fixed to the measured value
 _ANCHOR_TEMPERATURE = 328.15
 _ANCHOR_DENSITY = 1.62e17  # m^-3
+
+# Temperatures (K) at which the vapor-pressure curve is used: up to Rb's
+# boiling point (961 K), and down to 200 K, which extrapolates the liquid
+# branch below the melting point (312 K). Outside the range the curve
+# overflows (above about 5e5 K) or underflows to zero (below about 12 K).
+VAPOR_CURVE_RANGE_K = (200.0, 961.0)
 
 CELL_LENGTH = 0.05  # m, the default vapor-cell length
 
@@ -100,23 +98,18 @@ _ANCHOR_SCALE = _ANCHOR_DENSITY / _raw_vapor_density(_ANCHOR_TEMPERATURE)
 
 
 def rb_vapor_density(t_kelvin: float) -> float:
-    """Atomic number density (m^-3) of saturated Rb vapor at ``t_kelvin``."""
-    if not t_kelvin > 0:
-        raise ValueError("temperature must be positive")
+    """Atomic number density (m^-3) of saturated Rb vapor at ``t_kelvin``,
+    which must lie in ``VAPOR_CURVE_RANGE_K``."""
+    low, high = VAPOR_CURVE_RANGE_K
+    if not low <= t_kelvin <= high:
+        raise ValueError(
+            f"temperature must be within {low:g}-{high:g} K on the vapor curve")
     return _ANCHOR_SCALE * _raw_vapor_density(t_kelvin)
 
 
-def thermal_v_width(t_kelvin: float, mass: float = RB87_MASS) -> float:
-    """Maxwellian width parameter V = sqrt(2 k_B T / m); V/sqrt(2) is the rms speed."""
-    return math.sqrt(2.0 * K_BOLTZMANN * t_kelvin / mass)
-
-
-def maxwellian_weight(u, v_width: float, n0: float = 1.0):
-    """Velocity-class density N0/(V sqrt(pi)) exp(-u^2/V^2)."""
-    if v_width <= 0:
-        raise ValueError("v_width must be positive")
-    u = np.asarray(u, dtype=float)
-    return n0 / (v_width * math.sqrt(math.pi)) * np.exp(-((u / v_width) ** 2))
+def thermal_v_width(t_kelvin: float) -> float:
+    """Maxwellian width V = sqrt(2 k_B T / m) of Rb-87; V/sqrt(2) is the rms speed."""
+    return math.sqrt(2.0 * K_BOLTZMANN * t_kelvin / RB87_MASS)
 
 
 @dataclass(frozen=True)
@@ -140,14 +133,12 @@ class MediumParams:
         t_kelvin: float,
         density: float | None = None,
         cell_length: float = CELL_LENGTH,
-        wavelength: float = D1_WAVELENGTH,
     ) -> "MediumParams":
         return cls(
             density=rb_vapor_density(t_kelvin) if density is None else density,
             temperature=t_kelvin,
             v_width=thermal_v_width(t_kelvin),
             cell_length=cell_length,
-            wavelength=wavelength,
         )
 
     @property
@@ -226,9 +217,10 @@ def susceptibility_arrays(
     rates: RelaxationRates,
     populations: dict,
     medium: MediumParams,
-    zeeman: ZeemanField | None = None,
+    b_field: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """chi- and chi+ at each probe detuning in ``detunings`` (rad/s).
+    """chi- and chi+ at each probe detuning in ``detunings`` (rad/s), in a
+    longitudinal field ``b_field`` (tesla).
 
     ``populations`` maps ground sublevels to occupations, either one number
     per sublevel or one array per sublevel with one entry per detuning.
@@ -240,7 +232,7 @@ def susceptibility_arrays(
     kv = medium.wavevector * medium.v_width
     with np.errstate(divide="ignore", invalid="ignore"):
         denominators = np.array([
-            pathway_denominator(p, dets, coupling.detuning, rates, zeeman)
+            pathway_denominator(p, dets, coupling.detuning, rates, b_field)
             for p in paths
         ]).reshape(shape)
         # An undamped ground coherence (gamma_ba = 0) at exact two-photon
@@ -258,29 +250,6 @@ def susceptibility_arrays(
     partials = weights * factors
     split = len(paths_minus)
     return _component_sum(partials[:split]), _component_sum(partials[split:])
-
-
-def susceptibility_pair(
-    scheme: LevelScheme,
-    probe: FieldDrive,
-    coupling: FieldDrive,
-    rates: RelaxationRates,
-    populations: dict,
-    medium: MediumParams,
-    stark: StarkShifts = NO_STARK,
-    zeeman: ZeemanField | None = None,
-) -> SusceptibilityPair:
-    """Total chi-, chi+ at the probe detuning carried by ``probe``.
-
-    ``populations`` maps ground sublevels to steady-state occupations; they
-    multiply the pathway partials and are treated as velocity-independent.
-    """
-    chi_minus, chi_plus = susceptibility_arrays(
-        probe_pathways(scheme, probe, coupling, SIGMA_MINUS, stark),
-        probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark),
-        probe.detuning, coupling, rates, populations, medium, zeeman,
-    )
-    return SusceptibilityPair.from_chis(chi_minus[0], chi_plus[0], medium)
 
 
 def rotation_angle(pair: SusceptibilityPair, medium: MediumParams) -> RotationAngle:

@@ -22,7 +22,6 @@ from eitrot.atom import (
     SIGMA_PLUS,
     TWO_PI,
     FieldDrive,
-    ZeemanField,
     build_level_scheme,
     rabi_from_power,
     stark_shifts,
@@ -35,7 +34,6 @@ from eitrot.detection import (
 )
 from eitrot.dynamics import (
     RelaxationRates,
-    analytic_coherences,
     build_hamiltonian,
     build_liouvillian,
     level_index,
@@ -56,6 +54,7 @@ from eitrot.spectra import (
     doppler_average,
     rotation_angle,
 )
+from oracles import analytic_coherences
 
 WP10 = FieldDrive(PROBE, LINEAR, TWO_PI * 10e6)
 WC80 = FieldDrive(COUPLING, SIGMA_MINUS, TWO_PI * 80e6)
@@ -269,10 +268,9 @@ def test_10_numerical_hygiene():
         scheme = build_level_scheme(scheme_id)
         pol = "pi" if scheme_id == "pi_f2" else SIGMA_MINUS
         coupling = FieldDrive(COUPLING, pol, TWO_PI * 80e6)
-        zeeman = ZeemanField(b_field=b_field) if b_field else None
         h = build_hamiltonian(scheme, WP10, coupling,
                               stark=stark_shifts(coupling, scheme),
-                              zeeman=zeeman)
+                              b_field=b_field)
         rho = solve_steady_state(build_liouvillian(scheme, h, RelaxationRates()))
         hygiene = max(hygiene,
                       float(np.abs(rho - rho.conj().T).max()),

@@ -1,13 +1,17 @@
 """End-to-end runs of the command-line front end."""
 
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +79,13 @@ ROUND_TRIP_VALUES = {
     "temp_scan.temperatures_c": st.lists(st.floats(-50.0, 200.0), min_size=1,
                                          max_size=4),
 }
+
+
+# Values at and beyond the edges of the numeric domains, for the contract fuzz.
+EDGE_VALUES = [0, 1, -1, 10, -10, 1e6, -1e6, 1e-300, -1e-300, 1e300, -1e300]
+NUMERIC_KEYS = sorted(
+    [key for key, (_, factor) in cli._FIELDS.items() if factor is not None]
+    + list(cli._ALTERNATIVES))
 
 
 def write(tmp_path, text, name="run.yaml"):
@@ -220,6 +231,11 @@ class TestMainErrors:
         assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 1
         assert "unknown key 'quadrature'" in capsys.readouterr().err
 
+    def test_cg_overrides_section_is_unknown(self, tmp_path, capsys):
+        cfg = write(tmp_path, SPECTRUM_YAML + "cg_overrides:\n  a1->c1: 0.5\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: config: unknown key 'cg_overrides'\n"
+
     @pytest.mark.parametrize("key, value", [
         ("gamma_ca_mhz", "-3.5"),
         ("gamma_ca_mhz", ".nan"),
@@ -243,7 +259,6 @@ class TestMainErrors:
         ("magnetic_field_g", ".inf"),
         ("probe.rabi_mhz", ".nan"),
         ("power_scan.powers_mw", "[.nan, 5]"),
-        ("cg_overrides.a1->c1", "-.inf"),
     ])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, key, value):
         cfg = write(tmp_path, SPECTRUM_YAML)
@@ -262,7 +277,12 @@ class TestMainErrors:
         ("power_scan.powers_mw", "[-1]"),
         ("power_scan.powers_mw", "[15, 6]"),
         ("temp_scan.temperatures_c", "[-300]"),
-        ("cg_overrides.a1->c9", "0.3"),
+        # outside the vapor-pressure curve's range: it would underflow to
+        # zero density, or overflow
+        ("medium.temperature_k", "10"),
+        ("medium.temperature_k", "1e6"),
+        ("medium.temperature_k", "5e5"),
+        ("temp_scan.temperatures_c", "[55, 1000]"),
     ])
     def test_out_of_domain_number_exit_code(self, tmp_path, capsys, key, value):
         cfg = write(tmp_path, "scenario: spectrum\nprobe: {points: 11}\n")
@@ -271,6 +291,21 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: key '{key}' ")
         assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("spectrum", "medium.density_per_m3", "1e300"),
+        ("detector-trace", "medium.density_per_m3", "1e300"),
+        # each scan step takes its density from the vapor curve
+        ("temp-scan", "coupling.detuning_mhz", "1e300"),
+    ])
+    def test_non_finite_result_exit_code(self, tmp_path, capsys, scenario, key, value):
+        cfg = write(tmp_path, f"scenario: {scenario}\nprobe: {{points: 5}}\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", f"{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: ")
+        assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("scenario, where", [
@@ -304,6 +339,40 @@ class TestMainErrors:
         with pytest.raises(SystemExit) as exc:
             main([flag])
         assert exc.value.code == 0
+
+
+class TestContract:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=st.sampled_from(cli.SCENARIOS),
+           numbers=st.dictionaries(st.sampled_from(NUMERIC_KEYS),
+                                   st.sampled_from(EDGE_VALUES), max_size=4),
+           scans=st.dictionaries(st.sampled_from(sorted(cli._SCANS)),
+                                 st.lists(st.sampled_from(EDGE_VALUES),
+                                          min_size=1, max_size=2), max_size=1))
+    def test_every_run_ends_in_a_stated_outcome(self, scenario, numbers, scans):
+        # exit 0 with finite CSVs, or exit 1 or 2 with one error line and no CSV
+        doc = {"scenario": scenario, "probe": {"points": 5}}
+        for key, value in {**numbers, **scans}.items():
+            section, _, name = key.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[name] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.yaml"
+            cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
+            outdir = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--config", str(cfg), "--outdir", str(outdir)])
+            csvs = sorted(outdir.glob("*.csv"))
+            if code == 0:
+                assert csvs
+                for path in csvs:
+                    cells = {cell for line in path.read_text().splitlines()[1:]
+                             for cell in line.split(",")}
+                    assert not cells & {"nan", "inf", "-inf"}, path.name
+            else:
+                assert code in (1, 2)
+                assert len(err.getvalue().splitlines()) == 1
+                assert not csvs
 
 
 class TestOtherScenarios:

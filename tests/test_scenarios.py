@@ -11,10 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks
 
-from eitrot.atom import SIGMA_MINUS, SIGMA_PLUS, TWO_PI
+from eitrot.atom import SCHEME_IDS, SIGMA_MINUS, SIGMA_PLUS, TWO_PI
 from eitrot.detection import JonesVector, detector_intensities, propagate_cell
 from eitrot import scenarios
-from eitrot.dynamics import build_hamiltonian, build_liouvillian, solve_steady_state
+from eitrot.dynamics import (
+    RelaxationRates,
+    build_hamiltonian,
+    build_liouvillian,
+    solve_steady_state,
+)
 from eitrot.scenarios import (
     Peak,
     PeakPair,
@@ -64,9 +69,44 @@ def synthetic_sweep(phi, detunings, coupling_detuning_mhz=0.0):
         chi_minus=zeros.astype(complex), chi_plus=zeros.astype(complex),
         n_minus=zeros + 1, n_plus=zeros + 1,
         alpha_minus=zeros, alpha_plus=zeros,
-        phi_exact=np.asarray(phi, dtype=float), phi_approx=np.asarray(phi, dtype=float),
+        phi_exact=np.asarray(phi, dtype=float),
         signals=(), metadata={"coupling_detuning_mhz": coupling_detuning_mhz},
     )
+
+
+MHZ = TWO_PI * 1e6
+
+
+def mhz(low, high):
+    return st.floats(low, high).map(lambda x: x * MHZ)
+
+
+@st.composite
+def relaxation_rates(draw):
+    gamma = draw(mhz(3.0, 10.0))
+    return RelaxationRates(
+        gamma=gamma,
+        # spontaneous emission alone damps optical coherences at gamma/2;
+        # slower optical damping is unphysical, and rho can then have
+        # negative eigenvalues
+        gamma_ca=gamma / 2 + draw(mhz(0.0, 8.0)),
+        # undamped ground coherences make the steady state degenerate
+        gamma_ba=draw(mhz(0.05, 3.0)),
+        gamma_ground=draw(st.none() | mhz(0.05, 3.0)),
+        gamma_transit=draw(mhz(0.05, 3.0)))
+
+
+def sweep_configs(scheme_id=st.sampled_from(SCHEME_IDS), b_gauss=st.floats(-30.0, 30.0)):
+    """In-domain configurations over random drives, rates, fields and
+    densities, on a short grid."""
+    return st.builds(
+        ScenarioConfig, scheme_id=scheme_id, probe_rabi=mhz(0.1, 40.0),
+        coupling_rabi=mhz(0.0, 150.0), coupling_detuning=mhz(-20.0, 20.0),
+        detuning_min=mhz(-60.0, -1.0), detuning_max=mhz(1.0, 60.0),
+        points=st.just(41), density=st.floats(1e14, 1e19),
+        b_field=b_gauss.map(lambda gauss: gauss * 1e-4), stark_enabled=st.booleans(),
+        population_policy=st.sampled_from(["fixed", "per_point"]),
+        rates=relaxation_rates())
 
 
 class TestConfigValidation:
@@ -159,12 +199,12 @@ class TestSweep:
         scheme = cfg.scheme()
         coupling = cfg.coupling_drive()
         stark = cfg.stark(scheme)
-        zeeman = cfg.zeeman()
         dets = TWO_PI * np.array([-40e6, -7.5e6, 0.0, 2e6, 3.1e6, 25e6])
-        pops = _ground_populations(cfg, scheme, coupling, stark, zeeman,
+        pops = _ground_populations(cfg, scheme, coupling, stark,
                                    dets - cfg.coupling_detuning)
         for k, det in enumerate(dets):
-            h = build_hamiltonian(scheme, cfg.probe_drive(det), coupling, stark, zeeman)
+            h = build_hamiltonian(scheme, cfg.probe_drive(det), coupling, stark,
+                                  cfg.b_field)
             rho = solve_steady_state(build_liouvillian(scheme, h, cfg.rates))
             for i, s in enumerate(scheme.sublevels):
                 if s in pops:
@@ -191,6 +231,37 @@ class TestSweep:
         assert a[0] == pytest.approx(0.226, abs=0.015)
         assert a[1] == pytest.approx(0.233, abs=0.015)
         assert a[2] == pytest.approx(0.066, abs=0.015)
+
+
+class TestInvariants:
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=sweep_configs(scheme_id=st.just("pi_f2"), b_gauss=st.just(0.0)))
+    def test_mirror_scheme_rotation_is_exactly_zero(self, cfg):
+        # without a longitudinal field (which would Faraday-rotate) the two
+        # circular components see mirror-image media
+        assert not np.any(sweep_probe_detuning(cfg).phi_exact)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=sweep_configs(), factor=st.floats(0.01, 100.0))
+    def test_chi_is_linear_in_density(self, cfg, factor):
+        one = sweep_probe_detuning(cfg)
+        scaled = sweep_probe_detuning(replace(cfg, density=factor * cfg.density))
+        for chi, got in ((one.chi_minus, scaled.chi_minus),
+                         (one.chi_plus, scaled.chi_plus)):
+            want = factor * chi
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=sweep_configs(), probe_detuning=mhz(-60.0, 60.0))
+    def test_steady_state_is_a_density_matrix(self, cfg, probe_detuning):
+        scheme = cfg.scheme()
+        h = build_hamiltonian(scheme, cfg.probe_drive(probe_detuning),
+                              cfg.coupling_drive(), cfg.stark(scheme), cfg.b_field)
+        rho = solve_steady_state(build_liouvillian(scheme, h, cfg.rates))
+        assert np.abs(rho - rho.conj().T).max() < 1e-10
+        assert abs(np.trace(rho) - 1.0) < 1e-10
+        assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
 class TestScans:

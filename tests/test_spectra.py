@@ -24,13 +24,12 @@ from eitrot.spectra import (
     MediumParams,
     SusceptibilityPair,
     doppler_average,
-    maxwellian_weight,
     rb_vapor_density,
     rotation_angle,
     susceptibility_arrays,
-    susceptibility_pair,
     thermal_v_width,
 )
+from oracles import maxwellian_weight, susceptibility_pair
 
 GAMMA_CA = TWO_PI * 3.5e6
 GAMMA_BA = TWO_PI * 1.1e6
