@@ -96,7 +96,46 @@ def relaxation_rates(draw):
         gamma_transit=draw(mhz(0.05, 3.0)))
 
 
-def sweep_configs(scheme_id=st.sampled_from(SCHEME_IDS), b_gauss=st.floats(-30.0, 30.0)):
+@st.composite
+def lindblad_rates(draw):
+    """Rates for which the relaxation of ``build_liouvillian`` is a Lindblad
+    generator, so that its steady state must be a density matrix.
+
+    Transit empties each ground sublevel at 7/8 of its rate (every scheme has
+    8 ground sublevels). As a jump process that also damps ground coherences
+    at this out-rate and optical ones at half of it, on top of the gamma/2
+    of spontaneous emission. The rest are dephasings: kappa of each ground
+    sublevel, lam of F=1 against F=2 and nu of the excited manifold. Named
+    rates below these floors (say gamma_ba under 7/8 of the transit rate)
+    are accepted by ``RelaxationRates`` but can give rho negative eigenvalues.
+    """
+    gamma = draw(mhz(3.0, 10.0))
+    transit = draw(mhz(0.05, 3.0))
+    out = transit * 7 / 8
+    kappa = draw(mhz(0.0, 3.0))
+    nu = draw(mhz(0.0, 8.0))
+    separate = draw(st.booleans())
+    lam = draw(mhz(0.0, 3.0)) if separate else 0.0
+    return RelaxationRates(
+        gamma=gamma, gamma_ca=(gamma + out + kappa + lam + nu) / 2,
+        gamma_ba=out + kappa + 2 * lam,
+        gamma_ground=out + kappa if separate else None,
+        gamma_transit=transit)
+
+
+def choi_floor(lio):
+    """Least eigenvalue of the generator's Choi matrix off the maximally
+    entangled vector; >= 0 exactly when exp(L t) is completely positive."""
+    n = math.isqrt(lio.shape[0])
+    choi = lio.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    omega = np.eye(n).reshape(-1) / math.sqrt(n)
+    proj = np.eye(n * n) - np.outer(omega, omega)
+    part = proj @ choi @ proj
+    return np.linalg.eigvalsh((part + part.conj().T) / 2).min()
+
+
+def sweep_configs(scheme_id=st.sampled_from(SCHEME_IDS), b_gauss=st.floats(-30.0, 30.0),
+                  rates=relaxation_rates()):
     """In-domain configurations over random drives, rates, fields and
     densities, on a short grid."""
     return st.builds(
@@ -106,7 +145,7 @@ def sweep_configs(scheme_id=st.sampled_from(SCHEME_IDS), b_gauss=st.floats(-30.0
         points=st.just(41), density=st.floats(1e14, 1e19),
         b_field=b_gauss.map(lambda gauss: gauss * 1e-4), stark_enabled=st.booleans(),
         population_policy=st.sampled_from(["fixed", "per_point"]),
-        rates=relaxation_rates())
+        rates=rates)
 
 
 class TestConfigValidation:
@@ -236,10 +275,13 @@ class TestSweep:
 class TestInvariants:
     @settings(max_examples=30, deadline=None)
     @given(cfg=sweep_configs(scheme_id=st.just("pi_f2"), b_gauss=st.just(0.0)))
-    def test_mirror_scheme_rotation_is_exactly_zero(self, cfg):
+    def test_mirror_scheme_rotation_vanishes(self, cfg):
         # without a longitudinal field (which would Faraday-rotate) the two
-        # circular components see mirror-image media
-        assert not np.any(sweep_probe_detuning(cfg).phi_exact)
+        # circular components see mirror-image media. The steady-state solve
+        # keeps the m <-> -m symmetry of the populations only to rounding, so
+        # the two indices may differ by their last bit (about 1% of draws).
+        result = sweep_probe_detuning(cfg)
+        np.testing.assert_array_max_ulp(result.n_minus, result.n_plus, maxulp=1)
 
     @settings(max_examples=50, deadline=None)
     @given(cfg=sweep_configs(), factor=st.floats(0.01, 100.0))
@@ -253,12 +295,14 @@ class TestInvariants:
                                        atol=1e-12 * np.abs(want).max())
 
     @settings(max_examples=100, deadline=None)
-    @given(cfg=sweep_configs(), probe_detuning=mhz(-60.0, 60.0))
+    @given(cfg=sweep_configs(rates=lindblad_rates()), probe_detuning=mhz(-60.0, 60.0))
     def test_steady_state_is_a_density_matrix(self, cfg, probe_detuning):
         scheme = cfg.scheme()
         h = build_hamiltonian(scheme, cfg.probe_drive(probe_detuning),
                               cfg.coupling_drive(), cfg.stark(scheme), cfg.b_field)
-        rho = solve_steady_state(build_liouvillian(scheme, h, cfg.rates))
+        lio = build_liouvillian(scheme, h, cfg.rates)
+        assert choi_floor(lio) > -1e-12 * np.abs(lio).max()
+        rho = solve_steady_state(lio)
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-10
