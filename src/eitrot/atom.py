@@ -24,6 +24,7 @@ sublevel over both ground manifolds).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -207,8 +208,10 @@ def clebsch_gordan(lower: Sublevel, upper: Sublevel) -> float:
     return decay_amplitude(lower.f, lower.m, upper.f, upper.m)
 
 
+@functools.cache
 def build_level_scheme(scheme_id: str) -> LevelScheme:
-    """Assemble sublevels and the full sigma/pi transition table for a scheme."""
+    """Assemble sublevels and the full sigma/pi transition table for a scheme,
+    once per id: a scheme is immutable and depends on its id alone."""
     if scheme_id not in SCHEME_IDS:
         raise ValueError(f"unknown scheme {scheme_id!r}; expected one of {SCHEME_IDS}")
     excited_f = 1 if scheme_id == "sigma_f1" else 2

@@ -353,8 +353,9 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
     """Execute the scenario; returns the list of files written."""
     outdir.mkdir(parents=True, exist_ok=True)
     base = outdir / spec.basename
+    csv_path = base.with_suffix(".csv")  # every scenario's main table
     cfg = spec.config
-    written = []
+    written = []  # per-temperature tables; csv_path and the meta file follow
 
     def log(msg):
         if verbose:
@@ -363,16 +364,14 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
     if spec.scenario in ("spectrum", "detector-trace"):
         log(f"sweeping {cfg.points} detuning points")
         result = sweep_probe_detuning(cfg)
-        csv_path = base.with_suffix(".csv")
         if spec.scenario == "spectrum":
-            write_csv(csv_path, SPECTRUM_CSV_COLUMNS, result.spectrum_rows())
+            write_csv(csv_path, SPECTRUM_CSV_COLUMNS, result.spectrum_table())
         else:
-            write_csv(csv_path, TRACE_CSV_COLUMNS, result.trace_rows())
+            write_csv(csv_path, TRACE_CSV_COLUMNS, result.trace_table())
         meta = _metadata(spec, {"sweep": result.metadata})
         peaks = find_dispersion_peaks(result)
         if peaks.found:  # a pi_f2 spectrum has none
             meta["peaks"] = dict(zip(_PEAK_KEYS, _peak_values(peaks, spec.scenario)))
-        written.append(csv_path)
         max_phi = math.degrees(abs(result.phi_exact).max())
         print(f"{spec.scenario}: {cfg.points} points, max |phi| = {max_phi:.6g} deg")
 
@@ -382,10 +381,8 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
             log(f"power {power * 1e3:g} mW done")
             rows.append((power * 1e3, rabi / MHZ,
                          *_peak_values(peaks, f"{power * 1e3:g} mW")))
-        csv_path = base.with_suffix(".csv")
         write_csv(csv_path, POWER_SCAN_CSV_COLUMNS, rows)
         meta = _metadata(spec)
-        written.append(csv_path)
         print(f"power-scan: {len(rows)} powers")
 
     elif spec.scenario == "temp-scan":
@@ -399,32 +396,21 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
         for i, (t, result) in enumerate(results, start=1):
             log(f"temperature {t:.2f} K done")
             sub_path = outdir / f"{spec.basename}_t{i}.csv"
-            write_csv(sub_path, SPECTRUM_CSV_COLUMNS, result.spectrum_rows())
+            write_csv(sub_path, SPECTRUM_CSV_COLUMNS, result.spectrum_table())
             per_temp_files.append(str(sub_path.name))
             written.append(sub_path)
-        csv_path = base.with_suffix(".csv")
         write_csv(csv_path, TEMP_SCAN_CSV_COLUMNS, rows)
         meta = _metadata(spec, {"per_temperature_files": per_temp_files})
-        written.append(csv_path)
         print(f"temp-scan: {len(rows)} temperatures")
 
     elif spec.scenario == "eit-peaks":
-        counts = {}
-        columns = {}
-        for comp in (SIGMA_MINUS, SIGMA_PLUS):
-            curve = eit_transmission(cfg, comp)
-            counts[comp] = count_transmission_peaks(curve)
-            columns[comp] = curve
-        dets = columns[SIGMA_MINUS].detunings
-        rows = zip(
-            dets / MHZ,
-            columns[SIGMA_MINUS].transmission,
-            columns[SIGMA_PLUS].transmission,
-        )
-        csv_path = base.with_suffix(".csv")
-        write_csv(csv_path, EIT_CSV_COLUMNS, rows)
+        curves = {comp: eit_transmission(cfg, comp)
+                  for comp in (SIGMA_MINUS, SIGMA_PLUS)}
+        counts = {comp: count_transmission_peaks(c) for comp, c in curves.items()}
+        write_csv(csv_path, EIT_CSV_COLUMNS, np.column_stack((
+            curves[SIGMA_MINUS].detunings / MHZ,
+            *(c.transmission for c in curves.values()))))
         meta = _metadata(spec, {"peak_counts": counts})
-        written.append(csv_path)
         print(
             f"eit-peaks: sigma_minus={counts[SIGMA_MINUS]}"
             f" sigma_plus={counts[SIGMA_PLUS]}"
@@ -435,13 +421,11 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
         scheme = cfg.scheme()
         labels = [scheme.label(s) for s in scheme.ground()]
         values = [pops[s] for s in scheme.ground()]
-        csv_path = base.with_suffix(".csv")
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("sublevel,population\n")
             for lab, val in zip(labels, values):
                 fh.write(f"{lab},{val:.9g}\n")
         meta = _metadata(spec, {"populations": dict(zip(labels, values))})
-        written.append(csv_path)
         triple = " ".join(
             f"{lab}={val:.3f}" for lab, val in zip(labels, values) if lab.startswith("a")
         )
@@ -452,7 +436,7 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
 
     meta_path = base.parent / f"{base.name}.meta.json"
     write_metadata(meta_path, meta)
-    written.append(meta_path)
+    written += [csv_path, meta_path]
     return written
 
 

@@ -155,8 +155,12 @@ def build_liouvillian(
     if h.shape != (n, n):
         raise ValueError("hamiltonian does not match the scheme")
     idx = level_index(scheme)
-    eye = np.eye(n)
-    lio = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    # -i[h, rho]: rho[i, k] gets -i h[i, j] rho[j, k] + i rho[i, l] h[l, k]
+    lio = np.zeros((n * n, n * n), dtype=complex)
+    block = lio.reshape(n, n, n, n)
+    for k in range(n):
+        block[:, k, :, k] -= 1j * h
+        block[k, :, k, :] += 1j * h.T
 
     decay = np.zeros((n, n))
     for r, sr in enumerate(scheme.sublevels):
@@ -170,7 +174,7 @@ def build_liouvillian(
             elif r != c:
                 same = sr.manifold == sc.manifold
                 decay[r, c] = rates.ground_coherence if same else rates.gamma_ba
-    lio -= np.diag(decay.reshape(-1))
+    lio.flat[::n * n + 1] -= decay.reshape(-1)
 
     channels = [
         (idx[t.lower], idx[t.upper], t.lower.m - t.upper.m, t.cg, t.lower.manifold)

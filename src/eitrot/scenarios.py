@@ -4,8 +4,9 @@ EIT transmission peak counting, and their CSV/metadata serialization.
 Each sweep resolves a ScenarioConfig once into a level scheme, field
 drives, light shifts, relaxation rates, and medium parameters. The probe
 pathways do not depend on the probe detuning, so they are built once per
-sweep, the susceptibilities of the whole grid come from one closed-form
-evaluation, and the detection chain runs once on the resulting arrays.
+sweep, and the susceptibilities of the whole grid come from one closed-form
+evaluation. The detection chain runs on those arrays only when a detector
+trace is written (``SweepResult.signals``).
 Ground-state populations follow one of two policies: the default solves the
 steady state once at two-photon resonance and reuses it across the sweep
 (the line shapes then come entirely from the Doppler-averaged
@@ -220,41 +221,42 @@ class SweepResult:
     """Column-oriented record of one detuning sweep."""
 
     detunings: np.ndarray
-    chi_minus: np.ndarray
-    chi_plus: np.ndarray
-    n_minus: np.ndarray
-    n_plus: np.ndarray
-    alpha_minus: np.ndarray
-    alpha_plus: np.ndarray
+    pair: SusceptibilityPair  # one array per field, over the detunings
+    medium: MediumParams
     phi_exact: np.ndarray
-    signals: DetectorSignals  # one array per detector, over the detunings
     metadata: dict
 
-    def spectrum_rows(self):
-        return zip(
-            self.detunings / TWO_PI / 1e6,
-            self.chi_minus.real, self.chi_minus.imag,
-            self.chi_plus.real, self.chi_plus.imag,
-            self.n_plus - self.n_minus,
-            self.alpha_plus, self.alpha_minus,
-            np.degrees(self.phi_exact),
-        )
+    @property
+    def signals(self) -> DetectorSignals:
+        """The detector intensities of the linear probe after the cell, one
+        array per detector, computed on each access."""
+        return detector_intensities(
+            propagate_cell(JonesVector.linear(), self.pair, self.medium), 1.0)
 
-    def trace_rows(self):
-        s = self.signals
-        phi = np.degrees(recover_angle(s))
-        return zip(
+    def spectrum_table(self) -> np.ndarray:
+        p = self.pair
+        return np.column_stack((
             self.detunings / TWO_PI / 1e6,
-            s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0, phi,
-        )
+            p.chi_minus.real, p.chi_minus.imag,
+            p.chi_plus.real, p.chi_plus.imag,
+            p.n_plus - p.n_minus,
+            p.alpha_plus, p.alpha_minus,
+            np.degrees(self.phi_exact),
+        ))
+
+    def trace_table(self) -> np.ndarray:
+        s = self.signals
+        return np.column_stack((
+            self.detunings / TWO_PI / 1e6,
+            s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0,
+            np.degrees(recover_angle(s)),
+        ))
 
 
 @dataclass(frozen=True)
 class TransmissionCurve:
     detunings: np.ndarray
     transmission: np.ndarray
-    component: str
-    metadata: dict
 
 
 def _ground_populations(
@@ -319,10 +321,6 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
                            "detunings")
 
     pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
-    angle = rotation_angle(pair, medium)
-    signals = detector_intensities(
-        propagate_cell(JonesVector.linear(), pair, medium), 1.0)
-
     metadata = {
         "scheme": cfg.scheme_id,
         "populations": {scheme.label(s): v for s, v in meta_pops.items()},
@@ -332,15 +330,9 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
         "temperature_k": medium.temperature,
         "v_width_ms": medium.v_width,
     }
-    return SweepResult(
-        detunings=dets,
-        chi_minus=chi_m, chi_plus=chi_p,
-        n_minus=pair.n_minus, n_plus=pair.n_plus,
-        alpha_minus=pair.alpha_minus, alpha_plus=pair.alpha_plus,
-        phi_exact=angle.exact,
-        signals=signals,
-        metadata=metadata,
-    )
+    return SweepResult(detunings=dets, pair=pair, medium=medium,
+                       phi_exact=rotation_angle(pair, medium).exact,
+                       metadata=metadata)
 
 
 def find_dispersion_peaks(result: SweepResult) -> PeakPair:
@@ -425,14 +417,10 @@ def eit_transmission(cfg: ScenarioConfig, component: str) -> TransmissionCurve:
         raise ValueError("component must be sigma_minus or sigma_plus")
     sub = replace(cfg, probe_polarization=component)
     result = sweep_probe_detuning(sub)
-    alpha = result.alpha_minus if component == SIGMA_MINUS else result.alpha_plus
-    transmission = np.exp(-alpha * sub.medium().cell_length)
-    return TransmissionCurve(
-        detunings=result.detunings,
-        transmission=transmission,
-        component=component,
-        metadata=result.metadata,
-    )
+    pair = result.pair
+    alpha = pair.alpha_minus if component == SIGMA_MINUS else pair.alpha_plus
+    transmission = np.exp(-alpha * result.medium.cell_length)
+    return TransmissionCurve(result.detunings, transmission)
 
 
 def count_transmission_peaks(curve: TransmissionCurve) -> int:
@@ -461,16 +449,12 @@ def count_transmission_peaks(curve: TransmissionCurve) -> int:
     return count
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def write_csv(path, columns: Sequence[str], rows) -> None:
-    """Write rows with fixed 9-significant-digit formatting, deterministic."""
+def write_csv(path, columns: Sequence[str], table) -> None:
+    """Write a 2-D table under its header line, each cell with 9 significant
+    digits (deterministic, with LF line ends on every platform)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_float(float(x)) for x in row) + "\n")
+        np.savetxt(fh, table, fmt="%.9g", delimiter=",", header=",".join(columns),
+                   comments="")
 
 
 def write_metadata(path, payload: dict) -> None:

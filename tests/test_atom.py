@@ -10,6 +10,7 @@ from eitrot.atom import (
     NO_STARK,
     PI,
     PROBE,
+    SCHEME_IDS,
     SIGMA_MINUS,
     SIGMA_PLUS,
     TWO_PI,
@@ -23,6 +24,7 @@ from eitrot.atom import (
     stark_shifts,
     zeeman_shift,
 )
+from eitrot.scenarios import ScenarioConfig, sweep_probe_detuning
 
 WC80 = FieldDrive(COUPLING, SIGMA_MINUS, TWO_PI * 80e6)
 WP10 = FieldDrive(PROBE, LINEAR, TWO_PI * 10e6)
@@ -74,6 +76,18 @@ class TestSchemeStructure:
         for (lo, up), expected in quad.items():
             cg = clebsch_gordan(scheme.by_label(lo), scheme.by_label(up))
             assert cg == pytest.approx(expected, abs=1e-12)
+
+
+class TestSchemeCache:
+    def test_one_scheme_per_id(self):
+        assert build_level_scheme("sigma_f2") is build_level_scheme("sigma_f2")
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_sweep_leaves_the_scheme_as_built(self, scheme_id):
+        cached = build_level_scheme(scheme_id)
+        sweep_probe_detuning(ScenarioConfig(scheme_id=scheme_id, points=11))
+        assert build_level_scheme(scheme_id) is cached
+        assert cached == build_level_scheme.__wrapped__(scheme_id)
 
 
 class TestPathwayCensus:

@@ -375,6 +375,21 @@ class TestContract:
                 assert not csvs
 
 
+class TestDeterminism:
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_identical_runs_write_identical_files(self, tmp_path, scenario):
+        cfg = write(tmp_path, f"scenario: {scenario}\nprobe:\n  points: 41\n")
+        for run in ("one", "two"):
+            assert main(["--config", str(cfg), "--outdir", str(tmp_path / run)]) == 0
+        one = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert one == sorted(p.name for p in (tmp_path / "two").iterdir())
+        assert any(name.endswith(".csv") for name in one)
+        assert any(name.endswith(".meta.json") for name in one)
+        for name in one:
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "two" / name).read_bytes()), name
+
+
 class TestOtherScenarios:
     def test_detector_trace_rows(self, tmp_path):
         cfg = write(tmp_path, SPECTRUM_YAML)
@@ -397,9 +412,9 @@ class TestOtherScenarios:
         result = sweep_probe_detuning(parse_config({"scenario": "detector-trace"}).config)
         s = result.signals
         phi = np.degrees(0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2)))
-        write_csv(tmp_path / "want.csv", TRACE_CSV_COLUMNS, zip(
+        write_csv(tmp_path / "want.csv", TRACE_CSV_COLUMNS, np.column_stack((
             result.detunings / TWO_PI / 1e6,
-            s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0, phi))
+            s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0, phi)))
         assert ((tmp_path / "detector_trace.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 

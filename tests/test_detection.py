@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eitrot.detection import (
     DetectorSignals,
@@ -143,6 +146,35 @@ class TestRecovery:
                                     d3=signals.d3[i], d4=signals.d4[i], i0=1.0)
             assert got[i] == recover_angle(point)
             assert got[i] == pytest.approx(phi, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        phis_deg=arrays(np.float64, st.integers(1, 30), elements=st.floats(-89.0, 89.0)),
+        dichroism=st.floats(0.0, 3.0),
+        common=st.floats(0.0, 20.0),
+    )
+    def test_array_recovery_is_exact_and_blind_to_common_attenuation(
+            self, phis_deg, dichroism, common):
+        phis = np.radians(phis_deg)
+        d = MEDIUM.cell_length
+        # alpha_minus d runs over [0, dichroism], alpha_plus d the other way
+        ramp = np.linspace(0.0, dichroism, phis.size)
+
+        def recovered(extra_d):
+            pair = SusceptibilityPair(
+                chi_minus=np.zeros(phis.size, complex),
+                chi_plus=np.zeros(phis.size, complex),
+                n_minus=np.ones(phis.size),
+                n_plus=1.0 + phis * MEDIUM.wavelength / (math.pi * d),
+                alpha_minus=(ramp + extra_d) / d,
+                alpha_plus=(ramp[::-1] + extra_d) / d,
+            )
+            return recover_angle(detector_intensities(
+                propagate_cell(JonesVector.linear(0.0), pair, MEDIUM), i0=1.0))
+
+        clear = recovered(0.0)
+        np.testing.assert_allclose(clear, phis, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(recovered(common), clear, rtol=0, atol=1e-12)
 
     def test_one_indeterminate_entry_fails_the_array(self):
         signals = DetectorSignals(d1=np.array([0.0, 0.25]), d2=np.array([0.3, 0.25]),

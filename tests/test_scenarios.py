@@ -1,6 +1,7 @@
 """Sweeps, peak extraction, scans, and the transmission census."""
 
 import math
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -34,6 +35,7 @@ from eitrot.scenarios import (
     sweep_probe_detuning,
     sweep_temperature,
     _ground_populations,
+    write_csv,
 )
 from eitrot.spectra import SusceptibilityPair
 
@@ -62,15 +64,10 @@ EIT_CFG = ScenarioConfig(
 
 
 def synthetic_sweep(phi, detunings, coupling_detuning_mhz=0.0):
-    n = len(detunings)
-    zeros = np.zeros(n)
     return SweepResult(
-        detunings=np.asarray(detunings, dtype=float),
-        chi_minus=zeros.astype(complex), chi_plus=zeros.astype(complex),
-        n_minus=zeros + 1, n_plus=zeros + 1,
-        alpha_minus=zeros, alpha_plus=zeros,
+        detunings=np.asarray(detunings, dtype=float), pair=None, medium=None,
         phi_exact=np.asarray(phi, dtype=float),
-        signals=(), metadata={"coupling_detuning_mhz": coupling_detuning_mhz},
+        metadata={"coupling_detuning_mhz": coupling_detuning_mhz},
     )
 
 
@@ -225,7 +222,7 @@ class TestSweep:
         medium = FIG_CFG.medium()
         for i in (0, 17, 40, 63, 80):
             pair = SusceptibilityPair.from_chis(
-                complex(result.chi_minus[i]), complex(result.chi_plus[i]), medium)
+                complex(result.pair.chi_minus[i]), complex(result.pair.chi_plus[i]), medium)
             point = detector_intensities(
                 propagate_cell(JonesVector.linear(), pair, medium), 1.0)
             for name in ("d1", "d2", "d3", "d4"):
@@ -281,15 +278,15 @@ class TestInvariants:
         # keeps the m <-> -m symmetry of the populations only to rounding, so
         # the two indices may differ by their last bit (about 1% of draws).
         result = sweep_probe_detuning(cfg)
-        np.testing.assert_array_max_ulp(result.n_minus, result.n_plus, maxulp=1)
+        np.testing.assert_array_max_ulp(result.pair.n_minus, result.pair.n_plus, maxulp=1)
 
     @settings(max_examples=50, deadline=None)
     @given(cfg=sweep_configs(), factor=st.floats(0.01, 100.0))
     def test_chi_is_linear_in_density(self, cfg, factor):
         one = sweep_probe_detuning(cfg)
         scaled = sweep_probe_detuning(replace(cfg, density=factor * cfg.density))
-        for chi, got in ((one.chi_minus, scaled.chi_minus),
-                         (one.chi_plus, scaled.chi_plus)):
+        for chi, got in ((one.pair.chi_minus, scaled.pair.chi_minus),
+                         (one.pair.chi_plus, scaled.pair.chi_plus)):
             want = factor * chi
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
@@ -357,7 +354,6 @@ class TestTransmission:
         curve = eit_transmission(EIT_CFG, SIGMA_MINUS)
         assert np.all(curve.transmission > 0.0)
         assert np.all(curve.transmission <= 1.0)
-        assert curve.component == SIGMA_MINUS
 
     def test_rejects_linear_component(self):
         with pytest.raises(ValueError):
@@ -372,8 +368,27 @@ class TestTransmission:
         fraction=st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]),
     )
     def test_peak_count_matches_scipy_find_peaks(self, t, fraction):
-        curve = TransmissionCurve(np.arange(t.size, dtype=float), t, SIGMA_MINUS, {})
+        curve = TransmissionCurve(np.arange(t.size, dtype=float), t)
         span = t.max() - t.min()
         want = 0 if span == 0 else len(find_peaks(t, prominence=fraction * span)[0])
         with mock.patch.object(scenarios, "_PROMINENCE_FRACTION", fraction):
             assert count_transmission_peaks(curve) == want
+
+
+class TestWriteCsv:
+    # edge values beside hypothesis's own draws, which include nan and inf
+    EDGES = [-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+             1e300, -1e300, 1e-300, -1e-300]
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 9)),
+                        elements=st.floats() | st.sampled_from(EDGES)))
+    def test_bytes_match_the_per_cell_format(self, table):
+        columns = [f"c{j}" for j in range(table.shape[1])]
+        want = ",".join(columns) + "\n" + "".join(
+            ",".join(f"{float(x):.9g}" for x in row) + "\n" for row in table)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/table.csv"
+            write_csv(path, columns, table)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode("utf-8")

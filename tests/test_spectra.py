@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitrot.atom import (
     COUPLING,
@@ -139,6 +141,27 @@ class TestDopplerFactor:
         without = doppler_factor(
             bare_path(probe), probe, WC80, rates, medium)
         assert abs(with_eit) < 0.2 * abs(without)
+
+
+class TestDopplerLimits:
+    KV = TWO_PI / 795e-9 * 240.0  # k V of a warm cell, rad/s
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(1e5, 1e8), delta=st.floats(-1e8, 1e8),
+           ratio=st.floats(1e-9, 1e-4))
+    def test_cold_limit_is_the_lorentzian(self, gamma, delta, ratio):
+        # kV -> 0: the average of 1/(A - i k u) is 1/A
+        a = gamma - 1j * delta
+        got = doppler_average(a, ratio * abs(a))
+        assert got == pytest.approx(1.0 / a, rel=1e-7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-2.0, 2.0), y=st.floats(1e-12, 1e-7))
+    def test_doppler_limit_real_part_is_the_gaussian(self, x, y):
+        # gamma_ca / kV -> 0 at Delta = x kV: Re F -> sqrt(pi)/(kV) exp(-x^2)
+        got = doppler_average(self.KV * (y - 1j * x), self.KV)
+        want = math.sqrt(math.pi) / self.KV * math.exp(-x * x)
+        assert got.real == pytest.approx(want, rel=1e-5)
 
 
 class TestAgainstTrapezoid:
