@@ -25,20 +25,25 @@ coupled to nothing but decay inflow) and the only steady state is everything
 parked there; the default rate is calibrated against the steady-state
 F=1 populations quoted for this system (see tests).
 
+The superoperator splits into independent blocks, and the steady state is
+solved on the one that holds the populations (``population_block``: 85 of
+169 elements for a linear probe in ``sigma_f2``); the rest of rho is zero.
 The probe detuning moves only the superoperator diagonal, and only on the
 F=1 coherences with F=2 and the excited manifold. So the steady states over
-a whole grid of probe detunings come from one factorization at two-photon
-resonance plus a low-rank (Woodbury) update per detuning
+a whole grid of probe detunings come from one factorization of the block at
+two-photon resonance plus a low-rank (Woodbury) update per detuning
 (``steady_state_populations``); every solution is checked against its own
 superoperator, as ``solve_steady_state`` checks a single one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import schur
 
 from .atom import (
@@ -61,6 +66,7 @@ __all__ = [
     "SteadyStateError",
     "build_hamiltonian",
     "build_liouvillian",
+    "population_block",
     "probe_detuning_slope",
     "solve_steady_state",
     "steady_state_populations",
@@ -82,7 +88,14 @@ _POSITIVE_RATES = ("gamma", "gamma_ca")
 class RelaxationRates:
     """Total relaxation rates (rad/s) for the element classes described above.
 
-    Every rate must be finite and >= 0, and gamma and gamma_ca > 0.
+    Every rate must be finite and >= 0, and gamma and gamma_ca > 0. Nothing
+    more is required: the relaxation need not be completely positive (a
+    Lindblad generator), and outside that domain rho may have negative
+    eigenvalues. With t = 7/8 gamma_transit (the rate at which transit
+    empties each of the 8 ground sublevels), a = ground_coherence - t,
+    b = gamma_ba - t and c = gamma_ca - (gamma + t)/2, the domain is
+    a, b, c >= 0 with [[2a/3 - 2c, b - 2c], [b - 2c, 4a/5 - 2c]] negative
+    semidefinite (from the Choi matrix). The defaults lie inside it.
     """
 
     gamma: float = 5.75 * MHZ
@@ -154,28 +167,37 @@ def build_liouvillian(
     n = len(scheme.sublevels)
     if h.shape != (n, n):
         raise ValueError("hamiltonian does not match the scheme")
-    idx = level_index(scheme)
-    # -i[h, rho]: rho[i, k] gets -i h[i, j] rho[j, k] + i rho[i, l] h[l, k]
+    # -i[h, rho]: rho[i, k] gets -i h[i, j] rho[j, k] + i rho[i, l] h[l, k],
+    # written through views [i, j, k] -> (ik, jk) and [k, i, l] -> (ki, kl)
     lio = np.zeros((n * n, n * n), dtype=complex)
-    block = lio.reshape(n, n, n, n)
-    for k in range(n):
-        block[:, k, :, k] -= 1j * h
-        block[k, :, k, :] += 1j * h.T
+    s0, s1, s2, s3 = lio.reshape(n, n, n, n).strides
+    as_strided(lio, (n, n, n), (s0, s2, s1 + s3))[...] -= 1j * h[:, :, None]
+    as_strided(lio, (n, n, n), (s0 + s2, s1, s3))[...] += 1j * h.T
 
-    decay = np.zeros((n, n))
-    for r, sr in enumerate(scheme.sublevels):
-        for c, sc in enumerate(scheme.sublevels):
-            r_exc = sr.manifold == EXCITED
-            c_exc = sc.manifold == EXCITED
-            if r_exc and c_exc:
-                decay[r, c] = rates.gamma
-            elif r_exc or c_exc:
-                decay[r, c] = rates.gamma_ca
-            elif r != c:
-                same = sr.manifold == sc.manifold
-                decay[r, c] = rates.ground_coherence if same else rates.gamma_ba
-    lio.flat[::n * n + 1] -= decay.reshape(-1)
+    classes, inflow, amp1, amp2, grounds = _relaxation_tables(scheme)
+    rate = np.array([0.0, rates.gamma, rates.gamma_ca, rates.ground_coherence,
+                     rates.gamma_ba])
+    lio.flat[::n * n + 1] -= rate[classes]
+    lio.reshape(-1)[inflow] += rates.gamma * amp1 * amp2
+    lio[grounds, grounds] -= rates.gamma_transit
+    lio[np.ix_(grounds, grounds)] += rates.gamma_transit / grounds.size
+    return lio
 
+
+@functools.cache
+def _relaxation_tables(scheme: LevelScheme) -> tuple[np.ndarray, ...]:
+    """Per-scheme tables of ``build_liouvillian``: the rate class of each
+    element of vec(rho) (0 none, 1 gamma, 2 gamma_ca, 3 ground coherence,
+    4 gamma_ba), the flat superoperator positions of the spontaneous-emission
+    inflow with the two decay amplitudes of each, and the flat ground
+    populations."""
+    n = len(scheme.sublevels)
+    manifold = np.array([s.manifold for s in scheme.sublevels])
+    exc = manifold == EXCITED
+    classes = np.select(
+        [exc[:, None] & exc, exc[:, None] | exc, np.eye(n, dtype=bool),
+         manifold[:, None] == manifold], [1, 2, 0, 3], 4).reshape(-1)
+    idx = level_index(scheme)
     channels = [
         (idx[t.lower], idx[t.upper], t.lower.m - t.upper.m, t.cg, t.lower.manifold)
         for e in scheme.excited()
@@ -184,18 +206,13 @@ def build_liouvillian(
     # Emission into different ground hyperfine manifolds leaves photons split
     # by the ground splitting (GHz), far outside the linewidth, so decay only
     # builds coherence between ground pairs within one manifold (same q).
-    for g1, e1, q1, a1, m1 in channels:
-        for g2, e2, q2, a2, m2 in channels:
-            if q1 == q2 and m1 == m2:
-                lio[g1 * n + g2, e1 * n + e2] += rates.gamma * a1 * a2
-
-    grounds = [idx[s] for s in scheme.ground()]
-    fill = rates.gamma_transit / len(grounds)
-    for g in grounds:
-        lio[g * n + g, g * n + g] -= rates.gamma_transit
-        for g2 in grounds:
-            lio[g * n + g, g2 * n + g2] += fill
-    return lio
+    inflow, amp1, amp2 = (np.array(v) for v in zip(*(
+        ((g1 * n + g2) * n * n + e1 * n + e2, a1, a2)
+        for g1, e1, q1, a1, m1 in channels
+        for g2, e2, q2, a2, m2 in channels
+        if q1 == q2 and m1 == m2
+    )))
+    return classes, inflow, amp1, amp2, np.flatnonzero(~exc) * (n + 1)
 
 
 def probe_detuning_slope(scheme: LevelScheme) -> np.ndarray:
@@ -211,47 +228,81 @@ def probe_detuning_slope(scheme: LevelScheme) -> np.ndarray:
     return -1j * (s[:, None] - s[None, :]).reshape(-1)
 
 
-def solve_steady_state(lio: np.ndarray) -> np.ndarray:
-    """Unique trace-one null vector of the superoperator, as a density matrix.
+def population_block(lio: np.ndarray) -> np.ndarray:
+    """Flat indices (row-major vec) of the population block of ``lio``: the
+    elements of rho that a population reaches in the undirected graph of the
+    nonzero superoperator entries.
 
-    One redundant population row is replaced by the trace constraint and the
-    system solved densely. The residual ||L rho|| (relative to ||L|| ||rho||)
-    must come out below ``_RESIDUAL_TOL``; if not, the null space is sized via
-    SVD to distinguish a degenerate steady state from plain ill-conditioning.
-    A non-finite superoperator or solution raises with no null-space size.
+    The superoperator maps the block into itself and the rest into the rest,
+    and the trace reads populations only. So the block alone fixes the
+    populations, and ``solve_steady_state`` returns the steady state that is
+    zero off the block. The block is found once per sparsity pattern; the
+    index array is read-only.
     """
     n = _side(lio)
-    (vec,) = _steady_states(lio.copy(), np.zeros(n * n), [0.0], np.arange(n * n))
-    return vec.reshape(n, n)
+    return _component(np.packbits(_parts(lio) != 0).tobytes(), n)
+
+
+@functools.lru_cache(maxsize=64)
+def _component(pattern: bytes, n: int) -> np.ndarray:
+    """``population_block`` of the packed nonzero ``pattern`` of the real and
+    imaginary parts of an n^2 x n^2 superoperator."""
+    n2 = n * n
+    linked = np.unpackbits(np.frombuffer(pattern, np.uint8), count=2 * n2 * n2)
+    linked = linked.reshape(n2, n2, 2).any(axis=2)
+    linked |= linked.T
+    reach = np.zeros(n2, dtype=bool)
+    reach[:: n + 1] = True
+    while not np.array_equal(grown := reach | linked[reach].any(axis=0), reach):
+        reach = grown
+    index = np.flatnonzero(reach)
+    index.flags.writeable = False
+    return index
+
+
+def solve_steady_state(lio: np.ndarray) -> np.ndarray:
+    """Trace-one steady state of the superoperator, as a density matrix.
+
+    The population block (``population_block``) is solved with one redundant
+    population row replaced by the trace constraint, and scattered into an
+    otherwise zero rho. The residual ||L rho|| (relative to ||L|| ||rho||, on
+    the block) must come out below ``_RESIDUAL_TOL``; if not, the block's null
+    space is sized via SVD to distinguish a degenerate steady state from plain
+    ill-conditioning. A singular remainder off the block leaves the
+    populations unique and fails nothing. A non-finite superoperator or
+    solution raises with no null-space size.
+    """
+    n = _side(lio)
+    rho = np.zeros(n * n, dtype=complex)
+    block = population_block(lio)
+    (rho[block],) = _steady_states(lio, np.zeros(n * n), [0.0], block)
+    return rho.reshape(n, n)
 
 
 def steady_state_populations(lio: np.ndarray, slope: np.ndarray, offsets) -> np.ndarray:
     """Steady-state populations (the diagonal of rho) of the superoperator
     ``lio + offset * diag(slope)``, one row per entry of ``offsets``.
 
-    One factorization serves every offset. With A0 the system of ``lio``
-    (trace row in place of row 0), J the entries that ``slope`` moves and
-    d = slope[J], A0 is solved for [e0, e_J], giving x0 and Y. By the
-    Woodbury identity each offset's solution is x = x0 - Y c, where c solves
-    the small system (I + offset K) c = offset (d x0[J]) with K = diag(d) Y[J].
-    K is brought to Schur form Q T Q^H once (Q unitary, so nothing hangs on
-    eigenvector conditioning), and every offset's system is then one
-    back substitution with the triangular I + offset T. When every offset is
-    zero, J is empty and this is a single solve. Each solution passes the
-    residual test of ``solve_steady_state`` on its own unmodified
-    superoperator, whose Frobenius norm follows in closed form from the
-    diagonal.
-
-    ``lio`` must be writeable: its row 0 holds the trace row during the
-    factorization, so the superoperator is never copied, and is restored on
-    return.
+    Everything below runs on the population block, which no offset changes
+    (``slope`` is diagonal). One factorization serves every offset. With A0
+    the system of ``lio`` (trace row in place of a population row), J the
+    entries that ``slope`` moves and d = slope[J], A0 is solved for [e0, e_J],
+    giving x0 and Y. By the Woodbury identity each offset's solution is
+    x = x0 - Y c, where c solves the small system (I + offset K) c =
+    offset (d x0[J]) with K = diag(d) Y[J]. K is brought to Schur form
+    Q T Q^H once (Q unitary, so nothing hangs on eigenvector conditioning),
+    and every offset's system is then one back substitution with the
+    triangular I + offset T. When every offset is zero, J is empty and this
+    is a single solve. Each solution passes the residual test of
+    ``solve_steady_state`` on its own unmodified superoperator, whose
+    Frobenius norm follows in closed form from the diagonal.
     """
     n = _side(lio)
     return _steady_states(lio, slope, offsets, np.arange(0, n * n, n + 1)).real
 
 
-# Offsets per block in ``_steady_states``: each temporary then holds 32
-# solution columns, a fifth of one superoperator for the 13-level schemes.
+# Offsets per batch in ``_steady_states``: each temporary then holds 32
+# solution columns of the population block.
 _OFFSET_BLOCK = 32
 
 
@@ -264,17 +315,32 @@ def _side(lio: np.ndarray) -> int:
 
 
 def _steady_states(lio, slope, offsets, rows) -> np.ndarray:
-    """Entries ``rows`` of vec(rho) for the checked steady state of
-    ``lio + offset * diag(slope)``, one row per offset (see
-    ``steady_state_populations``). ``lio`` serves as scratch for the trace
-    row and is restored on return."""
-    n2 = lio.shape[0]
+    """Entries ``rows`` (flat, all in the population block) of vec(rho) for
+    the checked steady state of ``lio + offset * diag(slope)``, one row per
+    offset (see ``steady_state_populations``). Only the block is read from
+    ``lio``; its row 0 is a population (flat index 0), which the trace row
+    replaces in the factorized system."""
+    _check_finite(lio)
+    n = _side(lio)
+    block = population_block(lio)
+    trace = np.flatnonzero(block % (n + 1) == 0)
+    rows = np.searchsorted(block, rows)
+    lio = lio[block][:, block]
+    slope = slope[block]
+    m = block.size
     offsets = np.asarray(offsets, dtype=float)
-    # row 0 holds the trace constraint, which no offset moves
+    # row 0 holds the trace constraint, which no offset moves; the system is
+    # solved for e_0 and then e_k for each moving k
     moving = np.flatnonzero(slope[1:]) + 1 if offsets.any() else np.empty(0, int)
     d = slope[moving]
+    system = lio.copy()
+    system[0] = 0.0
+    system[0, trace] = 1.0
+    rhs = np.zeros((m, 1 + moving.size), dtype=complex)
+    rhs[0, 0] = 1.0
+    rhs[moving, np.arange(1, 1 + moving.size)] = 1.0
     try:
-        sol = _solve_with_trace_row(lio, moving)
+        sol = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise _failure(
             lio, "steady-state system is singular (null-space dimension {}); "
@@ -311,29 +377,12 @@ def _steady_states(lio, slope, offsets, rows) -> np.ndarray:
         if failed.size:
             k = failed[0]
             shifted = lio.copy()
-            shifted.reshape(-1)[:: n2 + 1] += delta[k] * slope
+            shifted.reshape(-1)[:: m + 1] += delta[k] * slope
             raise _failure(
                 shifted, f"steady-state residual {residual[k]:.2e} exceeds "
                 f"{_RESIDUAL_TOL:.0e} (null-space dimension {{}})", x[:, k])
         out[start:start + delta.size] = x[rows].T
     return out
-
-
-def _solve_with_trace_row(lio: np.ndarray, moving: np.ndarray) -> np.ndarray:
-    """Solve ``lio``, with its row 0 replaced by the trace row, for e_0 and
-    then e_k for each k in ``moving``. The row is replaced in place, so no
-    copy of the superoperator is made, and restored on return."""
-    n2 = lio.shape[0]
-    rhs = np.zeros((n2, 1 + moving.size), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[moving, np.arange(1, 1 + moving.size)] = 1.0
-    saved = lio[0].copy()
-    lio[0] = 0.0
-    lio[0, :: math.isqrt(n2) + 1] = 1.0
-    try:
-        return np.linalg.solve(lio, rhs)
-    finally:
-        lio[0] = saved
 
 
 def _failure(lio: np.ndarray, template: str, *solutions) -> SteadyStateError:
@@ -348,8 +397,14 @@ def _failure(lio: np.ndarray, template: str, *solutions) -> SteadyStateError:
 def _check_finite(*arrays) -> None:
     """Raise unless every array is finite: a non-finite superoperator or
     solution leaves no null space for the SVD to size (it fails on NaN)."""
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not all(np.isfinite(_parts(a)).all() for a in arrays):
         raise SteadyStateError("steady-state superoperator or solution is not finite")
+
+
+def _parts(a) -> np.ndarray:
+    """Real and imaginary parts of ``a`` side by side, as one float array: a
+    view, on which numpy compares about five times faster than on complex."""
+    return np.ascontiguousarray(a, dtype=complex).view(float)
 
 
 def pathway_denominator(
@@ -387,9 +442,11 @@ def coupled_element_count(
 ) -> int:
     """Number of density-matrix elements the probe coherences depend on.
 
-    Directed reachability over nonzero superoperator entries, starting from
-    the driven optical-coherence elements; an element and its conjugate are
-    counted separately (both have equations of their own).
+    Directed reachability over the nonzero entries of the whole superoperator
+    ``lio`` of ``build_liouvillian``, starting from the driven
+    optical-coherence elements; an element and its conjugate are counted
+    separately (both have equations of their own). Every element counted lies
+    in the ``population_block`` (75 of its 85 at the default point).
     """
     n = len(scheme.sublevels)
     idx = level_index(scheme)

@@ -12,9 +12,10 @@ steady state once at two-photon resonance and reuses it across the sweep
 (the line shapes then come entirely from the Doppler-averaged
 denominators), while ``per_point`` takes the steady state at every detuning
 for sensitivity studies. Both start from the superoperator assembled once at
-two-photon resonance; ``per_point`` gets every detuning from its one
-factorization plus a low-rank update, since the probe detuning moves only
-the superoperator diagonal.
+two-photon resonance and solve only its population block (85 of 169
+elements for the linear probe); ``per_point`` gets every detuning from the
+block's one factorization plus a low-rank update, since the probe detuning
+moves only the superoperator diagonal.
 """
 
 from __future__ import annotations
@@ -270,8 +271,8 @@ def _ground_populations(
     ``offsets`` (rad/s) from two-photon resonance, one entry per offset.
 
     The superoperator is assembled once, at resonance; an offset only moves
-    its diagonal (see ``probe_detuning_slope``), so one factorization serves
-    every offset (see ``steady_state_populations``).
+    its diagonal (see ``probe_detuning_slope``), so one factorization of its
+    population block serves every offset (see ``steady_state_populations``).
     """
     slope = probe_detuning_slope(scheme)
     probe = cfg.probe_drive(cfg.coupling_detuning)
@@ -283,7 +284,7 @@ def _ground_populations(
 
 
 def steady_populations(cfg: ScenarioConfig) -> dict:
-    """Ground-sublevel occupations from the full steady-state solve at
+    """Ground-sublevel occupations from the steady-state solve at
     two-photon resonance (probe detuning equal to the coupling detuning),
     the representative point for the fixed-population policy.
     """

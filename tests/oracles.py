@@ -1,16 +1,19 @@
 """Reference forms that the tests compare the package against.
 
 None of these runs in a CLI scenario: the sweeps evaluate whole grids
-through ``spectra.susceptibility_arrays``, and the velocity average has a
-closed form. They stay here as independent or single-point oracles.
+through ``spectra.susceptibility_arrays``, the velocity average has a
+closed form, and the steady state is solved on the population block only.
+They stay here as independent or single-point oracles, next to the rate
+draws for which the steady state must be a density matrix.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from eitrot.atom import NO_STARK, SIGMA_MINUS, SIGMA_PLUS, probe_pathways
-from eitrot.dynamics import pathway_denominator
+from eitrot.atom import EXCITED, MHZ, NO_STARK, SIGMA_MINUS, SIGMA_PLUS, probe_pathways
+from eitrot.dynamics import RelaxationRates, level_index, pathway_denominator
 from eitrot.spectra import SusceptibilityPair, susceptibility_arrays
 
 
@@ -51,3 +54,87 @@ def susceptibility_pair(scheme, probe, coupling, rates, populations, medium,
         probe.detuning, coupling, rates, populations, medium,
     )
     return SusceptibilityPair.from_chis(chi_minus[0], chi_plus[0], medium)
+
+
+def loop_liouvillian(scheme, h, rates):
+    """``build_liouvillian`` element by element, with the same floating-point
+    operations on every element."""
+    n = len(scheme.sublevels)
+    idx = level_index(scheme)
+    lio = np.zeros((n * n, n * n), dtype=complex)
+    block = lio.reshape(n, n, n, n)
+    for k in range(n):
+        block[:, k, :, k] -= 1j * h
+        block[k, :, k, :] += 1j * h.T
+    decay = np.zeros((n, n))
+    for r, sr in enumerate(scheme.sublevels):
+        for c, sc in enumerate(scheme.sublevels):
+            r_exc = sr.manifold == EXCITED
+            c_exc = sc.manifold == EXCITED
+            if r_exc and c_exc:
+                decay[r, c] = rates.gamma
+            elif r_exc or c_exc:
+                decay[r, c] = rates.gamma_ca
+            elif r != c:
+                same = sr.manifold == sc.manifold
+                decay[r, c] = rates.ground_coherence if same else rates.gamma_ba
+    lio.flat[::n * n + 1] -= decay.reshape(-1)
+    channels = [
+        (idx[t.lower], idx[t.upper], t.lower.m - t.upper.m, t.cg, t.lower.manifold)
+        for e in scheme.excited()
+        for t in scheme.decay_channels(e)
+    ]
+    for g1, e1, q1, a1, m1 in channels:
+        for g2, e2, q2, a2, m2 in channels:
+            if q1 == q2 and m1 == m2:
+                lio[g1 * n + g2, e1 * n + e2] += rates.gamma * a1 * a2
+    grounds = [idx[s] for s in scheme.ground()]
+    fill = rates.gamma_transit / len(grounds)
+    for g in grounds:
+        lio[g * n + g, g * n + g] -= rates.gamma_transit
+        for g2 in grounds:
+            lio[g * n + g, g2 * n + g2] += fill
+    return lio
+
+
+def dense_steady_state(lio):
+    """Trace-one null vector of the whole superoperator from one dense solve,
+    with row 0 (a population) replaced by the trace row."""
+    n = math.isqrt(lio.shape[0])
+    system = lio.copy()
+    system[0] = 0.0
+    system[0, :: n + 1] = 1.0
+    rhs = np.zeros(n * n, dtype=complex)
+    rhs[0] = 1.0
+    return np.linalg.solve(system, rhs).reshape(n, n)
+
+
+def mhz(low, high):
+    return st.floats(low, high).map(lambda x: x * MHZ)
+
+
+@st.composite
+def lindblad_rates(draw):
+    """Rates for which the relaxation of ``build_liouvillian`` is a Lindblad
+    generator, so that its steady state must be a density matrix.
+
+    Transit empties each ground sublevel at 7/8 of its rate (every scheme has
+    8 ground sublevels). As a jump process that also damps ground coherences
+    at this out-rate and optical ones at half of it, on top of the gamma/2
+    of spontaneous emission. The rest are dephasings: kappa of each ground
+    sublevel, lam of F=1 against F=2 and nu of the excited manifold. Named
+    rates below these floors (say gamma_ba under 7/8 of the transit rate)
+    are accepted by ``RelaxationRates`` but can give rho negative eigenvalues.
+    """
+    gamma = draw(mhz(3.0, 10.0))
+    transit = draw(mhz(0.05, 3.0))
+    out = transit * 7 / 8
+    kappa = draw(mhz(0.0, 3.0))
+    nu = draw(mhz(0.0, 8.0))
+    separate = draw(st.booleans())
+    lam = draw(mhz(0.0, 3.0)) if separate else 0.0
+    return RelaxationRates(
+        gamma=gamma, gamma_ca=(gamma + out + kappa + lam + nu) / 2,
+        gamma_ba=out + kappa + 2 * lam,
+        gamma_ground=out + kappa if separate else None,
+        gamma_transit=transit)

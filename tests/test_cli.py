@@ -200,22 +200,37 @@ class TestMainErrors:
         assert "cannot read config" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        # no fields and no transit exchange: every ground population is
-        # stationary, so the steady state is not unique
+        # no fields and no transit exchange: each of the eight ground
+        # populations is stationary on its own, so the population block
+        # (decay links all 13 populations into one) has a null space of
+        # dimension 8 and the steady state is not unique
         cfg = write(tmp_path, SPECTRUM_YAML)
+        singular = ("error: numeric: steady-state system is singular (null-space "
+                    "dimension 8); no unique stationary density matrix\n")
         assert main(["--config", str(cfg), "--outdir", str(tmp_path),
                      "--set", "probe.rabi_mhz=0", "--set", "coupling.rabi_mhz=0",
                      "--set", "rates.transit_mhz=0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: numeric: steady-state system is singular")
+        assert capsys.readouterr().err == singular
         # the per-point policy factors the same system at resonance
         assert main(["--config", str(cfg), "--outdir", str(tmp_path),
                      "--set", "probe.rabi_mhz=0", "--set", "coupling.rabi_mhz=0",
                      "--set", "rates.transit_mhz=0",
                      "--set", "population_policy=per_point"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: numeric: steady-state system is singular")
-        assert len(err.strip().splitlines()) == 1
+        assert capsys.readouterr().err == singular
+
+    def test_singular_remainder_with_unique_populations_runs(self, tmp_path, capsys):
+        # undamped F=1-F=2 coherences at 0 G: the whole superoperator has a
+        # null space of dimension 3, but the extra null vectors lie off the
+        # population block, so the populations are unique and the run succeeds
+        # (an even point count keeps the undamped two-photon resonance off
+        # the grid)
+        cfg = write(tmp_path, EIT_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", "rates.gamma_ba_mhz=0", "--set", "magnetic_field_g=0",
+                     "--set", "probe.points=100"]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads((tmp_path / "eit_peaks.meta.json").read_text())
+        assert set(meta["peak_counts"]) == {"sigma_minus", "sigma_plus"}
 
     def test_dark_detectors_exit_code(self, tmp_path, capsys):
         # an optically thick cell absorbs the probe entirely: no angle
@@ -448,7 +463,8 @@ class TestOtherScenarios:
 
 def test_import_leaves_out_unused_scipy_modules():
     # scipy.signal and scipy.stats would add about a second and 50 MB to
-    # every start-up; only scipy.special and scipy.linalg are used at run time
+    # every start-up, scipy.sparse about 27 ms; only scipy.special and
+    # scipy.linalg are used at run time
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import eitrot.cli; "
             "print(' '.join(sorted(sys.modules)))")
     src = Path(eitrot.__file__).resolve().parents[1]
@@ -457,4 +473,4 @@ def test_import_leaves_out_unused_scipy_modules():
     loaded = set(done.stdout.split())
     assert "eitrot.cli" in loaded
     assert "scipy.special" in loaded
-    assert not {"scipy.signal", "scipy.stats"} & loaded
+    assert not {"scipy.signal", "scipy.stats", "scipy.sparse"} & loaded

@@ -13,6 +13,7 @@ from eitrot.atom import (
     LINEAR,
     PROBE,
     SIGMA_MINUS,
+    SIGMA_PLUS,
     TWO_PI,
     FieldDrive,
     build_level_scheme,
@@ -26,12 +27,18 @@ from eitrot.dynamics import (
     build_liouvillian,
     coupled_element_count,
     level_index,
+    population_block,
     probe_detuning_slope,
     solve_steady_state,
     steady_state_populations,
 )
 from eitrot.scenarios import ScenarioConfig, steady_populations
-from oracles import analytic_coherences
+from oracles import (
+    analytic_coherences,
+    dense_steady_state,
+    lindblad_rates,
+    loop_liouvillian,
+)
 
 GAMMA = TWO_PI * 5.75e6
 GAMMA_CA = TWO_PI * 3.5e6
@@ -171,6 +178,36 @@ class TestLiouvillianStructure:
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 RelaxationRates(**{field: value})
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme_id=st.sampled_from(["sigma_f2", "pi_f2", "sigma_f1"]),
+        polarization=st.sampled_from([LINEAR, SIGMA_MINUS, SIGMA_PLUS]),
+        probe_mhz=st.floats(0.0, 40.0),
+        coupling_mhz=st.floats(0.0, 150.0),
+        detuning_mhz=st.floats(-60.0, 60.0),
+        b_gauss=st.floats(-30.0, 30.0),
+        gamma_ba_mhz=st.floats(0.0, 3.0),
+        gamma_ground_mhz=st.none() | st.floats(0.0, 3.0),
+        transit_mhz=st.floats(0.0, 3.0),
+    )
+    def test_matches_loop_assembly(
+        self, scheme_id, polarization, probe_mhz, coupling_mhz, detuning_mhz,
+        b_gauss, gamma_ba_mhz, gamma_ground_mhz, transit_mhz,
+    ):
+        cfg = ScenarioConfig(
+            scheme_id=scheme_id, probe_polarization=polarization,
+            probe_rabi=probe_mhz * MHZ, coupling_rabi=coupling_mhz * MHZ,
+            b_field=b_gauss * 1e-4,
+            rates=RelaxationRates(
+                gamma_ba=gamma_ba_mhz * MHZ,
+                gamma_ground=None if gamma_ground_mhz is None else gamma_ground_mhz * MHZ,
+                gamma_transit=transit_mhz * MHZ))
+        scheme = cfg.scheme()
+        h = build_hamiltonian(scheme, cfg.probe_drive(detuning_mhz * MHZ),
+                              cfg.coupling_drive(), cfg.stark(scheme), cfg.b_field)
+        assert np.array_equal(build_liouvillian(scheme, h, cfg.rates),
+                              loop_liouvillian(scheme, h, cfg.rates))
+
     def test_equation_dump_shows_eit_link(self):
         # read from the equations of motion (the superoperator): the probe
         # coherence c1-a1 is fed by the ground coherence b2-a1 through the
@@ -220,14 +257,56 @@ class TestSteadyState:
         lio = default_lio()
         assert coupled_element_count(lio, SCHEME, WP10, WC80) == 75
 
+    def test_probe_census_lies_in_the_population_block(self):
+        # the count reads the whole superoperator; keeping only the block's
+        # entries, and the probe coherences it starts from, changes nothing
+        lio = default_lio()
+        block = population_block(lio)
+        assert block.size == 85
+        n = len(SCHEME.sublevels)
+        idx = level_index(SCHEME)
+        for component in WP10.components():
+            for p in probe_pathways(SCHEME, WP10, WC80, component):
+                assert idx[p.excited] * n + idx[p.ground] in block
+        inside = np.zeros_like(lio)
+        inside[np.ix_(block, block)] = lio[np.ix_(block, block)]
+        assert coupled_element_count(inside, SCHEME, WP10, WC80) == 75
+
     def test_degenerate_system_raises(self):
+        # decay links all 13 populations into one block, in which each of the
+        # 8 ground populations is stationary without fields or transit
         probe = FieldDrive(PROBE, LINEAR, 0.0)
         coupling = FieldDrive(COUPLING, SIGMA_MINUS, 0.0)
         h = build_hamiltonian(SCHEME, probe, coupling)
         lio = build_liouvillian(SCHEME, h, RelaxationRates(gamma_transit=0.0))
-        with pytest.raises(SteadyStateError) as err:
-            solve_steady_state(lio)
-        assert err.value.null_dim is None or err.value.null_dim >= 2
+        assert population_block(lio).tolist() == list(range(0, 169, 14))
+        for solve in (solve_steady_state,
+                      lambda l: steady_state_populations(
+                          l, probe_detuning_slope(SCHEME), [0.0, TWO_PI * 3e6])):
+            with pytest.raises(SteadyStateError, match=r"singular \(null-space "
+                               r"dimension 8\)") as err:
+                solve(lio)
+            assert err.value.null_dim == 8
+
+    def test_singular_remainder_leaves_populations_unique(self):
+        # undamped F=1-F=2 coherences under a sigma-minus probe: the whole
+        # superoperator has a 3-dimensional null space, the population block
+        # a 1-dimensional one, so the populations and the block are unique
+        probe = FieldDrive(PROBE, SIGMA_MINUS, TWO_PI * 10e6)
+        lio = default_lio(rates=RelaxationRates(gamma_ba=0.0), probe=probe)
+        block = population_block(lio)
+
+        def null_dim(a):
+            sv = np.linalg.svd(a, compute_uv=False)
+            return int(np.sum(sv < 1e-12 * np.linalg.norm(a)))
+
+        assert null_dim(lio) == 3
+        assert null_dim(lio[np.ix_(block, block)]) == 1
+        rho = solve_steady_state(lio)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.abs(rho - rho.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(rho).min() > -1e-12
+        assert np.linalg.norm(lio @ rho.reshape(-1)) < 1e-12 * np.linalg.norm(lio)
 
     def test_non_finite_superoperator_raises_without_diagnosis(self):
         lio = default_lio()
@@ -257,15 +336,11 @@ class TestSteadyState:
     def test_superoperator_is_not_modified(self):
         lio = default_lio()
         before = lio.copy()
+        # both solve a copy of the population block, so a read-only input works
         lio.flags.writeable = False
-        rho = solve_steady_state(lio)  # copies, so a read-only input works
-        with pytest.raises(ValueError, match="read-only"):
-            steady_state_populations(lio, probe_detuning_slope(SCHEME), [0.0])
-        assert np.array_equal(lio, before)
-        lio.flags.writeable = True
+        rho = solve_steady_state(lio)
         pops = steady_state_populations(lio, probe_detuning_slope(SCHEME),
                                         [0.0, TWO_PI * 3e6])
-        # row 0 held the trace row during the solve and is restored exactly
         assert np.array_equal(lio, before)
         assert pops[0] == pytest.approx(rho.diagonal().real, abs=1e-14)
 
@@ -296,6 +371,7 @@ class TestSteadyStatePopulations:
     @settings(max_examples=30, deadline=None)
     @given(
         scheme_id=st.sampled_from(["sigma_f2", "pi_f2", "sigma_f1"]),
+        polarization=st.sampled_from([LINEAR, SIGMA_MINUS, SIGMA_PLUS]),
         probe_mhz=st.floats(0.1, 40.0),
         coupling_mhz=st.floats(0.0, 150.0),
         coupling_detuning_mhz=st.floats(-20.0, 20.0),
@@ -310,12 +386,13 @@ class TestSteadyStatePopulations:
         probe_detunings_mhz=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6),
     )
     def test_matches_per_point_dense_solve(
-        self, scheme_id, probe_mhz, coupling_mhz, coupling_detuning_mhz, b_gauss,
+        self, scheme_id, polarization, probe_mhz, coupling_mhz, coupling_detuning_mhz, b_gauss,
         stark, gamma_mhz, gamma_ca_mhz, gamma_ba_mhz, gamma_ground_mhz,
         transit_mhz, probe_detunings_mhz,
     ):
         cfg = ScenarioConfig(
             scheme_id=scheme_id,
+            probe_polarization=polarization,
             probe_rabi=probe_mhz * MHZ,
             coupling_rabi=coupling_mhz * MHZ,
             coupling_detuning=coupling_detuning_mhz * MHZ,
@@ -343,7 +420,7 @@ class TestSteadyStatePopulations:
                                         dets - cfg.coupling_detuning)
         assert pops.shape == (len(dets), len(scheme.sublevels))
         for k, det in enumerate(dets):
-            rho = solve_steady_state(lio_at(det))
+            rho = dense_steady_state(lio_at(det))
             assert pops[k] == pytest.approx(rho.diagonal().real, abs=1e-12)
 
     def test_zero_offsets_give_the_resonance_solve(self):
@@ -351,6 +428,48 @@ class TestSteadyStatePopulations:
         pops = steady_state_populations(lio, probe_detuning_slope(SCHEME), [0.0, 0.0])
         direct = solve_steady_state(lio).diagonal().real
         assert np.array_equal(pops, [direct, direct])
+
+
+class TestPopulationBlock:
+    """The block solve against one dense solve of the whole superoperator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme_id=st.sampled_from(["sigma_f2", "pi_f2", "sigma_f1"]),
+        polarization=st.sampled_from([LINEAR, SIGMA_MINUS, SIGMA_PLUS]),
+        probe_mhz=st.floats(0.1, 40.0),
+        coupling_mhz=st.floats(0.0, 150.0),
+        probe_detuning_mhz=st.floats(-60.0, 60.0),
+        coupling_detuning_mhz=st.floats(-20.0, 20.0),
+        b_gauss=st.floats(0.0, 20.0),
+        stark=st.booleans(),
+        rates=lindblad_rates(),
+    )
+    def test_block_solve_matches_dense_solve(
+        self, scheme_id, polarization, probe_mhz, coupling_mhz, probe_detuning_mhz,
+        coupling_detuning_mhz, b_gauss, stark, rates,
+    ):
+        cfg = ScenarioConfig(
+            scheme_id=scheme_id, probe_polarization=polarization,
+            probe_rabi=probe_mhz * MHZ, coupling_rabi=coupling_mhz * MHZ,
+            coupling_detuning=coupling_detuning_mhz * MHZ, b_field=b_gauss * 1e-4,
+            stark_enabled=stark, rates=rates)
+        scheme = cfg.scheme()
+        h = build_hamiltonian(scheme, cfg.probe_drive(probe_detuning_mhz * MHZ),
+                              cfg.coupling_drive(), cfg.stark(scheme), cfg.b_field)
+        lio = build_liouvillian(scheme, h, cfg.rates)
+        n = len(scheme.sublevels)
+        block = population_block(lio)
+        assert set(range(0, n * n, n + 1)) <= set(block.tolist())
+        rows, cols = np.divmod(block, n)
+        assert np.array_equal(np.sort(cols * n + rows), block)  # rho^T too
+        off = np.ones(n * n, dtype=bool)
+        off[block] = False
+        oracle = dense_steady_state(lio).reshape(-1)
+        assert np.abs(oracle[off]).max(initial=0.0) <= 1e-13
+        rho = solve_steady_state(lio).reshape(-1)
+        assert not rho[off].any()
+        assert np.abs(rho[block] - oracle[block]).max() <= 1e-12
 
 
 class TestAnalyticCoherences:

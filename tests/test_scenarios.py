@@ -38,6 +38,7 @@ from eitrot.scenarios import (
     write_csv,
 )
 from eitrot.spectra import SusceptibilityPair
+from oracles import lindblad_rates, mhz
 
 FIG_CFG = ScenarioConfig(
     scheme_id="sigma_f2",
@@ -71,13 +72,6 @@ def synthetic_sweep(phi, detunings, coupling_detuning_mhz=0.0):
     )
 
 
-MHZ = TWO_PI * 1e6
-
-
-def mhz(low, high):
-    return st.floats(low, high).map(lambda x: x * MHZ)
-
-
 @st.composite
 def relaxation_rates(draw):
     gamma = draw(mhz(3.0, 10.0))
@@ -91,33 +85,6 @@ def relaxation_rates(draw):
         gamma_ba=draw(mhz(0.05, 3.0)),
         gamma_ground=draw(st.none() | mhz(0.05, 3.0)),
         gamma_transit=draw(mhz(0.05, 3.0)))
-
-
-@st.composite
-def lindblad_rates(draw):
-    """Rates for which the relaxation of ``build_liouvillian`` is a Lindblad
-    generator, so that its steady state must be a density matrix.
-
-    Transit empties each ground sublevel at 7/8 of its rate (every scheme has
-    8 ground sublevels). As a jump process that also damps ground coherences
-    at this out-rate and optical ones at half of it, on top of the gamma/2
-    of spontaneous emission. The rest are dephasings: kappa of each ground
-    sublevel, lam of F=1 against F=2 and nu of the excited manifold. Named
-    rates below these floors (say gamma_ba under 7/8 of the transit rate)
-    are accepted by ``RelaxationRates`` but can give rho negative eigenvalues.
-    """
-    gamma = draw(mhz(3.0, 10.0))
-    transit = draw(mhz(0.05, 3.0))
-    out = transit * 7 / 8
-    kappa = draw(mhz(0.0, 3.0))
-    nu = draw(mhz(0.0, 8.0))
-    separate = draw(st.booleans())
-    lam = draw(mhz(0.0, 3.0)) if separate else 0.0
-    return RelaxationRates(
-        gamma=gamma, gamma_ca=(gamma + out + kappa + lam + nu) / 2,
-        gamma_ba=out + kappa + 2 * lam,
-        gamma_ground=out + kappa if separate else None,
-        gamma_transit=transit)
 
 
 def choi_floor(lio):
