@@ -199,9 +199,6 @@ class LevelScheme:
         top = max(cgs, default=0.0)
         return top if top > 0.0 else 1.0
 
-    def rabi_of(self, drive: FieldDrive, t: Transition) -> float:
-        return drive.rabi_scale * t.cg / self.cg_norm(drive)
-
 
 def clebsch_gordan(lower: Sublevel, upper: Sublevel) -> float:
     """Signed amplitude for the lower -> upper dipole line; 0.0 if forbidden."""
@@ -309,20 +306,23 @@ def probe_pathways(
     if component not in probe.components():
         return ()
     restricted = FieldDrive(PROBE, component, probe.rabi_scale, probe.detuning)
+    probe_norm = scheme.cg_norm(probe)
+    coupling_norm = scheme.cg_norm(coupling)
+    partners = {}  # excited sublevel -> the first coupling line into it
+    for ct in scheme.driven_transitions(coupling):
+        partners.setdefault(ct.upper, ct)
     pathways = []
     for t in sorted(scheme.driven_transitions(restricted), key=lambda t: t.lower.m):
         partner = None
         coupling_rabi = 0.0
-        for ct in scheme.driven_transitions(coupling):
-            if ct.upper == t.upper:
-                partner = ct.lower
-                coupling_rabi = scheme.rabi_of(coupling, ct)
-                break
+        if (ct := partners.get(t.upper)) is not None:
+            partner = ct.lower
+            coupling_rabi = coupling.rabi_scale * ct.cg / coupling_norm
         pathways.append(
             ProbePathway(
                 ground=t.lower,
                 excited=t.upper,
-                probe_rabi=scheme.rabi_of(probe, t),
+                probe_rabi=probe.rabi_scale * t.cg / probe_norm,
                 probe_dipole=t.dipole,
                 partner=partner,
                 coupling_rabi=coupling_rabi,

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import schur
 
 from .atom import (
     EXCITED,
@@ -152,8 +151,9 @@ def build_hamiltonian(
         else:
             h[i, i] = z
     for drive in (probe, coupling):
+        norm = scheme.cg_norm(drive)
         for t in scheme.driven_transitions(drive):
-            omega = scheme.rabi_of(drive, t)
+            omega = drive.rabi_scale * t.cg / norm
             g, e = idx[t.lower], idx[t.upper]
             h[e, g] += -0.5 * omega
             h[g, e] += -0.5 * omega
@@ -289,13 +289,14 @@ def steady_state_populations(lio: np.ndarray, slope: np.ndarray, offsets) -> np.
     entries that ``slope`` moves and d = slope[J], A0 is solved for [e0, e_J],
     giving x0 and Y. By the Woodbury identity each offset's solution is
     x = x0 - Y c, where c solves the small system (I + offset K) c =
-    offset (d x0[J]) with K = diag(d) Y[J]. K is brought to Schur form
-    Q T Q^H once (Q unitary, so nothing hangs on eigenvector conditioning),
-    and every offset's system is then one back substitution with the
-    triangular I + offset T. When every offset is zero, J is empty and this
-    is a single solve. Each solution passes the residual test of
-    ``solve_steady_state`` on its own unmodified superoperator, whose
-    Frobenius norm follows in closed form from the diagonal.
+    offset (d x0[J]) with K = diag(d) Y[J]. K is diagonalized once,
+    K = V diag(lam) V^-1, so every offset's system is a diagonal scaling:
+    V^-1 c = offset / (1 + offset lam) * V^-1 (d x0[J]), and x = x0 - (Y V)
+    (V^-1 c). When every offset is zero, J is empty and this is a single
+    solve. A badly conditioned V would show in the solutions, so each one
+    must pass the residual test of ``solve_steady_state`` on its own
+    unmodified superoperator, whose Frobenius norm follows in closed form
+    from the diagonal.
     """
     n = _side(lio)
     return _steady_states(lio, slope, offsets, np.arange(0, n * n, n + 1)).real
@@ -347,12 +348,16 @@ def _steady_states(lio, slope, offsets, rows) -> np.ndarray:
             "no unique stationary density matrix") from exc
     _check_finite(sol)
     x0 = sol[:, 0].copy()
-    t, yq, b = np.empty((0, 0)), sol[:, 1:], d  # all empty when no entry moves
+    lam, yv, b = d, sol[:, 1:], d  # all empty when no entry moves
     if moving.size:
-        t, q = schur(d[:, None] * sol[moving, 1:], output="complex")
-        yq = sol[:, 1:] @ q
-        b = q.conj().T @ (d * x0[moving])
-    del sol  # only x0 and Y Q are needed from here on
+        try:
+            lam, v = np.linalg.eig(d[:, None] * sol[moving, 1:])
+            b = np.linalg.solve(v, d * x0[moving])
+        except np.linalg.LinAlgError as exc:
+            raise SteadyStateError(
+                "steady-state update has no eigenvector basis") from exc
+        yv = sol[:, 1:] @ v
+    del sol  # only x0 and Y V are needed from here on
 
     # ||L + offset diag(slope)||_F^2
     #   = ||L||_F^2 + 2 offset Re(diag(L)^H slope) + offset^2 ||slope||^2
@@ -362,12 +367,9 @@ def _steady_states(lio, slope, offsets, rows) -> np.ndarray:
     out = np.empty((offsets.size, rows.size), dtype=complex)
     for start in range(0, offsets.size, _OFFSET_BLOCK):
         delta = offsets[start:start + _OFFSET_BLOCK]
-        # Q^H c for every offset: (I + offset T) u = offset b, bottom row first
-        scale = delta / (1.0 + delta * np.diagonal(t)[:, None])
-        u = np.empty_like(scale)
-        for i in range(moving.size - 1, -1, -1):
-            u[i] = scale[i] * (b[i] - t[i, i + 1:] @ u[i + 1:])
-        x = x0[:, None] - yq @ u
+        # V^-1 c for every offset
+        u = delta / (1.0 + delta * lam[:, None]) * b[:, None]
+        x = x0[:, None] - yv @ u
         resid = lio @ x
         resid += slope[:, None] * delta * x
         residual = np.linalg.norm(resid, axis=0) / (

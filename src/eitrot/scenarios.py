@@ -452,10 +452,13 @@ def count_transmission_peaks(curve: TransmissionCurve) -> int:
 
 def write_csv(path, columns: Sequence[str], table) -> None:
     """Write a 2-D table under its header line, each cell with 9 significant
-    digits (deterministic, with LF line ends on every platform)."""
+    digits (deterministic, with LF line ends on every platform). The whole
+    table is formatted by one ``%``, which is faster than a call per row."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt="%.9g", delimiter=",", header=",".join(columns),
-                   comments="")
+        fh.write(",".join(columns) + "\n")
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_metadata(path, payload: dict) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import wofz
 
 from eitrot.atom import (
     COUPLING,
@@ -162,6 +163,53 @@ class TestDopplerLimits:
         got = doppler_average(self.KV * (y - 1j * x), self.KV)
         want = math.sqrt(math.pi) / self.KV * math.exp(-x * x)
         assert got.real == pytest.approx(want, rel=1e-5)
+
+
+class TestFaddeevaKernel:
+    # scipy's wofz is the oracle here only: the runtime evaluates w by
+    # Weideman's rational approximation. doppler_average(-i z, 1) is
+    # sqrt(pi) w(z). Floating-point errors raise as in a CLI run (underflow
+    # is not one of them).
+    STRICT = dict(over="raise", divide="raise", invalid="raise")
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(-1e3, 1e3), log_y=st.floats(-6.0, 3.0))
+    def test_matches_wofz_on_the_upper_half_plane(self, x, log_y):
+        z = complex(x, 10.0 ** log_y)
+        want = math.sqrt(math.pi) * wofz(z)
+        assert abs(doppler_average(-1j * z, 1.0) - want) <= 1e-13 * abs(want)
+
+    def test_large_arguments_do_not_overflow(self):
+        # where lz = L - i z has |lz|^2 beyond the float range; w ~ i/(sqrt(pi) z)
+        z = np.array([1e160 + 1e160j, 1e200j, 3e250 + 1e-3j, -1e305 + 1.0j,
+                      1e154 + 1e154j])
+        with np.errstate(**self.STRICT):
+            got = doppler_average(-1j * z, 1.0)
+        want = math.sqrt(math.pi) * wofz(z)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_undamped_mirror_scheme_is_finite_and_bit_identical(self):
+        # gamma_ba = 0 puts infinite denominators at two-photon resonance,
+        # which must take the transparent branch without a floating-point
+        # error; mirror-image pathways must still give chi- == chi+ bit for bit
+        scheme = build_level_scheme("pi_f2")
+        coupling = FieldDrive(COUPLING, "pi", TWO_PI * 80e6)
+        probe = probe_at(0.0)
+        paths = [probe_pathways(scheme, probe, coupling, c)
+                 for c in (SIGMA_MINUS, SIGMA_PLUS)]
+        pops = {s: 1.0 / 8.0 for s in scheme.ground()}
+        medium = MediumParams.from_temperature(328.15)
+        dets = TWO_PI * np.linspace(-300e6, 300e6, 601)
+        chis = {}
+        for gamma_ba in (0.0, 1e-30):
+            with np.errstate(**self.STRICT):
+                chis[gamma_ba] = susceptibility_arrays(
+                    *paths, dets, coupling, RelaxationRates(gamma_ba=gamma_ba),
+                    pops, medium)
+        chi_minus, chi_plus = chis[0.0]
+        assert np.isfinite(chi_minus).all()
+        assert np.array_equal(chi_minus, chi_plus)
+        np.testing.assert_allclose(chi_minus, chis[1e-30][0], rtol=1e-12, atol=0)
 
 
 class TestAgainstTrapezoid:
