@@ -37,7 +37,6 @@ HBAR = 1.054571817e-34        # J s
 K_BOLTZMANN = 1.380649e-23    # J/K
 EPSILON_0 = 8.8541878128e-12  # F/m
 MU_BOHR = 9.2740100783e-24    # J/T
-SPEED_OF_LIGHT = 299792458.0  # m/s
 
 RB87_MASS = 1.443e-25         # kg
 D1_WAVELENGTH = 794.979e-9    # m
@@ -78,18 +77,14 @@ class Sublevel:
 class Transition:
     """One dipole line between a ground and an excited sublevel.
 
-    ``cg`` is the signed amplitude in decay normalization; ``dipole`` is the
-    physical matrix element cg * reduced dipole.
+    ``cg`` is the signed amplitude in decay normalization; the physical
+    matrix element is cg * ``REDUCED_DIPOLE``.
     """
 
     lower: Sublevel
     upper: Sublevel
     polarization: str
     cg: float
-
-    @property
-    def dipole(self) -> float:
-        return self.cg * REDUCED_DIPOLE
 
 
 @dataclass(frozen=True)
@@ -200,11 +195,6 @@ class LevelScheme:
         return top if top > 0.0 else 1.0
 
 
-def clebsch_gordan(lower: Sublevel, upper: Sublevel) -> float:
-    """Signed amplitude for the lower -> upper dipole line; 0.0 if forbidden."""
-    return decay_amplitude(lower.f, lower.m, upper.f, upper.m)
-
-
 @functools.cache
 def build_level_scheme(scheme_id: str) -> LevelScheme:
     """Assemble sublevels and the full sigma/pi transition table for a scheme,
@@ -226,7 +216,8 @@ def build_level_scheme(scheme_id: str) -> LevelScheme:
             if abs(dm) > 1:
                 continue
             pol = {-1: SIGMA_MINUS, 0: PI, +1: SIGMA_PLUS}[dm]
-            transitions.append(Transition(g, e, pol, clebsch_gordan(g, e)))
+            transitions.append(
+                Transition(g, e, pol, decay_amplitude(g.f, g.m, e.f, e.m)))
     return LevelScheme(
         scheme_id=scheme_id,
         sublevels=sublevels,
@@ -323,7 +314,7 @@ def probe_pathways(
                 ground=t.lower,
                 excited=t.upper,
                 probe_rabi=probe.rabi_scale * t.cg / probe_norm,
-                probe_dipole=t.dipole,
+                probe_dipole=t.cg * REDUCED_DIPOLE,
                 partner=partner,
                 coupling_rabi=coupling_rabi,
                 stark_shift=stark.of(partner) if partner is not None else 0.0,

@@ -35,14 +35,12 @@ from .atom import (
     SIGMA_PLUS,
     rabi_from_power,
 )
-from .detection import IndeterminateAngleError
+from .detection import TRACE_CSV_COLUMNS, IndeterminateAngleError
 from .dynamics import RelaxationRates, SteadyStateError
 from .scenarios import (
     EIT_CSV_COLUMNS,
     POWER_SCAN_CSV_COLUMNS,
-    SPECTRUM_CSV_COLUMNS,
     TEMP_SCAN_CSV_COLUMNS,
-    TRACE_CSV_COLUMNS,
     NumericError,
     PeakPair,
     ScenarioConfig,
@@ -57,6 +55,7 @@ from .scenarios import (
     write_csv,
     write_metadata,
 )
+from .spectra import SPECTRUM_CSV_COLUMNS
 
 SCENARIOS = (
     "spectrum",
@@ -320,14 +319,8 @@ def _metadata(spec: RunSpec, extra: dict | None = None) -> dict:
         "version": __version__,
         "config": spec.resolved,
         "calibration": {
-            "coupling_anchor": {
-                "power_w": RABI_ANCHORS[COUPLING][0],
-                "rabi_mhz": RABI_ANCHORS[COUPLING][1] / MHZ,
-            },
-            "probe_anchor": {
-                "power_w": RABI_ANCHORS[PROBE][0],
-                "rabi_mhz": RABI_ANCHORS[PROBE][1] / MHZ,
-            },
+            f"{which}_anchor": {"power_w": power, "rabi_mhz": rabi / MHZ}
+            for which, (power, rabi) in RABI_ANCHORS.items()
         },
     }
     if extra:

@@ -250,14 +250,19 @@ def _component(pattern: bytes, n: int) -> np.ndarray:
     n2 = n * n
     linked = np.unpackbits(np.frombuffer(pattern, np.uint8), count=2 * n2 * n2)
     linked = linked.reshape(n2, n2, 2).any(axis=2)
-    linked |= linked.T
     reach = np.zeros(n2, dtype=bool)
     reach[:: n + 1] = True
-    while not np.array_equal(grown := reach | linked[reach].any(axis=0), reach):
-        reach = grown
-    index = np.flatnonzero(reach)
+    index = np.flatnonzero(_reach(linked | linked.T, reach))
     index.flags.writeable = False
     return index
+
+
+def _reach(linked: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The nodes reached from the boolean mask ``reach`` along the edges
+    row -> column of the boolean adjacency matrix ``linked``, as a mask."""
+    while not np.array_equal(grown := reach | linked[reach].any(axis=0), reach):
+        reach = grown
+    return reach
 
 
 def solve_steady_state(lio: np.ndarray) -> np.ndarray:
@@ -452,25 +457,14 @@ def coupled_element_count(
     """
     n = len(scheme.sublevels)
     idx = level_index(scheme)
-    tol = 1e-12 * np.abs(lio).max()
-    seeds = []
+    seeds = np.zeros(n * n, dtype=bool)
     for component in probe.components():
         for p in probe_pathways(scheme, probe, coupling, component):
             if p.probe_rabi != 0.0:
-                seeds.append((idx[p.excited], idx[p.ground]))
-    seen: set[tuple[int, int]] = set()
-    stack = []
-    for r, c in seeds:
-        for e in ((r, c), (c, r)):
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
-    while stack:
-        r, c = stack.pop()
-        for col in np.flatnonzero(np.abs(lio[r * n + c]) > tol):
-            rr, cc = divmod(int(col), n)
-            for e in ((rr, cc), (cc, rr)):
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-    return len(seen)
+                seeds[idx[p.excited] * n + idx[p.ground]] = True
+    size = np.abs(lio)
+    linked = size > 1e-12 * size.max()
+    # each element brings in its transpose: an edge x -> flip(x)
+    flip = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    linked[np.arange(n * n), flip] = True
+    return int(np.count_nonzero(_reach(linked, seeds)))

@@ -48,7 +48,6 @@ from .atom import (
     stark_shifts,
 )
 from .detection import (
-    TRACE_CSV_COLUMNS,
     DetectorSignals,
     JonesVector,
     detector_intensities,
@@ -65,7 +64,6 @@ from .dynamics import (
 )
 from .spectra import (
     CELL_LENGTH,
-    SPECTRUM_CSV_COLUMNS,
     VAPOR_CURVE_RANGE_K,
     MediumParams,
     SusceptibilityPair,

@@ -45,7 +45,6 @@ from .atom import (
     HBAR,
     K_BOLTZMANN,
     RB87_MASS,
-    SPEED_OF_LIGHT,
     FieldDrive,
     ProbePathway,
 )
@@ -146,10 +145,6 @@ class MediumParams:
     @property
     def wavevector(self) -> float:
         return 2.0 * math.pi / self.wavelength
-
-    @property
-    def omega(self) -> float:
-        return self.wavevector * SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)

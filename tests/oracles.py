@@ -97,6 +97,35 @@ def loop_liouvillian(scheme, h, rates):
     return lio
 
 
+def stack_walk_element_count(lio, scheme, probe, coupling):
+    """``coupled_element_count`` as a depth-first walk over the superoperator
+    rows, one element (row, column of rho) at a time."""
+    n = len(scheme.sublevels)
+    idx = level_index(scheme)
+    tol = 1e-12 * np.abs(lio).max()
+    seeds = []
+    for component in probe.components():
+        for p in probe_pathways(scheme, probe, coupling, component):
+            if p.probe_rabi != 0.0:
+                seeds.append((idx[p.excited], idx[p.ground]))
+    seen = set()
+    stack = []
+    for r, c in seeds:
+        for e in ((r, c), (c, r)):
+            if e not in seen:
+                seen.add(e)
+                stack.append(e)
+    while stack:
+        r, c = stack.pop()
+        for col in np.flatnonzero(np.abs(lio[r * n + c]) > tol):
+            rr, cc = divmod(int(col), n)
+            for e in ((rr, cc), (cc, rr)):
+                if e not in seen:
+                    seen.add(e)
+                    stack.append(e)
+    return len(seen)
+
+
 def dense_steady_state(lio):
     """Trace-one null vector of the whole superoperator from one dense solve,
     with row 0 (a population) replaced by the trace row."""

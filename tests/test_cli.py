@@ -19,7 +19,8 @@ import eitrot
 from eitrot import cli
 from eitrot.atom import TWO_PI
 from eitrot.cli import ConfigError, main, parse_config
-from eitrot.scenarios import TRACE_CSV_COLUMNS, sweep_probe_detuning, write_csv
+from eitrot.detection import TRACE_CSV_COLUMNS
+from eitrot.scenarios import sweep_probe_detuning, write_csv
 
 SPECTRUM_YAML = """\
 scenario: spectrum
@@ -184,6 +185,17 @@ class TestMainSpectrum:
         meta = json.loads((tmp_path / "alt.meta.json").read_text())
         assert meta["config"]["probe"]["points"] == 7
         assert len((tmp_path / "alt.csv").read_text().splitlines()) == 8
+
+    def test_dense_vapor_is_a_result(self, tmp_path, capsys):
+        # phi comes from n = Re sqrt(1 + chi), unwrapped, so it stays finite
+        # however far the probe rotates: over 1e6 deg at 1e16 cm^-3
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", "medium.density_per_cm3=1e16"]) == 0
+        table = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+        assert table.shape == (11, 9)
+        assert np.isfinite(table).all()
+        assert np.abs(table[:, -1]).max() > 1e6
 
 
 class TestMainErrors:
@@ -463,12 +475,14 @@ class TestOtherScenarios:
 
 def test_import_leaves_out_unused_scipy_modules():
     # the runtime is numpy-only: importing scipy.linalg alone would add about
-    # 300 ms to every start-up, scipy.signal and scipy.stats about a second
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import eitrot.cli; "
-            "print(' '.join(sorted(sys.modules)))")
+    # 300 ms to every start-up, scipy.signal and scipy.stats about a second;
+    # and the package root imports no module, so eitrot.atom loads no numpy
     src = Path(eitrot.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
-                          capture_output=True, text=True, check=True)
-    loaded = set(done.stdout.split())
-    assert "eitrot.cli" in loaded
-    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    for module, absent in (("eitrot.cli", "scipy"), ("eitrot.atom", "numpy")):
+        code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+                "print(' '.join(sorted(sys.modules)))")
+        done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                              capture_output=True, text=True, check=True)
+        loaded = set(done.stdout.split())
+        assert module in loaded
+        assert not {m for m in loaded if m == absent or m.startswith(f"{absent}.")}

@@ -38,6 +38,7 @@ from oracles import (
     dense_steady_state,
     lindblad_rates,
     loop_liouvillian,
+    stack_walk_element_count,
 )
 
 GAMMA = TWO_PI * 5.75e6
@@ -482,6 +483,30 @@ class TestPopulationBlock:
         rho = solve_steady_state(lio).reshape(-1)
         assert not rho[off].any()
         assert np.abs(rho[block] - oracle[block]).max() <= 1e-12
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme_id=st.sampled_from(["sigma_f2", "pi_f2", "sigma_f1"]),
+        polarization=st.sampled_from([LINEAR, SIGMA_MINUS, SIGMA_PLUS]),
+        probe_mhz=st.just(0.0) | st.floats(0.1, 40.0),
+        coupling_mhz=st.just(0.0) | st.floats(0.1, 150.0),
+        b_gauss=st.sampled_from([0.0, 10.0]),
+        stark=st.booleans(),
+    )
+    def test_element_count_matches_stack_walk(
+        self, scheme_id, polarization, probe_mhz, coupling_mhz, b_gauss, stark,
+    ):
+        cfg = ScenarioConfig(
+            scheme_id=scheme_id, probe_polarization=polarization,
+            probe_rabi=probe_mhz * MHZ, coupling_rabi=coupling_mhz * MHZ,
+            b_field=b_gauss * 1e-4, stark_enabled=stark)
+        scheme = cfg.scheme()
+        probe, coupling = cfg.probe_drive(0.0), cfg.coupling_drive()
+        h = build_hamiltonian(scheme, probe, coupling, cfg.stark(scheme), cfg.b_field)
+        lio = build_liouvillian(scheme, h, cfg.rates)
+        assert coupled_element_count(lio, scheme, probe, coupling) == \
+            stack_walk_element_count(lio, scheme, probe, coupling)
 
 
 class TestAnalyticCoherences:
