@@ -17,9 +17,9 @@ excited 5P1/2 hyperfine manifold. Three scheme variants are supported:
     sub-system counts for both probe components; rotation comes only from
     transition-strength and population asymmetry and stays small.
 
-All angular frequencies are rad/s. Transition amplitudes follow the decay
-normalization of :mod:`eitrot.angular` (squares sum to one per excited
-sublevel over both ground manifolds).
+All angular frequencies are rad/s. Transition amplitudes are the D1 line's
+closed forms in decay normalization (squares sum to one per excited sublevel
+over both ground manifolds), see :func:`decay_amplitude`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-from .angular import decay_amplitude
 
 TWO_PI = 2.0 * math.pi
 MHZ = TWO_PI * 1e6  # rad/s of one MHz of ordinary frequency
@@ -195,6 +193,49 @@ class LevelScheme:
         return top if top > 0.0 else 1.0
 
 
+# Signed hyperfine factor of each D1 line, keyed (F, F'): the Racah
+# coefficient (-1)^(F'+J+1+I) sqrt((2F'+1)(2J+1)) {J J' 1; F' F I} at
+# J = J' = 1/2, I = 3/2. The squares are the relative strengths S_FF' of
+# D. A. Steck, "Rubidium 87 D Line Data" (http://steck.us/alkalidata).
+_HYPERFINE = {
+    (1, 1): -math.sqrt(1 / 6),
+    (1, 2): -math.sqrt(5 / 6),
+    (2, 1): math.sqrt(1 / 2),
+    (2, 2): math.sqrt(1 / 2),
+}
+
+
+def decay_amplitude(f_g, m_g, f_e, m_e) -> float:
+    """Signed dipole amplitude for (F', m') -> (F, m) emission on the D1 line.
+
+    The hyperfine factor times <F' m'; 1 q | F m> with q = m - m', from the
+    j2 = 1 table of Condon & Shortley, *The Theory of Atomic Spectra* (1935).
+    Summing the squares over all (F, m) reachable from a fixed (F', m')
+    yields exactly 1. |q| > 1 or any other forbidden combination returns 0.0
+    rather than raising.
+    """
+    q = m_g - m_e
+    hyperfine = _HYPERFINE.get((f_g, f_e), 0.0)
+    if abs(q) > 1 or abs(m_g) > f_g or abs(m_e) > f_e or hyperfine == 0.0:
+        return 0.0
+    j, m = f_e, m_g
+    if f_g == j + 1:
+        if q == 0:
+            cg = math.sqrt((j - m + 1) * (j + m + 1) / ((2 * j + 1) * (j + 1)))
+        else:
+            cg = math.sqrt((j + q * m) * (j + q * m + 1) / ((2 * j + 1) * (2 * j + 2)))
+    elif f_g == j:
+        if q == 0:
+            cg = m / math.sqrt(j * (j + 1))
+        else:
+            cg = -q * math.sqrt((j + q * m) * (j - q * m + 1) / (2 * j * (j + 1)))
+    elif q == 0:
+        cg = -math.sqrt((j - m) * (j + m) / (j * (2 * j + 1)))
+    else:
+        cg = math.sqrt((j - q * m) * (j - q * m + 1) / (2 * j * (2 * j + 1)))
+    return hyperfine * cg
+
+
 @functools.cache
 def build_level_scheme(scheme_id: str) -> LevelScheme:
     """Assemble sublevels and the full sigma/pi transition table for a scheme,
@@ -234,24 +275,20 @@ def coupling_polarization(scheme_id: str) -> str:
 def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> StarkShifts:
     """Light shifts delta_b = |Omega_far|^2 / (4 Delta) of the F=2 sublevels.
 
-    The coupling also drives each b sublevel toward the far excited manifold
+    The coupling also drives each b sublevel toward the far F'=1 manifold
     (detuned by ``scheme.far_level_detuning``); the resulting shift moves the
-    two-photon resonances of the affected lambda systems. Schemes without a
-    far manifold get no shifts.
+    two-photon resonances of the affected lambda systems. Only ``sigma_f2``
+    has a far manifold; the other schemes get no shifts.
     """
     if scheme.far_level_detuning is None or coupling.which != COUPLING:
         return NO_STARK
-    far_f = 1 if scheme.excited_f == 2 else 2
-    dm = _POL_DELTA_M.get(coupling.polarization)
-    if dm is None:
-        return NO_STARK
+    dm = _POL_DELTA_M[coupling.polarization]
     norm = scheme.cg_norm(coupling)
     shifts = {}
     for s in scheme.ground():
         if s.manifold != GROUND_F2:
             continue
-        m_far = s.m + dm
-        amp = decay_amplitude(s.f, s.m, far_f, m_far)
+        amp = decay_amplitude(s.f, s.m, 1, s.m + dm)
         omega = coupling.rabi_scale * amp / norm
         shifts[s.m] = abs(omega) ** 2 / (4.0 * scheme.far_level_detuning)
     return StarkShifts(shifts=shifts)

@@ -25,16 +25,18 @@ def maxwellian_weight(u, v_width, n0=1.0):
     return n0 / (v_width * math.sqrt(math.pi)) * np.exp(-((u / v_width) ** 2))
 
 
-def analytic_coherences(populations, scheme, probe, coupling, rates, stark=NO_STARK):
+def analytic_coherences(populations, scheme, probe, coupling, rates, stark=NO_STARK,
+                        b_field=0.0):
     """Weak-probe closed forms for the optical coherences, keyed (upper, lower).
 
     Each driven route gives rho_eg = (i Omega_p/2) rho_gg / D, with D the
-    route's ``pathway_denominator``.
+    route's ``pathway_denominator`` in the field ``b_field`` (tesla).
     """
     out = {}
     for component in probe.components():
         for p in probe_pathways(scheme, probe, coupling, component, stark):
-            denom = pathway_denominator(p, probe.detuning, coupling.detuning, rates)
+            denom = pathway_denominator(p, probe.detuning, coupling.detuning, rates,
+                                         b_field)
             rho_gg = populations.get(p.ground, 0.0)
             value = 0.5j * p.probe_rabi * rho_gg / denom
             out[(scheme.label(p.excited), scheme.label(p.ground))] = value

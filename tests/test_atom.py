@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from eitrot.angular import decay_amplitude
 from eitrot.atom import (
     COUPLING,
     LINEAR,
@@ -18,6 +17,7 @@ from eitrot.atom import (
     FieldDrive,
     build_level_scheme,
     coupling_polarization,
+    decay_amplitude,
     lambda_subsystems,
     probe_pathways,
     rabi_from_power,

@@ -562,11 +562,13 @@ class TestAnalyticCoherences:
             WC80, RelaxationRates())
         assert abs(both[("c1", "a1")]) < 0.2 * abs(probe_only[("c1", "a1")])
 
-    def test_matches_full_solve_for_weak_probe(self):
+    @pytest.mark.parametrize("b_gauss", [0.0, 10.0])
+    def test_matches_full_solve_for_weak_probe(self, b_gauss):
         # The closed forms drop everything beyond first order in the probe,
         # which presumes the coupling meets an emptied F=2 manifold; a slow
         # transit rate realises that regime. See the acceptance suite for the
         # same check at tighter settings.
+        b_field = b_gauss * 1e-4
         rates = RelaxationRates(gamma_transit=TWO_PI * 1e3)
         probe_rabi = TWO_PI * 1e6
         stark = stark_shifts(WC80, SCHEME)
@@ -574,10 +576,11 @@ class TestAnalyticCoherences:
         for det_mhz in (0.0, -3.0, 3.0, 10.0):
             probe = FieldDrive(PROBE, LINEAR, probe_rabi,
                                detuning=TWO_PI * det_mhz * 1e6)
-            h = build_hamiltonian(SCHEME, probe, WC80, stark=stark)
+            h = build_hamiltonian(SCHEME, probe, WC80, stark=stark, b_field=b_field)
             rho = solve_steady_state(build_liouvillian(SCHEME, h, rates))
             pops = {s: float(rho[i, i].real) for s, i in idx.items()}
-            out = analytic_coherences(pops, SCHEME, probe, WC80, rates, stark=stark)
+            out = analytic_coherences(pops, SCHEME, probe, WC80, rates, stark=stark,
+                                      b_field=b_field)
             assert len(out) == 6
             for (upper, lower), value in out.items():
                 full = rho[idx[SCHEME.by_label(upper)], idx[SCHEME.by_label(lower)]]
