@@ -288,6 +288,8 @@ def parse_config(doc: dict) -> RunSpec:
 
 def apply_overrides(doc: dict, assignments: list[str]) -> dict:
     """Apply dotted-path overrides like ``coupling.power_mw=10`` to a doc."""
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration must be a mapping")
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"override '{item}' must look like 'path.key=value'")

@@ -28,6 +28,9 @@ F=1 populations quoted for this system (see tests).
 The superoperator splits into independent blocks, and the steady state is
 solved on the one that holds the populations (``population_block``: 85 of
 169 elements for a linear probe in ``sigma_f2``); the rest of rho is zero.
+The sweeps assemble that block only (``block_populations``), with the same
+scatter that writes the whole superoperator, so its entries are bitwise
+those of the whole.
 The probe detuning moves only the superoperator diagonal, and only on the
 F=1 coherences with F=2 and the excited manifold. So the steady states over
 a whole grid of probe detunings come from one factorization of the block at
@@ -38,12 +41,10 @@ superoperator, as ``solve_steady_state`` checks a single one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .atom import (
     EXCITED,
@@ -64,6 +65,7 @@ __all__ = [
     "RelaxationRates",
     "SteadyStateError",
     "build_hamiltonian",
+    "block_populations",
     "build_liouvillian",
     "population_block",
     "probe_detuning_slope",
@@ -167,31 +169,53 @@ def build_liouvillian(
     n = len(scheme.sublevels)
     if h.shape != (n, n):
         raise ValueError("hamiltonian does not match the scheme")
-    # -i[h, rho]: rho[i, k] gets -i h[i, j] rho[j, k] + i rho[i, l] h[l, k],
-    # written through views [i, j, k] -> (ik, jk) and [k, i, l] -> (ki, kl)
-    lio = np.zeros((n * n, n * n), dtype=complex)
-    s0, s1, s2, s3 = lio.reshape(n, n, n, n).strides
-    as_strided(lio, (n, n, n), (s0, s2, s1 + s3))[...] -= 1j * h[:, :, None]
-    as_strided(lio, (n, n, n), (s0 + s2, s1, s3))[...] += 1j * h.T
-
-    classes, inflow, amp1, amp2, grounds = _relaxation_tables(scheme)
-    rate = np.array([0.0, rates.gamma, rates.gamma_ca, rates.ground_coherence,
-                     rates.gamma_ba])
-    lio.flat[::n * n + 1] -= rate[classes]
-    lio.reshape(-1)[inflow] += rates.gamma * amp1 * amp2
-    lio[grounds, grounds] -= rates.gamma_transit
-    lio[np.ix_(grounds, grounds)] += rates.gamma_transit / grounds.size
-    return lio
+    tables = _SCATTERS.get(scheme.scheme_id)
+    if tables is None:
+        tables = _SCATTERS[scheme.scheme_id] = _scatter_tables(scheme, np.arange(n * n))
+    return _assemble(tables, h, rates)
 
 
-@functools.cache
-def _relaxation_tables(scheme: LevelScheme) -> tuple[np.ndarray, ...]:
-    """Per-scheme tables of ``build_liouvillian``: the rate class of each
-    element of vec(rho) (0 none, 1 gamma, 2 gamma_ca, 3 ground coherence,
-    4 gamma_ba), the flat superoperator positions of the spontaneous-emission
-    inflow with the two decay amplitudes of each, and the flat ground
-    populations."""
+# Scatter tables, built on first use: of the whole superoperator by
+# scheme_id, of its population block by (scheme_id, bytes of h != 0). Keys
+# hold the scheme_id, not the scheme, whose hash is slow.
+_SCATTERS: dict = {}
+
+
+@dataclass(frozen=True)
+class _Scatter:
+    """Where ``build_liouvillian`` writes its terms in the superoperator
+    restricted to the flat vec(rho) elements ``index`` (ascending, every
+    population among them), as flat positions [0] in that m x m matrix: -i h
+    and +i h (``minus``, ``plus``) from the flat entries [1] of h, the rate
+    ``classes`` of ``index`` on the diagonal, the decay ``inflow`` with its two
+    amplitudes [1] and [2], and transit among the ``grounds``. The positions
+    of the ``populations`` and the ``slope`` on ``index`` serve the solver."""
+
+    index: np.ndarray
+    minus: tuple
+    plus: tuple
+    classes: np.ndarray
+    inflow: tuple
+    grounds: np.ndarray
+    populations: np.ndarray
+    slope: np.ndarray
+
+
+def _scatter_tables(scheme: LevelScheme, index: np.ndarray) -> _Scatter:
+    """The ``_Scatter`` of ``index``. Rate classes: 0 none, 1 gamma,
+    2 gamma_ca, 3 ground coherence, 4 gamma_ba."""
     n = len(scheme.sublevels)
+    m = index.size
+    at = np.full(n * n, -1)
+    at[index] = np.arange(m)
+
+    def place(rows, cols, *values):
+        r, c = at[rows], at[cols]
+        keep = (r >= 0) & (c >= 0)
+        return (r[keep] * m + c[keep], *(np.asarray(v)[keep] for v in values))
+
+    # -i[h, rho]: rho[i, k] gets -i h[i, j] rho[j, k] + i rho[i, j] h[j, k]
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
     manifold = np.array([s.manifold for s in scheme.sublevels])
     exc = manifold == EXCITED
     classes = np.select(
@@ -206,13 +230,37 @@ def _relaxation_tables(scheme: LevelScheme) -> tuple[np.ndarray, ...]:
     # Emission into different ground hyperfine manifolds leaves photons split
     # by the ground splitting (GHz), far outside the linewidth, so decay only
     # builds coherence between ground pairs within one manifold (same q).
-    inflow, amp1, amp2 = (np.array(v) for v in zip(*(
-        ((g1 * n + g2) * n * n + e1 * n + e2, a1, a2)
+    inflow = place(*(np.array(v) for v in zip(*(
+        (g1 * n + g2, e1 * n + e2, a1, a2)
         for g1, e1, q1, a1, m1 in channels
         for g2, e2, q2, a2, m2 in channels
         if q1 == q2 and m1 == m2
-    )))
-    return classes, inflow, amp1, amp2, np.flatnonzero(~exc) * (n + 1)
+    ))))
+    return _Scatter(
+        index, place(i * n + k, j * n + k, i * n + j),
+        place(i * n + k, i * n + j, j * n + k), classes[index], inflow,
+        at[np.flatnonzero(~exc) * (n + 1)], np.flatnonzero(index % (n + 1) == 0),
+        probe_detuning_slope(scheme)[index])
+
+
+def _assemble(t: _Scatter, h: np.ndarray, rates: RelaxationRates) -> np.ndarray:
+    """The superoperator restricted to ``t.index``. Each entry goes through
+    the operations of the whole assembly in the same order, so it is bitwise
+    that of ``build_liouvillian``."""
+    m = t.index.size
+    lio = np.zeros((m, m), dtype=complex)
+    flat = lio.reshape(-1)
+    ih = 1j * h.reshape(-1)
+    flat[t.minus[0]] -= ih[t.minus[1]]
+    flat[t.plus[0]] += ih[t.plus[1]]
+    rate = np.array([0.0, rates.gamma, rates.gamma_ca, rates.ground_coherence,
+                     rates.gamma_ba])
+    flat[:: m + 1] -= rate[t.classes]
+    at, amp1, amp2 = t.inflow
+    flat[at] += rates.gamma * amp1 * amp2
+    lio[t.grounds, t.grounds] -= rates.gamma_transit
+    lio[np.ix_(t.grounds, t.grounds)] += rates.gamma_transit / t.grounds.size
+    return lio
 
 
 def probe_detuning_slope(scheme: LevelScheme) -> np.ndarray:
@@ -236,25 +284,13 @@ def population_block(lio: np.ndarray) -> np.ndarray:
     The superoperator maps the block into itself and the rest into the rest,
     and the trace reads populations only. So the block alone fixes the
     populations, and ``solve_steady_state`` returns the steady state that is
-    zero off the block. The block is found once per sparsity pattern; the
-    index array is read-only.
+    zero off the block.
     """
     n = _side(lio)
-    return _component(np.packbits(_parts(lio) != 0).tobytes(), n)
-
-
-@functools.lru_cache(maxsize=64)
-def _component(pattern: bytes, n: int) -> np.ndarray:
-    """``population_block`` of the packed nonzero ``pattern`` of the real and
-    imaginary parts of an n^2 x n^2 superoperator."""
-    n2 = n * n
-    linked = np.unpackbits(np.frombuffer(pattern, np.uint8), count=2 * n2 * n2)
-    linked = linked.reshape(n2, n2, 2).any(axis=2)
-    reach = np.zeros(n2, dtype=bool)
+    linked = (_parts(lio) != 0).reshape(n * n, n * n, 2).any(axis=2)
+    reach = np.zeros(n * n, dtype=bool)
     reach[:: n + 1] = True
-    index = np.flatnonzero(_reach(linked | linked.T, reach))
-    index.flags.writeable = False
-    return index
+    return np.flatnonzero(_reach(linked | linked.T, reach))
 
 
 def _reach(linked: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -278,9 +314,12 @@ def solve_steady_state(lio: np.ndarray) -> np.ndarray:
     solution raises with no null-space size.
     """
     n = _side(lio)
-    rho = np.zeros(n * n, dtype=complex)
+    _check_finite(lio)
     block = population_block(lio)
-    (rho[block],) = _steady_states(lio, np.zeros(n * n), [0.0], block)
+    rho = np.zeros(n * n, dtype=complex)
+    (rho[block],) = _steady_states(
+        lio[np.ix_(block, block)], np.zeros(block.size), [0.0],
+        np.flatnonzero(block % (n + 1) == 0), np.arange(block.size))
     return rho.reshape(n, n)
 
 
@@ -304,7 +343,42 @@ def steady_state_populations(lio: np.ndarray, slope: np.ndarray, offsets) -> np.
     from the diagonal.
     """
     n = _side(lio)
-    return _steady_states(lio, slope, offsets, np.arange(0, n * n, n + 1)).real
+    _check_finite(lio)
+    block = population_block(lio)
+    populations = np.flatnonzero(block % (n + 1) == 0)
+    return _steady_states(lio[np.ix_(block, block)], slope[block], offsets,
+                          populations, populations).real
+
+
+def block_populations(
+    scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates, offsets
+) -> np.ndarray:
+    """``steady_state_populations`` of ``build_liouvillian(scheme, h, rates)``
+    and ``probe_detuning_slope(scheme)``, from the population block alone.
+
+    The block's nonzero pattern, and so the block, depends only on the
+    scheme and on where h is nonzero: commutator entries are +-i h_ij one
+    index at a time, decay always feeds ground pairs from excited pairs
+    (gamma > 0), and transit links populations only. So the block is found
+    once per (scheme, pattern of h), on one whole assembly, and from then on
+    only the block is assembled.
+    """
+    _check_finite(h)
+    tables = _block_tables(scheme, h, rates)
+    lio = _assemble(tables, h, rates)
+    _check_finite(lio)
+    return _steady_states(lio, tables.slope, offsets, tables.populations,
+                          tables.populations).real
+
+
+def _block_tables(scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates) -> _Scatter:
+    """The ``_Scatter`` of the population block of the superoperator of h."""
+    key = (scheme.scheme_id, (h != 0).tobytes())
+    tables = _SCATTERS.get(key)
+    if tables is None:
+        block = population_block(build_liouvillian(scheme, h, rates))
+        tables = _SCATTERS[key] = _scatter_tables(scheme, block)
+    return tables
 
 
 # Offsets per batch in ``_steady_states``: each temporary then holds 32
@@ -320,20 +394,14 @@ def _side(lio: np.ndarray) -> int:
     return n
 
 
-def _steady_states(lio, slope, offsets, rows) -> np.ndarray:
-    """Entries ``rows`` (flat, all in the population block) of vec(rho) for
-    the checked steady state of ``lio + offset * diag(slope)``, one row per
-    offset (see ``steady_state_populations``). Only the block is read from
-    ``lio``; its row 0 is a population (flat index 0), which the trace row
+def _steady_states(lio, slope, offsets, trace, rows) -> np.ndarray:
+    """Entries ``rows`` (positions in the block) of the checked steady state
+    of ``lio + offset * diag(slope)``, one row per offset (see
+    ``steady_state_populations``). ``lio`` is a finite population block and
+    ``slope`` its part of the slope; ``trace`` holds the positions of the
+    populations. Row 0 is a population (flat index 0), which the trace row
     replaces in the factorized system."""
-    _check_finite(lio)
-    n = _side(lio)
-    block = population_block(lio)
-    trace = np.flatnonzero(block % (n + 1) == 0)
-    rows = np.searchsorted(block, rows)
-    lio = lio[block][:, block]
-    slope = slope[block]
-    m = block.size
+    m = lio.shape[0]
     offsets = np.asarray(offsets, dtype=float)
     # row 0 holds the trace constraint, which no offset moves; the system is
     # solved for e_0 and then e_k for each moving k

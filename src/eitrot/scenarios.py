@@ -1,28 +1,32 @@
 """Composed experiments: detuning sweeps, power and temperature scans,
 EIT transmission peak counting, and their CSV/metadata serialization.
 
-Each sweep resolves a ScenarioConfig once into a level scheme, field
-drives, light shifts, relaxation rates, and medium parameters. The probe
-pathways do not depend on the probe detuning, so they are built once per
-sweep, and the susceptibilities of the whole grid come from one closed-form
-evaluation. The detection chain runs on those arrays only when a detector
-trace is written (``SweepResult.signals``).
+A sweep has two stages. The atom stage resolves a ScenarioConfig into
+everything the cell temperature does not change: the level scheme, field
+drives, light shifts, steady-state populations and probe pathways. The
+medium stage takes the Doppler width and density from the temperature and
+evaluates the susceptibilities, angle and metadata; a temperature scan
+resolves the atom once and runs the medium stage per temperature. The probe
+pathways do not depend on the probe detuning, so one set serves the whole
+grid, whose susceptibilities come from one closed-form evaluation. The
+detection chain runs on those arrays only when a detector trace is written
+(``SweepResult.signals``).
 Ground-state populations follow one of two policies: the default solves the
 steady state once at two-photon resonance and reuses it across the sweep
 (the line shapes then come entirely from the Doppler-averaged
 denominators), while ``per_point`` takes the steady state at every detuning
-for sensitivity studies. Both start from the superoperator assembled once at
-two-photon resonance and solve only its population block (85 of 169
-elements for the linear probe); ``per_point`` gets every detuning from the
-block's one factorization plus a low-rank update, since the probe detuning
-moves only the superoperator diagonal.
+for sensitivity studies. Both assemble and solve only the population block
+of the superoperator at two-photon resonance (85 of 169 elements for the
+linear probe); ``per_point`` gets every detuning from the block's one
+factorization plus a low-rank update, since the probe detuning moves only
+the superoperator diagonal.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,11 +60,9 @@ from .detection import (
 )
 from .dynamics import (
     RelaxationRates,
+    block_populations,
     build_hamiltonian,
-    build_liouvillian,
     level_index,
-    probe_detuning_slope,
-    steady_state_populations,
 )
 from .spectra import (
     CELL_LENGTH,
@@ -268,15 +270,14 @@ def _ground_populations(
     """Steady-state ground occupations with the probe detuned by each of
     ``offsets`` (rad/s) from two-photon resonance, one entry per offset.
 
-    The superoperator is assembled once, at resonance; an offset only moves
-    its diagonal (see ``probe_detuning_slope``), so one factorization of its
-    population block serves every offset (see ``steady_state_populations``).
+    The Hamiltonian is built once, at resonance; an offset only moves the
+    superoperator diagonal (see ``probe_detuning_slope``), so one
+    factorization of its population block serves every offset (see
+    ``block_populations``).
     """
-    slope = probe_detuning_slope(scheme)
     probe = cfg.probe_drive(cfg.coupling_detuning)
     h = build_hamiltonian(scheme, probe, coupling, stark, cfg.b_field)
-    lio = build_liouvillian(scheme, h, cfg.rates)
-    pops = steady_state_populations(lio, slope, offsets)
+    pops = block_populations(scheme, h, cfg.rates, offsets)
     idx = level_index(scheme)
     return {s: pops[:, idx[s]] for s in scheme.ground()}
 
@@ -292,11 +293,12 @@ def steady_populations(cfg: ScenarioConfig) -> dict:
     return {s: float(v[0]) for s, v in pops.items()}
 
 
-def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
+def _atom_stage(cfg: ScenarioConfig) -> Callable[[MediumParams], SweepResult]:
+    """Resolve everything of a sweep that the cell temperature and density
+    leave unchanged, and return the medium stage: the sweep in a medium."""
     scheme = cfg.scheme()
     coupling = cfg.coupling_drive()
     stark = cfg.stark(scheme)
-    medium = cfg.medium()
     dets = cfg.detunings()
 
     # the metadata always reports the populations at two-photon resonance,
@@ -309,29 +311,39 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
 
     # pathways carry no probe detuning, so one set serves the whole grid
     probe = cfg.probe_drive(cfg.coupling_detuning)
-    chi_m, chi_p = susceptibility_arrays(
-        probe_pathways(scheme, probe, coupling, SIGMA_MINUS, stark),
-        probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark),
-        dets, coupling, cfg.rates, pops, medium, cfg.b_field,
-    )
-    bad = np.count_nonzero(~(np.isfinite(chi_m) & np.isfinite(chi_p)))
-    if bad:
-        raise NumericError(f"susceptibility not finite at {bad} of {dets.size} "
-                           "detunings")
+    paths = [probe_pathways(scheme, probe, coupling, component, stark)
+             for component in (SIGMA_MINUS, SIGMA_PLUS)]
 
-    pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
-    metadata = {
-        "scheme": cfg.scheme_id,
-        "populations": {scheme.label(s): v for s, v in meta_pops.items()},
-        "population_policy": cfg.population_policy,
-        "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
-        "density_m3": medium.density,
-        "temperature_k": medium.temperature,
-        "v_width_ms": medium.v_width,
-    }
-    return SweepResult(detunings=dets, pair=pair, medium=medium,
-                       phi_exact=rotation_angle(pair, medium).exact,
-                       metadata=metadata)
+    def in_medium(medium: MediumParams) -> SweepResult:
+        chi_m, chi_p = susceptibility_arrays(
+            *paths, dets, coupling, cfg.rates, pops, medium, cfg.b_field)
+        bad = np.count_nonzero(~(np.isfinite(chi_m) & np.isfinite(chi_p)))
+        if bad:
+            raise NumericError(f"susceptibility not finite at {bad} of "
+                               f"{dets.size} detunings")
+
+        pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
+        metadata = {
+            "scheme": cfg.scheme_id,
+            "populations": {scheme.label(s): v for s, v in meta_pops.items()},
+            "population_policy": cfg.population_policy,
+            "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
+            "density_m3": medium.density,
+            "temperature_k": medium.temperature,
+            "v_width_ms": medium.v_width,
+        }
+        return SweepResult(detunings=dets, pair=pair, medium=medium,
+                           phi_exact=rotation_angle(pair, medium).exact,
+                           metadata=metadata)
+
+    return in_medium
+
+
+def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
+    """One detuning sweep: the medium stage of its atom stage. The medium is
+    built first, so that one that cannot be built fails before any solve."""
+    medium = cfg.medium()
+    return _atom_stage(cfg)(medium)
 
 
 def find_dispersion_peaks(result: SweepResult) -> PeakPair:
@@ -397,13 +409,12 @@ def sweep_temperature(
 
     Temperature sets both the vapor density (calibrated curve) and the
     Maxwellian width; an explicit density in ``cfg`` is deliberately
-    dropped so each point sits on the curve.
+    dropped so each point sits on the curve. Both enter the medium only, so
+    the atom stage runs once for the whole scan.
     """
-    out = []
-    for t in temps:
-        sub = replace(cfg, temperature=t, density=None)
-        out.append((t, sweep_probe_detuning(sub)))
-    return out
+    in_medium = _atom_stage(cfg)
+    return [(t, in_medium(replace(cfg, temperature=t, density=None).medium()))
+            for t in temps]
 
 
 def eit_transmission(cfg: ScenarioConfig, component: str) -> TransmissionCurve:

@@ -263,6 +263,16 @@ class TestMainErrors:
         assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: config: unknown key 'cg_overrides'\n"
 
+    @pytest.mark.parametrize("text", ["- 1\n- 2\n", "3\n"])
+    @pytest.mark.parametrize("override", ["probe.points=5", "scenario=spectrum"])
+    def test_override_on_a_document_that_is_not_a_mapping(
+            self, tmp_path, capsys, text, override):
+        cfg = write(tmp_path, text)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", override]) == 1
+        assert capsys.readouterr().err == \
+            "error: config: configuration must be a mapping\n"
+
     @pytest.mark.parametrize("key, value", [
         ("gamma_ca_mhz", "-3.5"),
         ("gamma_ca_mhz", ".nan"),

@@ -1,6 +1,7 @@
 """Superoperator structure, steady-state solves, and the weak-probe forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitrot import dynamics, scenarios
 from eitrot.atom import (
     COUPLING,
     LINEAR,
@@ -23,6 +25,7 @@ from eitrot.atom import (
 from eitrot.dynamics import (
     RelaxationRates,
     SteadyStateError,
+    block_populations,
     build_hamiltonian,
     build_liouvillian,
     coupled_element_count,
@@ -320,6 +323,22 @@ class TestSteadyState:
                                      [0.0, TWO_PI * 3e6])
         assert err.value.null_dim is None
 
+    def test_non_finite_hamiltonian_raises_without_diagnosis(self, monkeypatch):
+        # the runtime counterpart of the test above: the sweeps assemble only
+        # the population block, and check h and that block
+        def nan_hamiltonian(*args):
+            h = build_hamiltonian(*args)
+            h[5, 7] = np.nan
+            return h
+
+        monkeypatch.setattr(scenarios, "build_hamiltonian", nan_hamiltonian)
+        cfg = ScenarioConfig()
+        scheme = cfg.scheme()
+        with pytest.raises(SteadyStateError, match="not finite") as err:
+            scenarios._ground_populations(cfg, scheme, cfg.coupling_drive(),
+                                          cfg.stark(scheme), [0.0, TWO_PI * 3e6])
+        assert err.value.null_dim is None
+
     def test_overflowing_solution_raises_without_diagnosis(self):
         # finite two-level system whose solution overflows:
         # rho[0, 1] = -1e300 / 1e-10 * rho[0, 0]
@@ -507,6 +526,58 @@ class TestPopulationBlock:
         lio = build_liouvillian(scheme, h, cfg.rates)
         assert coupled_element_count(lio, scheme, probe, coupling) == \
             stack_walk_element_count(lio, scheme, probe, coupling)
+
+
+class TestBlockAssembly:
+    """The population block that the sweeps assemble on their own, against
+    the whole superoperator."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scheme_id=st.sampled_from(["sigma_f2", "pi_f2", "sigma_f1"]),
+        polarization=st.sampled_from([LINEAR, SIGMA_MINUS, SIGMA_PLUS]),
+        probe_mhz=st.just(0.0) | st.floats(0.1, 40.0),
+        coupling_mhz=st.just(0.0) | st.floats(0.1, 150.0),
+        coupling_detuning_mhz=st.just(0.0) | st.floats(-20.0, 20.0),
+        b_gauss=st.sampled_from([0.0, -30.0, 30.0]) | st.floats(-30.0, 30.0),
+        stark=st.booleans(),
+        rates=lindblad_rates(),
+        no_transit=st.booleans(),
+        no_gamma_ba=st.booleans(),
+    )
+    def test_block_matches_the_whole_assembly(
+        self, scheme_id, polarization, probe_mhz, coupling_mhz, coupling_detuning_mhz,
+        b_gauss, stark, rates, no_transit, no_gamma_ba,
+    ):
+        if no_transit:
+            rates = replace(rates, gamma_transit=0.0)
+        if no_gamma_ba:
+            rates = replace(rates, gamma_ba=0.0)
+        cfg = ScenarioConfig(
+            scheme_id=scheme_id, probe_polarization=polarization,
+            probe_rabi=probe_mhz * MHZ, coupling_rabi=coupling_mhz * MHZ,
+            coupling_detuning=coupling_detuning_mhz * MHZ, b_field=b_gauss * 1e-4,
+            stark_enabled=stark, rates=rates)
+        scheme = cfg.scheme()
+        h = build_hamiltonian(scheme, cfg.probe_drive(cfg.coupling_detuning),
+                              cfg.coupling_drive(), cfg.stark(scheme), cfg.b_field)
+        full = build_liouvillian(scheme, h, rates)
+        # the tables may come from an earlier h of the same pattern and
+        # other rates
+        tables = dynamics._block_tables(scheme, h, rates)
+        block = tables.index
+        assert np.array_equal(block, population_block(full))
+        assert np.array_equal(dynamics._assemble(tables, h, rates).view(float),
+                              full[np.ix_(block, block)].view(float))
+
+    def test_populations_match_the_whole_superoperator(self):
+        offsets = [0.0, TWO_PI * 3e6, -TWO_PI * 11e6]
+        h = build_hamiltonian(SCHEME, WP10, WC80, stark_shifts(WC80, SCHEME), 10e-4)
+        rates = RelaxationRates()
+        assert np.array_equal(
+            block_populations(SCHEME, h, rates, offsets),
+            steady_state_populations(build_liouvillian(SCHEME, h, rates),
+                                     probe_detuning_slope(SCHEME), offsets))
 
 
 class TestAnalyticCoherences:

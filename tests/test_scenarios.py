@@ -14,7 +14,7 @@ from scipy.signal import find_peaks
 
 from eitrot.atom import SCHEME_IDS, SIGMA_MINUS, SIGMA_PLUS, TWO_PI
 from eitrot.detection import JonesVector, detector_intensities, propagate_cell
-from eitrot import scenarios
+from eitrot import dynamics, scenarios
 from eitrot.dynamics import (
     RelaxationRates,
     build_hamiltonian,
@@ -300,6 +300,36 @@ class TestScans:
         hot_max = np.max(np.abs(rows[1][1].phi_exact))
         cold_max = np.max(np.abs(rows[0][1].phi_exact))
         assert hot_max > cold_max
+
+    @pytest.mark.parametrize("policy", ["fixed", "per_point"])
+    def test_temperature_scan_equals_independent_sweeps(self, policy):
+        # temperature and density enter the medium only, so resolving the
+        # atom once for the scan changes no bit of any sweep
+        cfg = replace(FIG_CFG, points=41, b_field=10e-4, population_policy=policy)
+        temps = [318.15, 328.15, 338.15]
+        for t, result in sweep_temperature(cfg, temps):
+            alone = sweep_probe_detuning(replace(cfg, temperature=t, density=None))
+            assert np.array_equal(result.pair.chi_minus, alone.pair.chi_minus)
+            assert np.array_equal(result.pair.chi_plus, alone.pair.chi_plus)
+            assert np.array_equal(result.phi_exact, alone.phi_exact)
+            assert result.metadata == alone.metadata
+
+    def test_a_seen_pattern_is_not_assembled_whole(self, monkeypatch):
+        # the whole superoperator is assembled once per scheme and nonzero
+        # pattern of h, to find the population block; later sweeps of that
+        # pattern assemble the block only
+        cfg = replace(FIG_CFG, points=11, population_policy="per_point")
+        first = sweep_probe_detuning(cfg)
+
+        def whole(*args):
+            raise AssertionError("the whole superoperator was assembled")
+
+        for module in (dynamics, scenarios):
+            monkeypatch.setattr(module, "build_liouvillian", whole, raising=False)
+        again = sweep_probe_detuning(cfg)
+        assert np.array_equal(again.phi_exact, first.phi_exact)
+        sweep_probe_detuning(replace(cfg, coupling_rabi=2.0 * cfg.coupling_rabi,
+                                     rates=RelaxationRates(gamma_transit=TWO_PI * 0.5e6)))
 
 
 class TestTransmission:
