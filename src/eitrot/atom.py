@@ -157,7 +157,6 @@ class LevelScheme:
     scheme_id: str
     sublevels: tuple[Sublevel, ...]
     transitions: tuple[Transition, ...]
-    excited_f: int
     far_level_detuning: float | None
 
     def ground(self) -> tuple[Sublevel, ...]:
@@ -263,7 +262,6 @@ def build_level_scheme(scheme_id: str) -> LevelScheme:
         scheme_id=scheme_id,
         sublevels=sublevels,
         transitions=tuple(transitions),
-        excited_f=excited_f,
         far_level_detuning=FPRIME_SPLITTING if scheme_id == "sigma_f2" else None,
     )
 

@@ -7,10 +7,11 @@ converted to angular rad/s internally); powers are _mw or _uw, lengths _mm,
 temperatures _c or _k, densities _per_cm3 or _per_m3, magnetic field _g.
 
 Exit codes: 0 success, 1 configuration error (including a number that is
-not finite or out of its domain, and a bad command-line flag), 2 numerical
-failure (including a scan step without dispersion peaks, a susceptibility
-that is not finite, and a floating-point overflow). Errors are single lines
-on stderr of the form ``error: config: ...`` or ``error: numeric: ...``.
+not finite or out of its domain, a bad command-line flag, and an output that
+cannot be written), 2 numerical failure (including a scan step without
+dispersion peaks, a susceptibility that is not finite, a floating-point
+overflow, and running out of memory). Errors are single lines on stderr of
+the form ``error: config: ...`` or ``error: numeric: ...``.
 """
 
 from __future__ import annotations
@@ -228,7 +229,11 @@ def parse_config(doc: dict) -> RunSpec:
         raise ConfigError(
             f"unknown scenario '{scenario}'; choose from {', '.join(SCENARIOS)}"
         )
-    basename = take("output_basename", scenario.replace("-", "_"))
+    basename = str(take("output_basename", scenario.replace("-", "_")))
+    if (basename in ("", ".", "..") or "\0" in basename
+            or Path(basename).name != basename):
+        raise ConfigError(
+            "key 'output_basename' must be a file name without a directory")
 
     for key, (replaced, convert) in _ALTERNATIVES.items():
         if key in given:
@@ -282,7 +287,7 @@ def parse_config(doc: dict) -> RunSpec:
         subject = str(exc).partition(" ")[0]
         raise _rejected(named.get(subject, subject), exc) from exc
 
-    return RunSpec(scenario=scenario, config=config, basename=str(basename),
+    return RunSpec(scenario=scenario, config=config, basename=basename,
                    resolved=_nested(values), **scans)
 
 
@@ -347,8 +352,7 @@ def _peak_values(peaks: PeakPair, where: str) -> tuple[float, float, float, floa
 def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
     """Execute the scenario; returns the list of files written."""
     outdir.mkdir(parents=True, exist_ok=True)
-    base = outdir / spec.basename
-    csv_path = base.with_suffix(".csv")  # every scenario's main table
+    csv_path = outdir / f"{spec.basename}.csv"  # every scenario's main table
     cfg = spec.config
     written = []  # per-temperature tables; csv_path and the meta file follow
 
@@ -429,7 +433,7 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
     else:  # pragma: no cover - guarded by parse_config
         raise ConfigError(f"unhandled scenario '{spec.scenario}'")
 
-    meta_path = base.parent / f"{base.name}.meta.json"
+    meta_path = outdir / f"{spec.basename}.meta.json"
     write_metadata(meta_path, meta)
     written += [csv_path, meta_path]
     return written
@@ -484,6 +488,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # reading the config raises ConfigError instead
+        print(f"error: config: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except (NumericError, SteadyStateError, IndeterminateAngleError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 2
@@ -491,6 +498,9 @@ def main(argv: list[str] | None = None) -> int:
         # args[-1] is the message alone, without the errno of a math overflow
         print(f"error: numeric: floating-point failure: {exc.args[-1]}",
               file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: numeric: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -35,7 +35,7 @@ The probe detuning moves only the superoperator diagonal, and only on the
 F=1 coherences with F=2 and the excited manifold. So the steady states over
 a whole grid of probe detunings come from one factorization of the block at
 two-photon resonance plus a low-rank (Woodbury) update per detuning
-(``steady_state_populations``); every solution is checked against its own
+(``block_populations``); every solution is checked against its own
 superoperator, as ``solve_steady_state`` checks a single one.
 """
 
@@ -68,9 +68,7 @@ __all__ = [
     "block_populations",
     "build_liouvillian",
     "population_block",
-    "probe_detuning_slope",
     "solve_steady_state",
-    "steady_state_populations",
     "pathway_denominator",
     "coupled_element_count",
     "level_index",
@@ -236,11 +234,17 @@ def _scatter_tables(scheme: LevelScheme, index: np.ndarray) -> _Scatter:
         for g2, e2, q2, a2, m2 in channels
         if q1 == q2 and m1 == m2
     ))))
+    # Moving the probe detuning by x moves the diagonal of h by x s, with s -1
+    # on the excited and F=2 sublevels and 0 on F=1 (see build_hamiltonian),
+    # so it adds x * slope, slope (r, c) = -i (s_r - s_c), to the
+    # superoperator diagonal and changes nothing else.
+    s = np.where(manifold == GROUND_F1, 0.0, -1.0)
+    slope = -1j * (s[:, None] - s).reshape(-1)
     return _Scatter(
         index, place(i * n + k, j * n + k, i * n + j),
         place(i * n + k, i * n + j, j * n + k), classes[index], inflow,
         at[np.flatnonzero(~exc) * (n + 1)], np.flatnonzero(index % (n + 1) == 0),
-        probe_detuning_slope(scheme)[index])
+        slope[index])
 
 
 def _assemble(t: _Scatter, h: np.ndarray, rates: RelaxationRates) -> np.ndarray:
@@ -261,19 +265,6 @@ def _assemble(t: _Scatter, h: np.ndarray, rates: RelaxationRates) -> np.ndarray:
     lio[t.grounds, t.grounds] -= rates.gamma_transit
     lio[np.ix_(t.grounds, t.grounds)] += rates.gamma_transit / t.grounds.size
     return lio
-
-
-def probe_detuning_slope(scheme: LevelScheme) -> np.ndarray:
-    """Derivative of the superoperator diagonal by the probe detuning.
-
-    The probe detuning enters the Hamiltonian only on its diagonal, as -1 on
-    the excited and F=2 sublevels and 0 on F=1 (see ``build_hamiltonian``).
-    So moving it by x adds x * slope to the diagonal of ``build_liouvillian``
-    and changes nothing else; element (r, c) of the slope is -i (s_r - s_c).
-    """
-    s = np.array([0.0 if sub.manifold == GROUND_F1 else -1.0
-                  for sub in scheme.sublevels])
-    return -1j * (s[:, None] - s[None, :]).reshape(-1)
 
 
 def population_block(lio: np.ndarray) -> np.ndarray:
@@ -323,38 +314,12 @@ def solve_steady_state(lio: np.ndarray) -> np.ndarray:
     return rho.reshape(n, n)
 
 
-def steady_state_populations(lio: np.ndarray, slope: np.ndarray, offsets) -> np.ndarray:
-    """Steady-state populations (the diagonal of rho) of the superoperator
-    ``lio + offset * diag(slope)``, one row per entry of ``offsets``.
-
-    Everything below runs on the population block, which no offset changes
-    (``slope`` is diagonal). One factorization serves every offset. With A0
-    the system of ``lio`` (trace row in place of a population row), J the
-    entries that ``slope`` moves and d = slope[J], A0 is solved for [e0, e_J],
-    giving x0 and Y. By the Woodbury identity each offset's solution is
-    x = x0 - Y c, where c solves the small system (I + offset K) c =
-    offset (d x0[J]) with K = diag(d) Y[J]. K is diagonalized once,
-    K = V diag(lam) V^-1, so every offset's system is a diagonal scaling:
-    V^-1 c = offset / (1 + offset lam) * V^-1 (d x0[J]), and x = x0 - (Y V)
-    (V^-1 c). When every offset is zero, J is empty and this is a single
-    solve. A badly conditioned V would show in the solutions, so each one
-    must pass the residual test of ``solve_steady_state`` on its own
-    unmodified superoperator, whose Frobenius norm follows in closed form
-    from the diagonal.
-    """
-    n = _side(lio)
-    _check_finite(lio)
-    block = population_block(lio)
-    populations = np.flatnonzero(block % (n + 1) == 0)
-    return _steady_states(lio[np.ix_(block, block)], slope[block], offsets,
-                          populations, populations).real
-
-
 def block_populations(
     scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates, offsets
 ) -> np.ndarray:
-    """``steady_state_populations`` of ``build_liouvillian(scheme, h, rates)``
-    and ``probe_detuning_slope(scheme)``, from the population block alone.
+    """Steady-state populations of ``build_liouvillian(scheme, h, rates)``
+    with the probe detuned by each of ``offsets`` from that of h, one row per
+    offset, from the population block alone (see ``_steady_states``).
 
     The block's nonzero pattern, and so the block, depends only on the
     scheme and on where h is nonzero: commutator entries are +-i h_ij one
@@ -396,11 +361,24 @@ def _side(lio: np.ndarray) -> int:
 
 def _steady_states(lio, slope, offsets, trace, rows) -> np.ndarray:
     """Entries ``rows`` (positions in the block) of the checked steady state
-    of ``lio + offset * diag(slope)``, one row per offset (see
-    ``steady_state_populations``). ``lio`` is a finite population block and
-    ``slope`` its part of the slope; ``trace`` holds the positions of the
-    populations. Row 0 is a population (flat index 0), which the trace row
-    replaces in the factorized system."""
+    of ``lio + offset * diag(slope)``, one row per offset. ``lio`` is a finite
+    population block and ``slope`` its part of the slope; ``trace`` holds the
+    positions of the populations. Row 0 is a population (flat index 0), which
+    the trace row replaces in the factorized system.
+
+    One factorization serves every offset. With A0 the system of ``lio``
+    (trace row in place of row 0), J the entries that ``slope`` moves and
+    d = slope[J], A0 is solved for [e0, e_J], giving x0 and Y. By the
+    Woodbury identity each offset's solution is x = x0 - Y c, where c solves
+    the small system (I + offset K) c = offset (d x0[J]) with
+    K = diag(d) Y[J]. K is diagonalized once, K = V diag(lam) V^-1, so every
+    offset's system is a diagonal scaling: V^-1 c = offset / (1 + offset lam)
+    * V^-1 (d x0[J]), and x = x0 - (Y V) (V^-1 c). When every offset is zero,
+    J is empty and this is a single solve. A badly conditioned V would show
+    in the solutions, so each one must pass the residual test of
+    ``solve_steady_state`` on its own unmodified superoperator, whose
+    Frobenius norm follows in closed form from the diagonal.
+    """
     m = lio.shape[0]
     offsets = np.asarray(offsets, dtype=float)
     # row 0 holds the trace constraint, which no offset moves; the system is

@@ -271,9 +271,8 @@ def _ground_populations(
     ``offsets`` (rad/s) from two-photon resonance, one entry per offset.
 
     The Hamiltonian is built once, at resonance; an offset only moves the
-    superoperator diagonal (see ``probe_detuning_slope``), so one
-    factorization of its population block serves every offset (see
-    ``block_populations``).
+    superoperator diagonal, so one factorization of its population block
+    serves every offset (see ``block_populations``).
     """
     probe = cfg.probe_drive(cfg.coupling_detuning)
     h = build_hamiltonian(scheme, probe, coupling, stark, cfg.b_field)

@@ -186,6 +186,14 @@ class TestMainSpectrum:
         assert meta["config"]["probe"]["points"] == 7
         assert len((tmp_path / "alt.csv").read_text().splitlines()) == 8
 
+    def test_basename_keeps_its_dots(self, tmp_path):
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        for name in ("run.v1", "run.v2"):
+            assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
+                         "--set", f"output_basename={name}"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "run.v1.csv", "run.v1.meta.json", "run.v2.csv", "run.v2.meta.json"]
+
     def test_dense_vapor_is_a_result(self, tmp_path, capsys):
         # phi comes from n = Re sqrt(1 + chi), unwrapped, so it stays finite
         # however far the probe rotates: over 1e6 deg at 1e16 cm^-3
@@ -361,6 +369,37 @@ class TestMainErrors:
         assert main(["--config", str(cfg), "--outdir", str(tmp_path),
                      "--set", "scheme=pi_f2"]) == 0
         assert "peaks" not in json.loads((tmp_path / "spectrum.meta.json").read_text())
+
+    @pytest.mark.parametrize("name", ["''", ".", "..", "a/b", "../run", "run/",
+                                      '"a\\0b"'])
+    def test_basename_with_a_directory_exit_code(self, tmp_path, capsys, name):
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
+                     "--set", f"output_basename={name}"]) == 1
+        assert capsys.readouterr().err == ("error: config: key 'output_basename' "
+                                           "must be a file name without a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+    @pytest.mark.parametrize("outdir", ["taken", "taken/out"])
+    def test_unusable_outdir_exit_code(self, tmp_path, capsys, outdir):
+        # a file where the directory, or one of its parents, should be
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        (tmp_path / "taken").write_text("")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cannot write output: ")
+        assert len(err.splitlines()) == 1
+
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "sweep_probe_detuning", exhausted)
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: numeric: out of memory: Unable to allocate 7.28 TiB for an array\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, SPECTRUM_YAML)

@@ -31,9 +31,7 @@ from eitrot.dynamics import (
     coupled_element_count,
     level_index,
     population_block,
-    probe_detuning_slope,
     solve_steady_state,
-    steady_state_populations,
 )
 from eitrot.scenarios import ScenarioConfig, steady_populations
 from oracles import (
@@ -62,10 +60,13 @@ def lio_entry(lio, scheme, row, col):
     return lio[r, c]
 
 
+def default_h(probe=WP10, coupling=WC80, **kw):
+    return build_hamiltonian(SCHEME, probe, coupling,
+                             stark=stark_shifts(coupling, SCHEME), **kw)
+
+
 def default_lio(rates=RelaxationRates(), probe=WP10, coupling=WC80, **kw):
-    h = build_hamiltonian(SCHEME, probe, coupling,
-                          stark=stark_shifts(coupling, SCHEME), **kw)
-    return build_liouvillian(SCHEME, h, rates)
+    return build_liouvillian(SCHEME, default_h(probe, coupling, **kw), rates)
 
 
 class TestHamiltonian:
@@ -282,14 +283,15 @@ class TestSteadyState:
         probe = FieldDrive(PROBE, LINEAR, 0.0)
         coupling = FieldDrive(COUPLING, SIGMA_MINUS, 0.0)
         h = build_hamiltonian(SCHEME, probe, coupling)
-        lio = build_liouvillian(SCHEME, h, RelaxationRates(gamma_transit=0.0))
+        rates = RelaxationRates(gamma_transit=0.0)
+        lio = build_liouvillian(SCHEME, h, rates)
         assert population_block(lio).tolist() == list(range(0, 169, 14))
-        for solve in (solve_steady_state,
-                      lambda l: steady_state_populations(
-                          l, probe_detuning_slope(SCHEME), [0.0, TWO_PI * 3e6])):
+        for solve in (lambda: solve_steady_state(lio),
+                      lambda: block_populations(SCHEME, h, rates,
+                                                [0.0, TWO_PI * 3e6])):
             with pytest.raises(SteadyStateError, match=r"singular \(null-space "
                                r"dimension 8\)") as err:
-                solve(lio)
+                solve()
             assert err.value.null_dim == 8
 
     def test_singular_remainder_leaves_populations_unique(self):
@@ -318,10 +320,6 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match="not finite") as err:
             solve_steady_state(lio)
         assert err.value.null_dim is None
-        with pytest.raises(SteadyStateError, match="not finite") as err:
-            steady_state_populations(lio, probe_detuning_slope(SCHEME),
-                                     [0.0, TWO_PI * 3e6])
-        assert err.value.null_dim is None
 
     def test_non_finite_hamiltonian_raises_without_diagnosis(self, monkeypatch):
         # the runtime counterpart of the test above: the sweeps assemble only
@@ -349,20 +347,15 @@ class TestSteadyState:
         assert err.value.null_dim is None
         # and the superoperator is handed back unchanged
         assert lio[0].tolist() == [0, 0, 0, 0]
-        with pytest.raises(SteadyStateError, match="not finite"):
-            steady_state_populations(lio, np.zeros(4), [0.0])
-        assert lio[0].tolist() == [0, 0, 0, 0]
 
     def test_superoperator_is_not_modified(self):
         lio = default_lio()
         before = lio.copy()
-        # both solve a copy of the population block, so a read-only input works
+        # the solve works on a copy of the population block, so a read-only
+        # input works
         lio.flags.writeable = False
-        rho = solve_steady_state(lio)
-        pops = steady_state_populations(lio, probe_detuning_slope(SCHEME),
-                                        [0.0, TWO_PI * 3e6])
+        solve_steady_state(lio)
         assert np.array_equal(lio, before)
-        assert pops[0] == pytest.approx(rho.diagonal().real, abs=1e-14)
 
     def test_quoted_population_triples(self):
         targets = {
@@ -432,17 +425,15 @@ class TestSteadyStatePopulations:
         stark_shift = cfg.stark(scheme)
         dets = MHZ * np.array([0.0, *probe_detunings_mhz]) + cfg.coupling_detuning
 
-        def lio_at(det):
-            h = build_hamiltonian(scheme, cfg.probe_drive(det), coupling,
-                                  stark_shift, cfg.b_field)
-            return build_liouvillian(scheme, h, cfg.rates)
+        def h_at(det):
+            return build_hamiltonian(scheme, cfg.probe_drive(det), coupling,
+                                     stark_shift, cfg.b_field)
 
-        pops = steady_state_populations(lio_at(cfg.coupling_detuning),
-                                        probe_detuning_slope(scheme),
-                                        dets - cfg.coupling_detuning)
+        pops = block_populations(scheme, h_at(cfg.coupling_detuning), cfg.rates,
+                                 dets - cfg.coupling_detuning)
         assert pops.shape == (len(dets), len(scheme.sublevels))
         for k, det in enumerate(dets):
-            rho = dense_steady_state(lio_at(det))
+            rho = dense_steady_state(build_liouvillian(scheme, h_at(det), cfg.rates))
             assert pops[k] == pytest.approx(rho.diagonal().real, abs=1e-12)
 
     def test_defective_update_raises_steady_state_error(self, monkeypatch):
@@ -452,13 +443,11 @@ class TestSteadyStatePopulations:
 
         monkeypatch.setattr(np.linalg, "eig", eig)
         with pytest.raises(SteadyStateError, match="no eigenvector basis"):
-            steady_state_populations(default_lio(), probe_detuning_slope(SCHEME),
-                                     [0.0, 1e6])
+            block_populations(SCHEME, default_h(), RelaxationRates(), [0.0, 1e6])
 
     def test_zero_offsets_give_the_resonance_solve(self):
-        lio = default_lio()
-        pops = steady_state_populations(lio, probe_detuning_slope(SCHEME), [0.0, 0.0])
-        direct = solve_steady_state(lio).diagonal().real
+        pops = block_populations(SCHEME, default_h(), RelaxationRates(), [0.0, 0.0])
+        direct = solve_steady_state(default_lio()).diagonal().real
         assert np.array_equal(pops, [direct, direct])
 
 
@@ -575,9 +564,8 @@ class TestBlockAssembly:
         h = build_hamiltonian(SCHEME, WP10, WC80, stark_shifts(WC80, SCHEME), 10e-4)
         rates = RelaxationRates()
         assert np.array_equal(
-            block_populations(SCHEME, h, rates, offsets),
-            steady_state_populations(build_liouvillian(SCHEME, h, rates),
-                                     probe_detuning_slope(SCHEME), offsets))
+            block_populations(SCHEME, h, rates, offsets)[0],
+            solve_steady_state(build_liouvillian(SCHEME, h, rates)).diagonal().real)
 
 
 class TestAnalyticCoherences:
