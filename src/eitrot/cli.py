@@ -229,7 +229,9 @@ def parse_config(doc: dict) -> RunSpec:
         raise ConfigError(
             f"unknown scenario '{scenario}'; choose from {', '.join(SCENARIOS)}"
         )
-    basename = str(take("output_basename", scenario.replace("-", "_")))
+    basename = take("output_basename", scenario.replace("-", "_"))
+    if type(basename) is not str:
+        raise ConfigError(f"key 'output_basename' must be {_KINDS[str]}")
     if (basename in ("", ".", "..") or "\0" in basename
             or Path(basename).name != basename):
         raise ConfigError(

@@ -31,18 +31,28 @@ solved on the one that holds the populations (``population_block``: 85 of
 The sweeps assemble that block only (``block_populations``), with the same
 scatter that writes the whole superoperator, so its entries are bitwise
 those of the whole.
+The superoperator maps Hermitian rho to Hermitian rho, so the block holds
+the transpose rho_ji of each element rho_ij and is solved in real
+coordinates: x_p = rho_p for a population and, for each pair u = ij (i < j)
+and v = ji, x_u = Re rho_u and x_v = Im rho_u. With rho = T x, the real
+system R is Re(L T), with Im(L T)[u] on the v rows.
 The probe detuning moves only the superoperator diagonal, and only on the
-F=1 coherences with F=2 and the excited manifold. So the steady states over
-a whole grid of probe detunings come from one factorization of the block at
-two-photon resonance plus a low-rank (Woodbury) update per detuning
+F=1 coherences with F=2 and the excited manifold, by i sigma on u (-i sigma
+on v): in real coordinates an offset delta rotates each such pair, row u
+gaining -sigma delta x_v and row v +sigma delta x_u. So the steady states
+over a whole grid of probe detunings come from one factorization of the
+block at two-photon resonance plus a low-rank (Woodbury) update per detuning
 (``block_populations``); every solution is checked against its own
-superoperator, as ``solve_steady_state`` checks a single one.
+superoperator, as ``solve_steady_state`` checks a single one. The residual
+||L rho|| / (||L||_F ||rho||) is taken in real coordinates, where the u and
+v entries of x and of R x count twice: |rho_u|^2 + |rho_v|^2 =
+2 (x_u^2 + x_v^2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,7 +197,9 @@ class _Scatter:
     and +i h (``minus``, ``plus``) from the flat entries [1] of h, the rate
     ``classes`` of ``index`` on the diagonal, the decay ``inflow`` with its two
     amplitudes [1] and [2], and transit among the ``grounds``. The positions
-    of the ``populations`` and the ``slope`` on ``index`` serve the solver."""
+    of the ``populations``, the ``slope`` on ``index`` and, for a population
+    block, its ``real`` coordinates (``_real_coordinates``) serve the
+    solver."""
 
     index: np.ndarray
     minus: tuple
@@ -197,6 +209,7 @@ class _Scatter:
     grounds: np.ndarray
     populations: np.ndarray
     slope: np.ndarray
+    real: tuple = ()
 
 
 def _scatter_tables(scheme: LevelScheme, index: np.ndarray) -> _Scatter:
@@ -247,6 +260,37 @@ def _scatter_tables(scheme: LevelScheme, index: np.ndarray) -> _Scatter:
         slope[index])
 
 
+def _real_coordinates(index: np.ndarray, n: int) -> tuple:
+    """Real coordinates (module docstring) of the block over ``index``, as
+    (transpose, first, second, kind): the position of the transpose of each
+    element, the positions in F, the block's flat ``_parts``, from which
+    the m x m system R takes its entries, R[r, k] = F[first[j]] +
+    F[second[j]] kind[k] with j = r m + k, and kind, +1 on u, -1 on v and 0
+    on a population. Raises unless every transpose is in ``index``."""
+    m = index.size
+    at = np.full(n * n, -1)
+    at[index] = np.arange(m)
+    rows, cols = np.divmod(index, n)
+    transpose = at[cols * n + rows]
+    if (transpose < 0).any():
+        raise SteadyStateError(
+            "population block is not closed under transposition: the "
+            "superoperator does not map Hermitian rho to Hermitian rho")
+    k = np.arange(m)
+    kind = np.sign(transpose - k)
+    v = kind < 0
+    # Row r of R reads row r of L, or row u for r = v. Column k of L T is
+    # L[:, k] (population), L[:, k] + L[:, v] (u) or i (L[:, u] - L[:, k])
+    # (v); the real part of the last is Im L[:, k] - Im L[:, u], its
+    # imaginary part Re L[:, u] - Re L[:, k] (hence ``swap``).
+    imag = v[:, None] ^ v
+    here = (np.minimum(k, transpose)[:, None] * m + k) * 2 + imag
+    there = here + (transpose - k) * 2
+    swap = v[:, None] & v
+    return (transpose, np.where(swap, there, here).reshape(-1),
+            np.where(swap, here, there).reshape(-1), kind.astype(float))
+
+
 def _assemble(t: _Scatter, h: np.ndarray, rates: RelaxationRates) -> np.ndarray:
     """The superoperator restricted to ``t.index``. Each entry goes through
     the operations of the whole assembly in the same order, so it is bitwise
@@ -295,22 +339,35 @@ def _reach(linked: np.ndarray, reach: np.ndarray) -> np.ndarray:
 def solve_steady_state(lio: np.ndarray) -> np.ndarray:
     """Trace-one steady state of the superoperator, as a density matrix.
 
-    The population block (``population_block``) is solved with one redundant
-    population row replaced by the trace constraint, and scattered into an
-    otherwise zero rho. The residual ||L rho|| (relative to ||L|| ||rho||, on
-    the block) must come out below ``_RESIDUAL_TOL``; if not, the block's null
-    space is sized via SVD to distinguish a degenerate steady state from plain
+    The population block (``population_block``) is solved in real
+    coordinates with one redundant population row replaced by the trace
+    constraint, and scattered into an otherwise zero, exactly Hermitian rho.
+    The residual ||L rho|| (relative to ||L|| ||rho||, on the block) must come
+    out below ``_RESIDUAL_TOL``; if not, the block's null space is sized via
+    SVD to distinguish a degenerate steady state from plain
     ill-conditioning. A singular remainder off the block leaves the
     populations unique and fails nothing. A non-finite superoperator or
-    solution raises with no null-space size.
+    solution raises with no null-space size, as does a block that does not
+    map Hermitian rho to Hermitian rho (L[t(r), t(c)] = conj(L[r, c]), t the
+    transpose, to ``_RESIDUAL_TOL`` of its largest entry): it is never
+    symmetrized.
     """
     n = _side(lio)
     _check_finite(lio)
     block = population_block(lio)
+    real = _real_coordinates(block, n)
+    lio = lio[np.ix_(block, block)]
+    t, _, _, kind = real
+    if np.abs(lio[np.ix_(t, t)] - lio.conj()).max() > _RESIDUAL_TOL * np.abs(lio).max():
+        raise SteadyStateError(
+            "steady-state superoperator does not map Hermitian rho to Hermitian rho")
+    (x,) = _steady_states(lio, np.zeros(block.size), real, [0.0],
+                          np.arange(block.size))
+    u = np.flatnonzero(kind > 0)
     rho = np.zeros(n * n, dtype=complex)
-    (rho[block],) = _steady_states(
-        lio[np.ix_(block, block)], np.zeros(block.size), [0.0],
-        np.flatnonzero(block % (n + 1) == 0), np.arange(block.size))
+    rho[block] = x
+    rho[block[u]] += 1j * x[t[u]]
+    rho[block[t[u]]] = rho[block[u]].conj()
     return rho.reshape(n, n)
 
 
@@ -332,8 +389,8 @@ def block_populations(
     tables = _block_tables(scheme, h, rates)
     lio = _assemble(tables, h, rates)
     _check_finite(lio)
-    return _steady_states(lio, tables.slope, offsets, tables.populations,
-                          tables.populations).real
+    return _steady_states(lio, tables.slope, tables.real, offsets,
+                          tables.populations)
 
 
 def _block_tables(scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates) -> _Scatter:
@@ -342,7 +399,9 @@ def _block_tables(scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates) ->
     tables = _SCATTERS.get(key)
     if tables is None:
         block = population_block(build_liouvillian(scheme, h, rates))
-        tables = _SCATTERS[key] = _scatter_tables(scheme, block)
+        tables = _SCATTERS[key] = replace(
+            _scatter_tables(scheme, block),
+            real=_real_coordinates(block, len(scheme.sublevels)))
     return tables
 
 
@@ -359,73 +418,82 @@ def _side(lio: np.ndarray) -> int:
     return n
 
 
-def _steady_states(lio, slope, offsets, trace, rows) -> np.ndarray:
-    """Entries ``rows`` (positions in the block) of the checked steady state
-    of ``lio + offset * diag(slope)``, one row per offset. ``lio`` is a finite
-    population block and ``slope`` its part of the slope; ``trace`` holds the
-    positions of the populations. Row 0 is a population (flat index 0), which
-    the trace row replaces in the factorized system.
+def _steady_states(lio, slope, real, offsets, rows) -> np.ndarray:
+    """Entries ``rows`` (positions in the block) of the real coordinates x of
+    the checked steady state of ``lio + offset * diag(slope)``, one row per
+    offset. ``lio`` is a finite population block that maps Hermitian rho to
+    Hermitian rho, ``slope`` its part of the slope and ``real`` its
+    ``_real_coordinates``. Row 0 is a population (flat index 0), which the
+    trace row replaces in the factorized system.
 
-    One factorization serves every offset. With A0 the system of ``lio``
-    (trace row in place of row 0), J the entries that ``slope`` moves and
-    d = slope[J], A0 is solved for [e0, e_J], giving x0 and Y. By the
-    Woodbury identity each offset's solution is x = x0 - Y c, where c solves
-    the small system (I + offset K) c = offset (d x0[J]) with
-    K = diag(d) Y[J]. K is diagonalized once, K = V diag(lam) V^-1, so every
-    offset's system is a diagonal scaling: V^-1 c = offset / (1 + offset lam)
-    * V^-1 (d x0[J]), and x = x0 - (Y V) (V^-1 c). When every offset is zero,
-    J is empty and this is a single solve. A badly conditioned V would show
-    in the solutions, so each one must pass the residual test of
-    ``solve_steady_state`` on its own unmodified superoperator, whose
-    Frobenius norm follows in closed form from the diagonal.
+    One factorization serves every offset. An offset adds offset * S to R,
+    with S[k, t(k)] = d_k = -Im slope[k] (t the transpose) on the rows J it
+    moves: the pair rotation of the module docstring. With A0 the system of
+    R and P = t(J), A0 is solved for e0, giving x0 (on its own, so offset 0
+    is bitwise the fixed solve), and for e_J, giving Y. By the Woodbury
+    identity x = x0 - Y c, where (I + offset K) c = offset (d x0[P]) with the
+    real K = diag(d) Y[P] = V diag(lam) V^-1, diagonalized once. So
+    V^-1 c = offset / (1 + offset lam) * V^-1 (d x0[P]), and
+    x = x0 - Re((Y V) (V^-1 c)), keeping of each conjugate pair of eigenpairs
+    the one with Im lam > 0, weighted by 2. Every factorization and matrix
+    product is real. With every offset zero, J is empty. Each solution must
+    pass the residual test of ``solve_steady_state`` on its own unmodified
+    superoperator (a badly conditioned V would show there), whose Frobenius
+    norm follows in closed form from the diagonal.
     """
     m = lio.shape[0]
     offsets = np.asarray(offsets, dtype=float)
-    # row 0 holds the trace constraint, which no offset moves; the system is
-    # solved for e_0 and then e_k for each moving k
-    moving = np.flatnonzero(slope[1:]) + 1 if offsets.any() else np.empty(0, int)
-    d = slope[moving]
-    system = lio.copy()
-    system[0] = 0.0
-    system[0, trace] = 1.0
-    rhs = np.zeros((m, 1 + moving.size), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[moving, np.arange(1, 1 + moving.size)] = 1.0
+    t, _, _, kind = real
+    form = _real_form(lio, real)
+    # row 0 holds the trace constraint, which no offset moves
+    moving = np.flatnonzero(slope.imag[1:]) + 1 if offsets.any() else np.empty(0, int)
+    partner, d = t[moving], -slope.imag[moving]
+    system = form.copy()
+    system[0] = kind == 0
+    unit = (np.arange(m)[:, None] == np.concatenate(([0], moving))).astype(float)
     try:
-        sol = np.linalg.solve(system, rhs)
+        x0 = np.linalg.solve(system, unit[:, 0])
+        y = np.linalg.solve(system, unit[:, 1:]) if moving.size else unit[:, 1:]
     except np.linalg.LinAlgError as exc:
         raise _failure(
             lio, "steady-state system is singular (null-space dimension {}); "
             "no unique stationary density matrix") from exc
-    _check_finite(sol)
-    x0 = sol[:, 0].copy()
-    lam, yv, b = d, sol[:, 1:], d  # all empty when no entry moves
+    _check_finite(x0, y)
+    lam, b, yv = d, d, (y, y)  # all empty when no entry moves
     if moving.size:
         try:
-            lam, v = np.linalg.eig(d[:, None] * sol[moving, 1:])
-            b = np.linalg.solve(v, d * x0[moving])
+            lam, v = np.linalg.eig(d[:, None] * y[partner])
+            # numpy stores each conjugate pair of eigenvectors a +- ib side by
+            # side, Im lam > 0 first. In the real basis of the columns
+            # v (real lam), a and -b, d x0[P] has coordinates w; V^-1 d x0[P]
+            # is then w on a real lam and (w_j + i w_j+1) / 2 on a pair.
+            w = np.linalg.solve(np.where(lam.imag < 0, v.imag, v.real), d * x0[partner])
         except np.linalg.LinAlgError as exc:
             raise SteadyStateError(
                 "steady-state update has no eigenvector basis") from exc
-        yv = sol[:, 1:] @ v
-    del sol  # only x0 and Y V are needed from here on
+        keep = lam.imag >= 0
+        b = (w + 1j * np.where(lam.imag > 0, np.roll(w, -1), 0.0))[keep]
+        lam, v = lam[keep], v[:, keep]
+        yv = y @ v.real, y @ v.imag
+    del y  # only x0 and Y V are needed from here on
 
     # ||L + offset diag(slope)||_F^2
     #   = ||L||_F^2 + 2 offset Re(diag(L)^H slope) + offset^2 ||slope||^2
     norm2 = np.vdot(lio, lio).real
     cross = 2.0 * np.vdot(np.diagonal(lio), slope).real
     slope2 = np.vdot(slope, slope).real
-    out = np.empty((offsets.size, rows.size), dtype=complex)
+    # ||rho||^2 and ||L rho||^2 in real coordinates: u and v count twice
+    weight = np.where(kind, 2.0, 1.0)
+    out = np.empty((offsets.size, rows.size))
     for start in range(0, offsets.size, _OFFSET_BLOCK):
         delta = offsets[start:start + _OFFSET_BLOCK]
         # V^-1 c for every offset
         u = delta / (1.0 + delta * lam[:, None]) * b[:, None]
-        x = x0[:, None] - yv @ u
-        resid = lio @ x
-        resid += slope[:, None] * delta * x
-        residual = np.linalg.norm(resid, axis=0) / (
-            np.sqrt(norm2 + delta * (cross + delta * slope2))
-            * np.linalg.norm(x, axis=0))
+        x = x0[:, None] - (yv[0] @ u.real - yv[1] @ u.imag)
+        resid = form @ x
+        resid[moving] += d[:, None] * delta * x[partner]
+        residual = np.sqrt(weight @ resid**2 / (
+            (norm2 + delta * (cross + delta * slope2)) * (weight @ x**2)))
         failed = np.flatnonzero(~(residual <= _RESIDUAL_TOL))
         if failed.size:
             k = failed[0]
@@ -436,6 +504,16 @@ def _steady_states(lio, slope, offsets, trace, rows) -> np.ndarray:
                 f"{_RESIDUAL_TOL:.0e} (null-space dimension {{}})", x[:, k])
         out[start:start + delta.size] = x[rows].T
     return out
+
+
+def _real_form(lio: np.ndarray, real: tuple) -> np.ndarray:
+    """The real system R of the population block ``lio`` (module docstring)."""
+    _, first, second, kind = real
+    parts = _parts(lio).reshape(-1)
+    form = parts.take(second).reshape(lio.shape)
+    form *= kind
+    form += parts.take(first).reshape(lio.shape)
+    return form
 
 
 def _failure(lio: np.ndarray, template: str, *solutions) -> SteadyStateError:

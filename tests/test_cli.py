@@ -380,6 +380,15 @@ class TestMainErrors:
                                            "must be a file name without a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
+    @pytest.mark.parametrize("name", ["[1, 2]", "12"])
+    def test_basename_that_is_not_a_string_exit_code(self, tmp_path, capsys, name):
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
+                     "--set", f"output_basename={name}"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config: key 'output_basename' must be a string\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
     @pytest.mark.parametrize("outdir", ["taken", "taken/out"])
     def test_unusable_outdir_exit_code(self, tmp_path, capsys, outdir):
         # a file where the directory, or one of its parents, should be

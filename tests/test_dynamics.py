@@ -232,6 +232,7 @@ class TestSteadyState:
         h = build_hamiltonian(scheme, WP10, coupling,
                               stark=stark_shifts(coupling, scheme), b_field=b_field)
         rho = solve_steady_state(build_liouvillian(scheme, h, RelaxationRates()))
+        assert np.array_equal(rho, rho.conj().T)
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -338,15 +339,39 @@ class TestSteadyState:
         assert err.value.null_dim is None
 
     def test_overflowing_solution_raises_without_diagnosis(self):
-        # finite two-level system whose solution overflows:
-        # rho[0, 1] = -1e300 / 1e-10 * rho[0, 0]
+        # finite two-level system, mapping Hermitian rho to Hermitian rho,
+        # whose solution overflows: rho[0, 1] = rho[1, 0] = -1e300 / 1e-10 *
+        # rho[0, 0]
         lio = np.zeros((4, 4), dtype=complex)
-        lio[1, 0], lio[1, 1], lio[2, 2], lio[3, 3] = 1e300, 1e-10, 1.0, 1.0
+        lio[1, 0], lio[2, 0] = 1e300, 1e300
+        lio[1, 1], lio[2, 2], lio[3, 3] = 1e-10, 1e-10, 1.0
         with pytest.raises(SteadyStateError, match="not finite") as err:
             solve_steady_state(lio)
         assert err.value.null_dim is None
         # and the superoperator is handed back unchanged
         assert lio[0].tolist() == [0, 0, 0, 0]
+
+    def test_block_without_transposes_raises(self):
+        # rho[0, 1] is linked to rho[0, 0] but rho[1, 0] is not: the block
+        # {rho00, rho01, rho11} cannot hold a Hermitian rho, and it is not
+        # made to
+        lio = np.zeros((4, 4), dtype=complex)
+        lio[1, 0], lio[1, 1], lio[2, 2], lio[3, 3] = 1e300, 1e-10, 1.0, 1.0
+        with pytest.raises(SteadyStateError,
+                           match="not closed under transposition") as err:
+            solve_steady_state(lio)
+        assert err.value.null_dim is None
+
+    def test_non_hermitian_map_raises(self):
+        # a block closed under transposition whose entries break the
+        # symmetry L[flip r, flip c] = conj(L[r, c]) is not solved either
+        lio = default_lio()
+        n = len(SCHEME.sublevels)
+        coherence = next(k for k in population_block(lio) if k % (n + 1))
+        lio[coherence, coherence] += 1e-3 * np.abs(lio).max()
+        with pytest.raises(SteadyStateError, match="Hermitian rho to Hermitian") as err:
+            solve_steady_state(lio)
+        assert err.value.null_dim is None
 
     def test_superoperator_is_not_modified(self):
         lio = default_lio()
@@ -558,6 +583,78 @@ class TestBlockAssembly:
         assert np.array_equal(block, population_block(full))
         assert np.array_equal(dynamics._assemble(tables, h, rates).view(float),
                               full[np.ix_(block, block)].view(float))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme_id=st.sampled_from(["sigma_f2", "pi_f2", "sigma_f1"]),
+        polarization=st.sampled_from([LINEAR, SIGMA_MINUS, SIGMA_PLUS]),
+        probe_mhz=st.just(0.0) | st.floats(0.1, 40.0),
+        coupling_mhz=st.just(0.0) | st.floats(0.1, 150.0),
+        b_gauss=st.sampled_from([0.0, -30.0, 30.0]) | st.floats(-30.0, 30.0),
+        stark=st.booleans(),
+        rates=lindblad_rates(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_has_real_coordinates(
+        self, scheme_id, polarization, probe_mhz, coupling_mhz, b_gauss, stark,
+        rates, seed,
+    ):
+        cfg = ScenarioConfig(
+            scheme_id=scheme_id, probe_polarization=polarization,
+            probe_rabi=probe_mhz * MHZ, coupling_rabi=coupling_mhz * MHZ,
+            b_field=b_gauss * 1e-4, stark_enabled=stark, rates=rates)
+        scheme = cfg.scheme()
+        h = build_hamiltonian(scheme, cfg.probe_drive(0.0), cfg.coupling_drive(),
+                              cfg.stark(scheme), cfg.b_field)
+        tables = dynamics._block_tables(scheme, h, rates)
+        n = len(scheme.sublevels)
+        # the block holds the transpose of each of its elements
+        t = tables.real[0]
+        rows, cols = np.divmod(tables.index, n)
+        assert np.array_equal(tables.index[t], cols * n + rows)
+        # and maps Hermitian rho to Hermitian rho, up to the rounding of the
+        # decay products gamma a1 a2
+        lio = dynamics._assemble(tables, h, rates)
+        assert np.abs(lio[np.ix_(t, t)] - lio.conj()).max() <= 1e-15 * np.abs(lio).max()
+        # R x holds the real coordinates of L rho, rho the Hermitian rho of x
+        x = np.random.default_rng(seed).standard_normal(t.size)
+        u = np.flatnonzero(t > np.arange(t.size))
+        rho = x.astype(complex)
+        rho[u] += 1j * x[t[u]]
+        rho[t[u]] = rho[u].conj()
+        want = (lio @ rho).real
+        want[t[u]] = (lio @ rho)[u].imag
+        got = dynamics._real_form(lio, tables.real) @ x
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(lio).max() * np.abs(x).max()
+
+    def test_real_kernels_do_the_work(self, monkeypatch):
+        # counts, never timings: the per-point sweep diagonalizes one real
+        # 30 x 30 update, every system it solves is real, and a
+        # fixed-population sweep diagonalizes nothing
+        eigs, solves = [], []
+        eig, solve = np.linalg.eig, np.linalg.solve
+
+        def counted_eig(a):
+            eigs.append((a.dtype.name, a.shape))
+            return eig(a)
+
+        def counted_solve(a, b):
+            solves.append((a.dtype.name, a.shape))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        scenarios.sweep_probe_detuning(
+            ScenarioConfig(b_field=10e-4, population_policy="per_point"))
+        assert eigs == [("float64", (30, 30))]
+        # x0 on its own, then the update's columns; and no complex solve
+        assert [dtype for dtype, shape in solves if shape == (85, 85)] == ["float64"] * 2
+        assert {dtype for dtype, shape in solves} == {"float64"}
+        eigs.clear()
+        solves.clear()
+        scenarios.sweep_probe_detuning(ScenarioConfig(b_field=10e-4))
+        assert eigs == []
+        assert [dtype for dtype, shape in solves if shape == (85, 85)] == ["float64"]
 
     def test_populations_match_the_whole_superoperator(self):
         offsets = [0.0, TWO_PI * 3e6, -TWO_PI * 11e6]
