@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -539,29 +540,35 @@ def _parts(a) -> np.ndarray:
 
 
 def pathway_denominator(
-    p: ProbePathway,
+    paths: Sequence[ProbePathway],
     probe_detuning,
     coupling_detuning: float,
     rates: RelaxationRates,
     b_field: float = 0.0,
-):
-    """Dressed line denominator of one probe pathway for an atom at rest,
+) -> np.ndarray:
+    """Dressed line denominators of probe pathways for an atom at rest,
 
         gamma_ca - i Delta1 + (|Omega_c|^2/4) / (gamma_ba - i Delta2),
 
     with Delta1 the one-photon and Delta2 the two-photon detuning, the
     partner's light shift and the Zeeman offsets of ``b_field`` (tesla)
     folded in. A pathway with no coupling partner drops the EIT term.
-    ``probe_detuning`` may be an array; the result then has its shape.
+    The result has one row per pathway in ``paths``, each of the shape of
+    ``probe_detuning`` (a number or an array).
     """
-    z_g = zeeman_shift(p.ground, b_field)
-    z_e = zeeman_shift(p.excited, b_field)
-    denom = rates.gamma_ca - 1j * (probe_detuning - (z_e - z_g))
-    if p.partner is not None and p.coupling_rabi != 0.0:
-        z_b = zeeman_shift(p.partner, b_field)
-        two_photon = probe_detuning - coupling_detuning + p.stark_shift + z_g - z_b
-        eit = abs(p.coupling_rabi) ** 2 / 4.0
-        denom = denom + eit / (rates.gamma_ba - 1j * two_photon)
+    dets = np.asarray(probe_detuning, dtype=float)
+    column = (-1,) + (1,) * dets.ndim  # one entry per pathway
+    z_g = np.reshape([zeeman_shift(p.ground, b_field) for p in paths], column)
+    z_e = np.reshape([zeeman_shift(p.excited, b_field) for p in paths], column)
+    denom = rates.gamma_ca - 1j * (dets - (z_e - z_g))
+    dressed = [i for i, p in enumerate(paths)
+               if p.partner is not None and p.coupling_rabi != 0.0]
+    lambdas = [paths[i] for i in dressed]
+    z_b = np.reshape([zeeman_shift(p.partner, b_field) for p in lambdas], column)
+    stark = np.reshape([p.stark_shift for p in lambdas], column)
+    eit = np.reshape([abs(p.coupling_rabi) ** 2 / 4.0 for p in lambdas], column)
+    two_photon = dets - coupling_detuning + stark + z_g[dressed] - z_b
+    denom[dressed] += eit / (rates.gamma_ba - 1j * two_photon)
     return denom
 
 

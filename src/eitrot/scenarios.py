@@ -5,10 +5,11 @@ A sweep has two stages. The atom stage resolves a ScenarioConfig into
 everything the cell temperature does not change: the level scheme, field
 drives, light shifts, steady-state populations and probe pathways. The
 medium stage takes the Doppler width and density from the temperature and
-evaluates the susceptibilities, angle and metadata; a temperature scan
-resolves the atom once and runs the medium stage per temperature. The probe
-pathways do not depend on the probe detuning, so one set serves the whole
-grid, whose susceptibilities come from one closed-form evaluation. The
+evaluates the susceptibilities, angle and metadata of a stack of sweeps on
+one grid: a power scan runs one atom stage per power, a temperature scan
+one in all, and either one medium stage for the whole scan. The probe
+pathways do not depend on the probe detuning, so one set serves a sweep's
+grid, and the sweeps of a stack share one closed-form kernel call. The
 detection chain runs on those arrays only when a detector trace is written
 (``SweepResult.signals``).
 Ground-state populations follow one of two policies: the default solves the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -292,9 +293,19 @@ def steady_populations(cfg: ScenarioConfig) -> dict:
     return {s: float(v[0]) for s, v in pops.items()}
 
 
-def _atom_stage(cfg: ScenarioConfig) -> Callable[[MediumParams], SweepResult]:
-    """Resolve everything of a sweep that the cell temperature and density
-    leave unchanged, and return the medium stage: the sweep in a medium."""
+@dataclass(frozen=True)
+class _Atom:
+    """What the atom stage of a sweep resolves: everything that the cell
+    temperature and density leave unchanged."""
+
+    cfg: ScenarioConfig
+    detunings: np.ndarray
+    paths: tuple[list, list]  # probe pathways, sigma-minus then sigma-plus
+    populations: dict  # ground sublevel -> occupation, or one per detuning
+    metadata: dict  # the sweep's metadata without the medium
+
+
+def _atom_stage(cfg: ScenarioConfig) -> _Atom:
     scheme = cfg.scheme()
     coupling = cfg.coupling_drive()
     stark = cfg.stark(scheme)
@@ -312,37 +323,62 @@ def _atom_stage(cfg: ScenarioConfig) -> Callable[[MediumParams], SweepResult]:
     probe = cfg.probe_drive(cfg.coupling_detuning)
     paths = [probe_pathways(scheme, probe, coupling, component, stark)
              for component in (SIGMA_MINUS, SIGMA_PLUS)]
+    return _Atom(cfg, dets, (*paths,), pops, {
+        "scheme": cfg.scheme_id,
+        "populations": {scheme.label(s): v for s, v in meta_pops.items()},
+        "population_policy": cfg.population_policy,
+        "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
+    })
 
-    def in_medium(medium: MediumParams) -> SweepResult:
-        chi_m, chi_p = susceptibility_arrays(
-            *paths, dets, coupling, cfg.rates, pops, medium, cfg.b_field)
+
+# Most pathway x detuning elements that one kernel call evaluates (a complex
+# temporary of 128 KB). A larger stack is slower: the working set of the
+# Faddeeva kernel leaves the cache.
+_STACK_ELEMENTS = 8192
+
+
+def _medium_stage(pairs: Iterable[tuple[_Atom, MediumParams]]) -> Iterator[SweepResult]:
+    """The sweep of each (atom, medium) pair, in order; the atoms share one
+    grid. Consecutive pairs share one kernel call while it holds at most
+    ``_STACK_ELEMENTS`` elements (a pair above that runs alone), and the
+    pairs are taken, and the sweeps given, one kernel call at a time."""
+    group, size = [], 0
+    for atom, medium in pairs:
+        n = (len(atom.paths[0]) + len(atom.paths[1])) * atom.detunings.size
+        if group and size + n > _STACK_ELEMENTS:
+            yield from _stacked_sweeps(group)
+            group, size = [], 0
+        group.append((atom, medium))
+        size += n
+    if group:
+        yield from _stacked_sweeps(group)
+
+
+def _stacked_sweeps(group: list[tuple[_Atom, MediumParams]]) -> Iterator[SweepResult]:
+    first = group[0][0]
+    chis = susceptibility_arrays(
+        [(*atom.paths, atom.populations, medium) for atom, medium in group],
+        first.detunings, first.cfg.coupling_detuning, first.cfg.rates,
+        first.cfg.b_field)
+    for (atom, medium), (chi_m, chi_p) in zip(group, chis):
         bad = np.count_nonzero(~(np.isfinite(chi_m) & np.isfinite(chi_p)))
         if bad:
             raise NumericError(f"susceptibility not finite at {bad} of "
-                               f"{dets.size} detunings")
+                               f"{atom.detunings.size} detunings")
 
         pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
-        metadata = {
-            "scheme": cfg.scheme_id,
-            "populations": {scheme.label(s): v for s, v in meta_pops.items()},
-            "population_policy": cfg.population_policy,
-            "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
-            "density_m3": medium.density,
-            "temperature_k": medium.temperature,
-            "v_width_ms": medium.v_width,
-        }
-        return SweepResult(detunings=dets, pair=pair, medium=medium,
-                           phi_exact=rotation_angle(pair, medium).exact,
-                           metadata=metadata)
-
-    return in_medium
+        metadata = {**atom.metadata, "density_m3": medium.density,
+                    "temperature_k": medium.temperature, "v_width_ms": medium.v_width}
+        yield SweepResult(detunings=atom.detunings, pair=pair, medium=medium,
+                          phi_exact=rotation_angle(pair, medium).exact,
+                          metadata=metadata)
 
 
 def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     """One detuning sweep: the medium stage of its atom stage. The medium is
     built first, so that one that cannot be built fails before any solve."""
     medium = cfg.medium()
-    return _atom_stage(cfg)(medium)
+    return next(_medium_stage([(_atom_stage(cfg), medium)]))
 
 
 def find_dispersion_peaks(result: SweepResult) -> PeakPair:
@@ -390,15 +426,18 @@ def check_powers(powers: Sequence[float]) -> None:
 def sweep_coupling_power(
     cfg: ScenarioConfig, powers: Sequence[float]
 ) -> list[tuple[float, float, PeakPair]]:
-    """Per-power dispersion peaks: (power W, coupling Rabi rad/s, peaks)."""
+    """Per-power dispersion peaks: (power W, coupling Rabi rad/s, peaks).
+
+    The coupling strength enters the atom only, so the medium is built once
+    and one medium stage serves the atoms of every power.
+    """
     check_powers(powers)
-    out = []
-    for p in powers:
-        rabi = rabi_from_power(p, COUPLING)
-        sub = replace(cfg, coupling_rabi=rabi)
-        peaks = find_dispersion_peaks(sweep_probe_detuning(sub))
-        out.append((p, rabi, peaks))
-    return out
+    medium = cfg.medium()
+    rabis = [rabi_from_power(p, COUPLING) for p in powers]
+    results = _medium_stage((_atom_stage(replace(cfg, coupling_rabi=rabi)), medium)
+                            for rabi in rabis)
+    return [(p, rabi, find_dispersion_peaks(result))
+            for p, rabi, result in zip(powers, rabis, results)]
 
 
 def sweep_temperature(
@@ -409,11 +448,12 @@ def sweep_temperature(
     Temperature sets both the vapor density (calibrated curve) and the
     Maxwellian width; an explicit density in ``cfg`` is deliberately
     dropped so each point sits on the curve. Both enter the medium only, so
-    the atom stage runs once for the whole scan.
+    the media are built first, then one atom stage and one medium stage
+    serve the whole scan.
     """
-    in_medium = _atom_stage(cfg)
-    return [(t, in_medium(replace(cfg, temperature=t, density=None).medium()))
-            for t in temps]
+    media = [replace(cfg, temperature=t, density=None).medium() for t in temps]
+    atom = _atom_stage(cfg)
+    return list(zip(temps, _medium_stage((atom, medium) for medium in media)))
 
 
 def eit_transmission(cfg: ScenarioConfig, component: str) -> TransmissionCurve:

@@ -21,10 +21,11 @@ non-negative gamma_ba guarantee (``RelaxationRates`` enforces both). On that
 upper half-plane w is evaluated by Weideman's rational approximation
 (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) with
 N = ``_FADDEEVA_N`` terms, accurate to a few 1e-14 relative. The kernel
-evaluates it for every pathway and probe detuning in one call, and sums the
-partials per circular component into chi- and chi+, hence refractive
-indices, absorption coefficients, and the rotation angle of the linear probe
-polarization.
+evaluates it in one call for every pathway of a stack of sweeps on one
+grid, elementwise (a row per pathway, with its sweep's k V), and sums the
+partials per sweep and circular component into chi- and chi+, hence
+refractive indices, absorption coefficients, and the rotation angle of the
+linear probe polarization.
 
 The mapping from cell temperature to vapor density uses the liquid-phase Rb
 vapor-pressure curve rescaled to pass through a measured anchor point, so
@@ -45,7 +46,6 @@ from .atom import (
     HBAR,
     K_BOLTZMANN,
     RB87_MASS,
-    FieldDrive,
     ProbePathway,
 )
 from .dynamics import RelaxationRates, pathway_denominator
@@ -219,15 +219,17 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     big_z = (_FADDEEVA_L + 1j * z) / lz
     p = np.full_like(big_z, _FADDEEVA_COEFFS[0])
     for c in _FADDEEVA_COEFFS[1:]:
-        p = p * big_z + c
+        p *= big_z
+        p += c
     return (2.0 * p / lz + 1.0 / math.sqrt(math.pi)) / lz
 
 
-def doppler_average(denominator, kv: float):
+def doppler_average(denominator, kv):
     """Maxwellian average of 1/(denominator - i k u), units of 1/denominator.
 
-    ``kv`` is k V; ``denominator`` (complex, any shape) must have a positive
-    real part. See the module docstring for the closed form.
+    ``kv`` is k V, a number or an array that broadcasts against
+    ``denominator`` (complex, any shape), which must have a positive real
+    part. See the module docstring for the closed form.
     """
     return math.sqrt(math.pi) / kv * _faddeeva(1j * np.asarray(denominator) / kv)
 
@@ -239,46 +241,47 @@ def _component_sum(partials: np.ndarray) -> np.ndarray:
 
 
 def susceptibility_arrays(
-    paths_minus: Sequence[ProbePathway],
-    paths_plus: Sequence[ProbePathway],
+    items: Sequence[tuple[Sequence[ProbePathway], Sequence[ProbePathway], dict,
+                          MediumParams]],
     detunings,
-    coupling: FieldDrive,
+    coupling_detuning: float,
     rates: RelaxationRates,
-    populations: dict,
-    medium: MediumParams,
     b_field: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """chi- and chi+ at each probe detuning in ``detunings`` (rad/s), in a
-    longitudinal field ``b_field`` (tesla).
+    longitudinal field ``b_field`` (tesla), for each item
+    ``(paths_minus, paths_plus, populations, medium)``.
 
     ``populations`` maps ground sublevels to occupations, either one number
     per sublevel or one array per sublevel with one entry per detuning.
-    All pathways and detunings share one Faddeeva evaluation.
+    The pathways of all items are the rows of one array over the detunings,
+    each with the k V and density of its item's medium, so one Faddeeva
+    evaluation serves them all.
     """
     dets = np.atleast_1d(np.asarray(detunings, dtype=float))
-    paths = (*paths_minus, *paths_plus)
-    shape = (len(paths), len(dets))
-    kv = medium.wavevector * medium.v_width
+    paths, kv, weights = [], [], []
+    for paths_minus, paths_plus, populations, medium in items:
+        prefactor = 1j * medium.density / (HBAR * EPSILON_0)
+        for p in (*paths_minus, *paths_plus):
+            paths.append(p)
+            kv.append(medium.wavevector * medium.v_width)
+            weights.append(
+                prefactor * p.probe_dipole ** 2 * populations.get(p.ground, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        denominators = np.array([
-            pathway_denominator(p, dets, coupling.detuning, rates, b_field)
-            for p in paths
-        ]).reshape(shape)
+        denominators = pathway_denominator(paths, dets, coupling_detuning, rates,
+                                           b_field)
         # An undamped ground coherence (gamma_ba = 0) at exact two-photon
         # resonance makes the dressed denominator infinite; the average then
         # tends to zero: that pathway is fully transparent.
         factors = np.where(np.isinf(denominators), 0.0,
-                           doppler_average(denominators, kv))
-    prefactor = 1j * medium.density / (HBAR * EPSILON_0)
-    weights = np.array([
-        np.broadcast_to(
-            prefactor * p.probe_dipole ** 2 * populations.get(p.ground, 0.0),
-            dets.shape)
-        for p in paths
-    ]).reshape(shape)
-    partials = weights * factors
-    split = len(paths_minus)
-    return _component_sum(partials[:split]), _component_sum(partials[split:])
+                           doppler_average(denominators, np.reshape(kv, (-1, 1))))
+    partials = np.empty(factors.shape, dtype=complex)
+    for row, weight in zip(partials, weights):  # a number, or one per detuning
+        row[:] = weight
+    partials *= factors
+    ends = np.cumsum([len(side) for item in items for side in item[:2]])
+    sums = [_component_sum(part) for part in np.split(partials, ends[:-1])]
+    return list(zip(sums[::2], sums[1::2]))
 
 
 def rotation_angle(pair: SusceptibilityPair, medium: MediumParams) -> RotationAngle:

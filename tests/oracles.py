@@ -34,9 +34,10 @@ def analytic_coherences(populations, scheme, probe, coupling, rates, stark=NO_ST
     """
     out = {}
     for component in probe.components():
-        for p in probe_pathways(scheme, probe, coupling, component, stark):
-            denom = pathway_denominator(p, probe.detuning, coupling.detuning, rates,
-                                         b_field)
+        paths = probe_pathways(scheme, probe, coupling, component, stark)
+        denoms = pathway_denominator(paths, probe.detuning, coupling.detuning, rates,
+                                     b_field)
+        for p, denom in zip(paths, denoms):
             rho_gg = populations.get(p.ground, 0.0)
             value = 0.5j * p.probe_rabi * rho_gg / denom
             out[(scheme.label(p.excited), scheme.label(p.ground))] = value
@@ -50,10 +51,11 @@ def susceptibility_pair(scheme, probe, coupling, rates, populations, medium,
     ``populations`` maps ground sublevels to steady-state occupations; they
     multiply the pathway partials and are treated as velocity-independent.
     """
-    chi_minus, chi_plus = susceptibility_arrays(
-        probe_pathways(scheme, probe, coupling, SIGMA_MINUS, stark),
-        probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark),
-        probe.detuning, coupling, rates, populations, medium,
+    [(chi_minus, chi_plus)] = susceptibility_arrays(
+        [(probe_pathways(scheme, probe, coupling, SIGMA_MINUS, stark),
+          probe_pathways(scheme, probe, coupling, SIGMA_PLUS, stark),
+          populations, medium)],
+        probe.detuning, coupling.detuning, rates,
     )
     return SusceptibilityPair.from_chis(chi_minus[0], chi_plus[0], medium)
 

@@ -64,6 +64,30 @@ EIT_CFG = ScenarioConfig(
 )
 
 
+SCAN_POWERS = [6e-3, 8e-3, 10e-3, 12e-3, 15e-3]  # W, the CLI's default scan
+
+
+def power_scan_sweeps(cfg, powers, monkeypatch):
+    """The rows of a power scan and the sweeps they were found in."""
+    results = []
+
+    def record(result):
+        results.append(result)
+        return find_dispersion_peaks(result)
+
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "find_dispersion_peaks", record)
+        rows = sweep_coupling_power(cfg, powers)
+    return rows, results
+
+
+def assert_same_sweep(a, b):
+    assert np.array_equal(a.pair.chi_minus, b.pair.chi_minus)
+    assert np.array_equal(a.pair.chi_plus, b.pair.chi_plus)
+    assert np.array_equal(a.phi_exact, b.phi_exact)
+    assert a.metadata == b.metadata
+
+
 def synthetic_sweep(phi, detunings, coupling_detuning_mhz=0.0):
     return SweepResult(
         detunings=np.asarray(detunings, dtype=float), pair=None, medium=None,
@@ -313,6 +337,50 @@ class TestScans:
             assert np.array_equal(result.pair.chi_plus, alone.pair.chi_plus)
             assert np.array_equal(result.phi_exact, alone.phi_exact)
             assert result.metadata == alone.metadata
+
+    @pytest.mark.parametrize("b_field", [0.0, 10e-4])
+    @pytest.mark.parametrize("policy", ["fixed", "per_point"])
+    def test_power_scan_equals_independent_sweeps(self, policy, b_field, monkeypatch):
+        # the coupling strength enters the atom only, so one medium stage
+        # for every power changes no bit of any sweep
+        cfg = replace(FIG_CFG, points=41, b_field=b_field, population_policy=policy)
+        rows, results = power_scan_sweeps(cfg, SCAN_POWERS, monkeypatch)
+        for (_, rabi, peaks), result in zip(rows, results):
+            alone = sweep_probe_detuning(replace(cfg, coupling_rabi=rabi))
+            assert_same_sweep(result, alone)
+            assert peaks == find_dispersion_peaks(alone)
+
+    def test_scans_split_at_the_element_budget_are_unchanged(self, monkeypatch):
+        cfg = replace(FIG_CFG, points=41, b_field=10e-4, population_policy="per_point")
+        temps = [318.15, 328.15, 338.15]
+        whole = (power_scan_sweeps(cfg, SCAN_POWERS, monkeypatch)[1],
+                 sweep_temperature(cfg, temps))
+        monkeypatch.setattr(scenarios, "_STACK_ELEMENTS", 1)
+        split = (power_scan_sweeps(cfg, SCAN_POWERS, monkeypatch)[1],
+                 sweep_temperature(cfg, temps))
+        for a, b in zip(whole[0], split[0]):
+            assert_same_sweep(a, b)
+        for (_, a), (_, b) in zip(whole[1], split[1]):
+            assert_same_sweep(a, b)
+
+    @pytest.mark.parametrize("scan, points, calls", [
+        ("power", 161, 1), ("temperature", 161, 1), ("power", 1201, 5),
+        ("spectrum", 1201, 1)])
+    def test_kernel_calls_per_scan(self, scan, points, calls, monkeypatch):
+        # a scan stacks its sweeps into one kernel call while they fit the
+        # element budget: 5 x 6 x 161 elements do, two 6 x 1201 do not
+        count = []
+        kernel = scenarios.susceptibility_arrays
+        monkeypatch.setattr(scenarios, "susceptibility_arrays",
+                            lambda *args: count.append(1) or kernel(*args))
+        cfg = ScenarioConfig(points=points)
+        if scan == "power":
+            sweep_coupling_power(cfg, SCAN_POWERS)
+        elif scan == "temperature":
+            sweep_temperature(cfg, [318.15, 328.15, 338.15])
+        else:
+            sweep_probe_detuning(cfg)
+        assert len(count) == calls
 
     def test_a_seen_pattern_is_not_assembled_whole(self, monkeypatch):
         # the whole superoperator is assembled once per scheme and nonzero

@@ -47,8 +47,9 @@ def probe_at(det, rabi=TWO_PI * 10e6):
 
 def doppler_factor(path, probe, coupling, rates, medium):
     """Velocity average of one pathway's denominator, read back from chi."""
-    chi_minus, _ = susceptibility_arrays((path,), (), probe.detuning, coupling,
-                                         rates, {path.ground: 1.0}, medium)
+    [(chi_minus, _)] = susceptibility_arrays(
+        [((path,), (), {path.ground: 1.0}, medium)], probe.detuning,
+        coupling.detuning, rates)
     prefactor = 1j * medium.density / (HBAR * EPSILON_0)
     return complex(chi_minus[0]) / (prefactor * path.probe_dipole ** 2)
 
@@ -204,8 +205,8 @@ class TestFaddeevaKernel:
         for gamma_ba in (0.0, 1e-30):
             with np.errstate(**self.STRICT):
                 chis[gamma_ba] = susceptibility_arrays(
-                    *paths, dets, coupling, RelaxationRates(gamma_ba=gamma_ba),
-                    pops, medium)
+                    [(*paths, pops, medium)], dets, coupling.detuning,
+                    RelaxationRates(gamma_ba=gamma_ba))[0]
         chi_minus, chi_plus = chis[0.0]
         assert np.isfinite(chi_minus).all()
         assert np.array_equal(chi_minus, chi_plus)
@@ -271,8 +272,8 @@ class TestSusceptibility:
                  for c in (SIGMA_MINUS, SIGMA_PLUS)]
         scale = np.linspace(0.5, 1.5, len(dets))
         pops = {s: v * scale for s, v in self.pops.items()}
-        chi_m, chi_p = susceptibility_arrays(*paths, dets, WC80, self.rates,
-                                             pops, self.medium)
+        [(chi_m, chi_p)] = susceptibility_arrays(
+            [(*paths, pops, self.medium)], dets, WC80.detuning, self.rates)
         for i, det in enumerate(dets):
             pair = susceptibility_pair(
                 SCHEME, probe_at(det), WC80, self.rates,
