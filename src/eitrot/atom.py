@@ -19,7 +19,10 @@ excited 5P1/2 hyperfine manifold. Three scheme variants are supported:
 
 All angular frequencies are rad/s. Transition amplitudes are the D1 line's
 closed forms in decay normalization (squares sum to one per excited sublevel
-over both ground manifolds), see :func:`decay_amplitude`.
+over both ground manifolds), see :func:`decay_amplitude`. The lines each
+drive drives are read from the table once per scheme_id, role and
+polarization and cached: transitions, amplitudes and norms only, nothing
+that depends on a Rabi frequency, a detuning, a field or a rate.
 """
 
 from __future__ import annotations
@@ -179,17 +182,36 @@ class LevelScheme:
         return tuple(t for t in self.transitions if t.upper == upper and t.cg != 0.0)
 
     def driven_transitions(self, drive: FieldDrive) -> tuple[Transition, ...]:
-        manifold = GROUND_F1 if drive.which == PROBE else GROUND_F2
-        pols = drive.components()
-        return tuple(
-            t for t in self.transitions
-            if t.lower.manifold == manifold and t.polarization in pols
-        )
+        return _drive_lines(self, drive.which, drive.polarization)[0]
 
     def cg_norm(self, drive: FieldDrive) -> float:
-        cgs = [abs(t.cg) for t in self.driven_transitions(drive)]
-        top = max(cgs, default=0.0)
-        return top if top > 0.0 else 1.0
+        return _drive_lines(self, drive.which, drive.polarization)[1]
+
+
+# Drive lines by (scheme_id, role, polarization). The key holds the
+# scheme_id, not the scheme, whose hash is slow.
+_LINES: dict = {}
+
+
+def _drive_lines(scheme: LevelScheme, which: str, polarization: str) -> tuple:
+    """(lines by ground m, their largest |cg| or 1.0 if none, the first line
+    into each excited sublevel, the far amplitudes of ``stark_shifts``)."""
+    if (lines := _LINES.get(key := (scheme.scheme_id, which, polarization))) is None:
+        lines = _LINES[key] = _resolve_lines(scheme, FieldDrive(which, polarization, 0.0))
+    return lines
+
+
+def _resolve_lines(scheme: LevelScheme, drive: FieldDrive) -> tuple:
+    manifold = GROUND_F1 if drive.which == PROBE else GROUND_F2
+    pols = drive.components()
+    lines = sorted((t for t in scheme.transitions if t.lower.manifold == manifold
+                    and t.polarization in pols), key=lambda t: t.lower.m)
+    top = max((abs(t.cg) for t in lines), default=0.0)
+    # amplitude of each F=2 sublevel toward the far F'=1 level a coupling drives
+    far = {s.m: decay_amplitude(s.f, s.m, 1, s.m + _POL_DELTA_M[drive.polarization])
+           for s in scheme.ground() if s.manifold == GROUND_F2 and drive.which == COUPLING}
+    return (tuple(lines), top if top > 0.0 else 1.0,
+            {t.upper: t for t in reversed(lines)}, far)
 
 
 # Signed hyperfine factor of each D1 line, keyed (F, F'): the Racah
@@ -280,16 +302,10 @@ def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> StarkShifts:
     """
     if scheme.far_level_detuning is None or coupling.which != COUPLING:
         return NO_STARK
-    dm = _POL_DELTA_M[coupling.polarization]
-    norm = scheme.cg_norm(coupling)
-    shifts = {}
-    for s in scheme.ground():
-        if s.manifold != GROUND_F2:
-            continue
-        amp = decay_amplitude(s.f, s.m, 1, s.m + dm)
-        omega = coupling.rabi_scale * amp / norm
-        shifts[s.m] = abs(omega) ** 2 / (4.0 * scheme.far_level_detuning)
-    return StarkShifts(shifts=shifts)
+    _, norm, _, far = _drive_lines(scheme, COUPLING, coupling.polarization)
+    return StarkShifts(shifts={
+        m: abs(coupling.rabi_scale * amp / norm) ** 2 / (4.0 * scheme.far_level_detuning)
+        for m, amp in far.items()})
 
 
 def rabi_from_power(power: float, which: str) -> float:
@@ -331,14 +347,11 @@ def probe_pathways(
         raise ValueError("component must be a circular polarization")
     if component not in probe.components():
         return ()
-    restricted = FieldDrive(PROBE, component, probe.rabi_scale, probe.detuning)
     probe_norm = scheme.cg_norm(probe)
-    coupling_norm = scheme.cg_norm(coupling)
-    partners = {}  # excited sublevel -> the first coupling line into it
-    for ct in scheme.driven_transitions(coupling):
-        partners.setdefault(ct.upper, ct)
+    _, coupling_norm, partners, _ = _drive_lines(scheme, coupling.which,
+                                                 coupling.polarization)
     pathways = []
-    for t in sorted(scheme.driven_transitions(restricted), key=lambda t: t.lower.m):
+    for t in _drive_lines(scheme, PROBE, component)[0]:
         partner = None
         coupling_rabi = 0.0
         if (ct := partners.get(t.upper)) is not None:

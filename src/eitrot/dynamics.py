@@ -52,8 +52,9 @@ v entries of x and of R x count twice: |rho_u|^2 + |rho_v|^2 =
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -136,8 +137,12 @@ class SteadyStateError(RuntimeError):
         self.null_dim = null_dim
 
 
-def level_index(scheme: LevelScheme) -> dict[Sublevel, int]:
-    return {s: i for i, s in enumerate(scheme.sublevels)}
+def level_index(scheme: LevelScheme) -> Mapping[Sublevel, int]:
+    """Position of each sublevel, built once per scheme_id, read-only."""
+    if (idx := _LEVELS.get(scheme.scheme_id)) is None:
+        idx = _LEVELS[scheme.scheme_id] = types.MappingProxyType(
+            {s: i for i, s in enumerate(scheme.sublevels)})
+    return idx
 
 
 def build_hamiltonian(
@@ -188,6 +193,7 @@ def build_liouvillian(
 # scheme_id, of its population block by (scheme_id, bytes of h != 0). Keys
 # hold the scheme_id, not the scheme, whose hash is slow.
 _SCATTERS: dict = {}
+_LEVELS: dict = {}  # level_index, by scheme_id for the same reason
 
 
 @dataclass(frozen=True)
@@ -197,10 +203,10 @@ class _Scatter:
     population among them), as flat positions [0] in that m x m matrix: -i h
     and +i h (``minus``, ``plus``) from the flat entries [1] of h, the rate
     ``classes`` of ``index`` on the diagonal, the decay ``inflow`` with its two
-    amplitudes [1] and [2], and transit among the ``grounds``. The positions
-    of the ``populations``, the ``slope`` on ``index`` and, for a population
-    block, its ``real`` coordinates (``_real_coordinates``) serve the
-    solver."""
+    amplitudes [1] and [2], and transit among the ``grounds`` (``transit``
+    is their ``np.ix_``). The positions of the ``populations``, the
+    ``slope`` on ``index`` and, for a population block, its ``real``
+    coordinates (``_real_coordinates``) serve the solver."""
 
     index: np.ndarray
     minus: tuple
@@ -208,6 +214,7 @@ class _Scatter:
     classes: np.ndarray
     inflow: tuple
     grounds: np.ndarray
+    transit: tuple
     populations: np.ndarray
     slope: np.ndarray
     real: tuple = ()
@@ -254,10 +261,11 @@ def _scatter_tables(scheme: LevelScheme, index: np.ndarray) -> _Scatter:
     # superoperator diagonal and changes nothing else.
     s = np.where(manifold == GROUND_F1, 0.0, -1.0)
     slope = -1j * (s[:, None] - s).reshape(-1)
+    grounds = at[np.flatnonzero(~exc) * (n + 1)]
     return _Scatter(
         index, place(i * n + k, j * n + k, i * n + j),
         place(i * n + k, i * n + j, j * n + k), classes[index], inflow,
-        at[np.flatnonzero(~exc) * (n + 1)], np.flatnonzero(index % (n + 1) == 0),
+        grounds, np.ix_(grounds, grounds), np.flatnonzero(index % (n + 1) == 0),
         slope[index])
 
 
@@ -308,7 +316,7 @@ def _assemble(t: _Scatter, h: np.ndarray, rates: RelaxationRates) -> np.ndarray:
     at, amp1, amp2 = t.inflow
     flat[at] += rates.gamma * amp1 * amp2
     lio[t.grounds, t.grounds] -= rates.gamma_transit
-    lio[np.ix_(t.grounds, t.grounds)] += rates.gamma_transit / t.grounds.size
+    lio[t.transit] += rates.gamma_transit / t.grounds.size
     return lio
 
 
@@ -406,9 +414,9 @@ def _block_tables(scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates) ->
     return tables
 
 
-# Offsets per batch in ``_steady_states``: each temporary then holds 32
+# Offsets per batch in ``_steady_states``: each temporary then holds 128
 # solution columns of the population block.
-_OFFSET_BLOCK = 32
+_OFFSET_BLOCK = 128
 
 
 def _side(lio: np.ndarray) -> int:
@@ -437,10 +445,11 @@ def _steady_states(lio, slope, real, offsets, rows) -> np.ndarray:
     V^-1 c = offset / (1 + offset lam) * V^-1 (d x0[P]), and
     x = x0 - Re((Y V) (V^-1 c)), keeping of each conjugate pair of eigenpairs
     the one with Im lam > 0, weighted by 2. Every factorization and matrix
-    product is real. With every offset zero, J is empty. Each solution must
-    pass the residual test of ``solve_steady_state`` on its own unmodified
-    superoperator (a badly conditioned V would show there), whose Frobenius
-    norm follows in closed form from the diagonal.
+    product is real. When no offset moves an entry (every offset zero), J is
+    empty and x0 is every solution. Each solution must pass the residual
+    test of ``solve_steady_state`` on its own unmodified superoperator (a
+    badly conditioned V would show there), whose Frobenius norm follows in
+    closed form from the diagonal.
     """
     m = lio.shape[0]
     offsets = np.asarray(offsets, dtype=float)
@@ -460,31 +469,36 @@ def _steady_states(lio, slope, real, offsets, rows) -> np.ndarray:
             lio, "steady-state system is singular (null-space dimension {}); "
             "no unique stationary density matrix") from exc
     _check_finite(x0, y)
-    lam, b, yv = d, d, (y, y)  # all empty when no entry moves
-    if moving.size:
-        try:
-            lam, v = np.linalg.eig(d[:, None] * y[partner])
-            # numpy stores each conjugate pair of eigenvectors a +- ib side by
-            # side, Im lam > 0 first. In the real basis of the columns
-            # v (real lam), a and -b, d x0[P] has coordinates w; V^-1 d x0[P]
-            # is then w on a real lam and (w_j + i w_j+1) / 2 on a pair.
-            w = np.linalg.solve(np.where(lam.imag < 0, v.imag, v.real), d * x0[partner])
-        except np.linalg.LinAlgError as exc:
-            raise SteadyStateError(
-                "steady-state update has no eigenvector basis") from exc
-        keep = lam.imag >= 0
-        b = (w + 1j * np.where(lam.imag > 0, np.roll(w, -1), 0.0))[keep]
-        lam, v = lam[keep], v[:, keep]
-        yv = y @ v.real, y @ v.imag
+    # ||rho||^2 and ||L rho||^2 in real coordinates: u and v count twice
+    weight = np.where(kind, 2.0, 1.0)
+    norm2 = np.vdot(lio, lio).real
+    if not moving.size:
+        x = x0[:, None]
+        resid = form @ x
+        residual = np.sqrt(weight @ resid**2 / (norm2 * (weight @ x**2)))[0]
+        if not residual <= _RESIDUAL_TOL:
+            raise _residual_failure(lio, residual, x0)
+        return np.tile(x0[rows], (offsets.size, 1))
+    try:
+        lam, v = np.linalg.eig(d[:, None] * y[partner])
+        # numpy stores each conjugate pair of eigenvectors a +- ib side by
+        # side, Im lam > 0 first. In the real basis of the columns
+        # v (real lam), a and -b, d x0[P] has coordinates w; V^-1 d x0[P]
+        # is then w on a real lam and (w_j + i w_j+1) / 2 on a pair.
+        w = np.linalg.solve(np.where(lam.imag < 0, v.imag, v.real), d * x0[partner])
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError(
+            "steady-state update has no eigenvector basis") from exc
+    keep = lam.imag >= 0
+    b = (w + 1j * np.where(lam.imag > 0, np.roll(w, -1), 0.0))[keep]
+    lam, v = lam[keep], v[:, keep]
+    yv = y @ v.real, y @ v.imag
     del y  # only x0 and Y V are needed from here on
 
     # ||L + offset diag(slope)||_F^2
     #   = ||L||_F^2 + 2 offset Re(diag(L)^H slope) + offset^2 ||slope||^2
-    norm2 = np.vdot(lio, lio).real
     cross = 2.0 * np.vdot(np.diagonal(lio), slope).real
     slope2 = np.vdot(slope, slope).real
-    # ||rho||^2 and ||L rho||^2 in real coordinates: u and v count twice
-    weight = np.where(kind, 2.0, 1.0)
     out = np.empty((offsets.size, rows.size))
     for start in range(0, offsets.size, _OFFSET_BLOCK):
         delta = offsets[start:start + _OFFSET_BLOCK]
@@ -500,11 +514,14 @@ def _steady_states(lio, slope, real, offsets, rows) -> np.ndarray:
             k = failed[0]
             shifted = lio.copy()
             shifted.reshape(-1)[:: m + 1] += delta[k] * slope
-            raise _failure(
-                shifted, f"steady-state residual {residual[k]:.2e} exceeds "
-                f"{_RESIDUAL_TOL:.0e} (null-space dimension {{}})", x[:, k])
+            raise _residual_failure(shifted, residual[k], x[:, k])
         out[start:start + delta.size] = x[rows].T
     return out
+
+
+def _residual_failure(lio, residual, x) -> SteadyStateError:
+    return _failure(lio, f"steady-state residual {residual:.2e} exceeds "
+                    f"{_RESIDUAL_TOL:.0e} (null-space dimension {{}})", x)
 
 
 def _real_form(lio: np.ndarray, real: tuple) -> np.ndarray:
@@ -529,7 +546,7 @@ def _failure(lio: np.ndarray, template: str, *solutions) -> SteadyStateError:
 def _check_finite(*arrays) -> None:
     """Raise unless every array is finite: a non-finite superoperator or
     solution leaves no null space for the SVD to size (it fails on NaN)."""
-    if not all(np.isfinite(_parts(a)).all() for a in arrays):
+    if not all(np.isfinite(_parts(a) if np.iscomplexobj(a) else a).all() for a in arrays):
         raise SteadyStateError("steady-state superoperator or solution is not finite")
 
 

@@ -9,16 +9,19 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitrot import dynamics, scenarios
+from eitrot import atom, dynamics, scenarios
 from eitrot.atom import (
     COUPLING,
     LINEAR,
+    NO_STARK,
     PROBE,
+    SCHEME_IDS,
     SIGMA_MINUS,
     SIGMA_PLUS,
     TWO_PI,
     FieldDrive,
     build_level_scheme,
+    coupling_polarization,
     probe_pathways,
     stark_shifts,
 )
@@ -33,7 +36,7 @@ from eitrot.dynamics import (
     population_block,
     solve_steady_state,
 )
-from eitrot.scenarios import ScenarioConfig, steady_populations
+from eitrot.scenarios import ScenarioConfig, steady_populations, sweep_coupling_power
 from oracles import (
     analytic_coherences,
     dense_steady_state,
@@ -106,6 +109,63 @@ class TestHamiltonian:
         assert hop("c5", "a3") == pytest.approx(hop("c1", "a1"))
         assert hop("c3", "a3") / hop("c1", "a1") == pytest.approx(
             1.0 / math.sqrt(6), rel=1e-12)
+
+
+class TestPerSchemeCaches:
+    """The drive lines (``atom``) and the level index (``dynamics``) are
+    resolved once per scheme and reused: a reused entry must be exactly what
+    a cold cache resolves for the same inputs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scheme_id=st.sampled_from(SCHEME_IDS),
+        probe_polarization=st.sampled_from((LINEAR, SIGMA_MINUS, SIGMA_PLUS)),
+        coupling_mhz=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+        probe_mhz=st.floats(-50.0, 50.0),
+        b_gauss=st.floats(-30.0, 30.0),
+        stark_enabled=st.booleans(),
+    )
+    def test_reused_entries_match_a_cold_cache(
+            self, scheme_id, probe_polarization, coupling_mhz, probe_mhz, b_gauss,
+            stark_enabled):
+        scheme = build_level_scheme(scheme_id)
+        probe = FieldDrive(PROBE, probe_polarization, TWO_PI * 10e6,
+                           detuning=TWO_PI * probe_mhz * 1e6)
+        coupling = FieldDrive(COUPLING, coupling_polarization(scheme_id),
+                              TWO_PI * coupling_mhz * 1e6)
+
+        def resolve():
+            stark = stark_shifts(coupling, scheme) if stark_enabled else NO_STARK
+            h = build_hamiltonian(scheme, probe, coupling, stark, b_gauss * 1e-4)
+            paths = [probe_pathways(scheme, probe, coupling, c, stark)
+                     for c in (SIGMA_MINUS, SIGMA_PLUS)]
+            # bytes and reprs also tell the signs of zeros apart
+            return h.tobytes(), repr(paths), repr(stark), dict(level_index(scheme))
+
+        warm = resolve()
+        atom._LINES.clear()
+        dynamics._LEVELS.clear()
+        assert resolve() == warm
+
+    def test_a_repeated_power_scan_resolves_no_lines(self, monkeypatch):
+        misses = []
+        resolve = atom._resolve_lines
+        monkeypatch.setattr(atom, "_LINES", {})
+        monkeypatch.setattr(atom, "_resolve_lines",
+                            lambda *args: misses.append(args) or resolve(*args))
+        cfg = ScenarioConfig(points=41, detuning_min=-40 * TWO_PI * 1e6,
+                             detuning_max=40 * TWO_PI * 1e6)
+        sweep_coupling_power(cfg, [5e-3, 15e-3])
+        assert misses
+        misses.clear()
+        sweep_coupling_power(cfg, [5e-3, 15e-3])
+        assert misses == []
+
+    def test_level_index_is_read_only(self):
+        idx = level_index(SCHEME)
+        with pytest.raises(TypeError):
+            idx[SCHEME.sublevels[0]] = 1
+        assert idx[SCHEME.sublevels[0]] == 0
 
 
 class TestLiouvillianStructure:

@@ -71,6 +71,10 @@ MATRIX = [
                                  "probe": {"points": 201}}]),
     ("undamped_ground_coherence", [{"scenario": "spectrum", "probe": {"points": 100},
                                     "rates": {"gamma_ba_mhz": 0}}]),
+    ("sigma_f1_eit_peaks_10g", [{"scenario": "eit-peaks", "scheme": "sigma_f1",
+                                 "magnetic_field_g": 10}]),
+    ("power_scan_no_stark_10g", [{"scenario": "power-scan", "stark_shifts": False,
+                                  "magnetic_field_g": 10}]),
 ]
 
 # Runs the CLI of the tree whose src/ is argv[1], failing if eitrot would
