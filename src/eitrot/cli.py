@@ -12,19 +12,21 @@ cannot be written), 2 numerical failure (including a scan step without
 dispersion peaks, a susceptibility that is not finite, a floating-point
 overflow, and running out of memory). Errors are single lines on stderr of
 the form ``error: config: ...`` or ``error: numeric: ...``.
+
+Only ``main``, ``apply_overrides`` and ``build_parser`` import ``yaml`` and
+``argparse``, so a caller that parses documents and runs them in process
+(``parse_config`` and ``run``) never loads either.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .atom import (
@@ -72,8 +74,7 @@ class ConfigError(Exception):
     """Configuration document is invalid; message names the offending key."""
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     """A fully resolved run: scenario name, sweep config, scan lists."""
 
     scenario: str
@@ -295,6 +296,8 @@ def parse_config(doc: dict) -> RunSpec:
 
 def apply_overrides(doc: dict, assignments: list[str]) -> dict:
     """Apply dotted-path overrides like ``coupling.power_mw=10`` to a doc."""
+    import yaml
+
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a mapping")
     for item in assignments:
@@ -441,15 +444,16 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
     return written
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports usage errors as configuration errors (exit 1), not argparse's
-    exit 2, which here means a numerical failure."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Reports usage errors as configuration errors (exit 1), not
+        argparse's exit 2, which here means a numerical failure."""
+
+        def error(self, message):
+            raise ConfigError(message)
+
     parser = _ArgumentParser(
         prog="eitrot",
         description="EIT polarization-rotation simulator for the Rb D1 line.",
@@ -472,6 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import yaml
+
     try:
         args = build_parser().parse_args(argv)
         try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ class IndeterminateAngleError(ValueError):
     """Both difference signals vanished, so the angle is undefined."""
 
 
-@dataclass(frozen=True)
-class JonesVector:
+class JonesVector(NamedTuple):
     """Transverse field amplitudes in the fixed x/y basis; scalars, or arrays
     of one shape for a field per detuning."""
 

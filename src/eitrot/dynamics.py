@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,13 +191,13 @@ def build_liouvillian(
 
 # Scatter tables, built on first use: of the whole superoperator by
 # scheme_id, of its population block by (scheme_id, bytes of h != 0). Keys
-# hold the scheme_id, not the scheme, whose hash is slow.
+# hold the scheme_id, not the scheme, whose hash walks every sublevel and
+# transition (see ``atom._LINES``).
 _SCATTERS: dict = {}
 _LEVELS: dict = {}  # level_index, by scheme_id for the same reason
 
 
-@dataclass(frozen=True)
-class _Scatter:
+class _Scatter(NamedTuple):
     """Where ``build_liouvillian`` writes its terms in the superoperator
     restricted to the flat vec(rho) elements ``index`` (ascending, every
     population among them), as flat positions [0] in that m x m matrix: -i h
@@ -408,8 +408,7 @@ def _block_tables(scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates) ->
     tables = _SCATTERS.get(key)
     if tables is None:
         block = population_block(build_liouvillian(scheme, h, rates))
-        tables = _SCATTERS[key] = replace(
-            _scatter_tables(scheme, block),
+        tables = _SCATTERS[key] = _scatter_tables(scheme, block)._replace(
             real=_real_coordinates(block, len(scheme.sublevels)))
     return tables
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,14 +200,12 @@ class ScenarioConfig:
         return np.linspace(self.detuning_min, self.detuning_max, self.points)
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(NamedTuple):
     detuning: float  # rad/s
     phi: float  # rad
 
 
-@dataclass(frozen=True)
-class PeakPair:
+class PeakPair(NamedTuple):
     """Extremal rotation on each side of the central zero crossing."""
 
     left: Peak | None
@@ -218,8 +216,7 @@ class PeakPair:
         return self.left is not None and self.right is not None
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Column-oriented record of one detuning sweep."""
 
     detunings: np.ndarray
@@ -255,8 +252,7 @@ class SweepResult:
         ))
 
 
-@dataclass(frozen=True)
-class TransmissionCurve:
+class TransmissionCurve(NamedTuple):
     detunings: np.ndarray
     transmission: np.ndarray
 
@@ -293,8 +289,7 @@ def steady_populations(cfg: ScenarioConfig) -> dict:
     return {s: float(v[0]) for s, v in pops.items()}
 
 
-@dataclass(frozen=True)
-class _Atom:
+class _Atom(NamedTuple):
     """What the atom stage of a sweep resolves: everything that the cell
     temperature and density leave unchanged."""
 
@@ -305,11 +300,12 @@ class _Atom:
     metadata: dict  # the sweep's metadata without the medium
 
 
-def _atom_stage(cfg: ScenarioConfig) -> _Atom:
+def _atom_stage(cfg: ScenarioConfig, dets: np.ndarray) -> _Atom:
+    """The atom of ``cfg`` on the grid ``dets``, which is ``cfg.detunings()``:
+    the atoms of a scan share one."""
     scheme = cfg.scheme()
     coupling = cfg.coupling_drive()
     stark = cfg.stark(scheme)
-    dets = cfg.detunings()
 
     # the metadata always reports the populations at two-photon resonance,
     # so that point is solved first under either policy
@@ -378,7 +374,7 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     """One detuning sweep: the medium stage of its atom stage. The medium is
     built first, so that one that cannot be built fails before any solve."""
     medium = cfg.medium()
-    return next(_medium_stage([(_atom_stage(cfg), medium)]))
+    return next(_medium_stage([(_atom_stage(cfg, cfg.detunings()), medium)]))
 
 
 def find_dispersion_peaks(result: SweepResult) -> PeakPair:
@@ -434,8 +430,9 @@ def sweep_coupling_power(
     check_powers(powers)
     medium = cfg.medium()
     rabis = [rabi_from_power(p, COUPLING) for p in powers]
-    results = _medium_stage((_atom_stage(replace(cfg, coupling_rabi=rabi)), medium)
-                            for rabi in rabis)
+    dets = cfg.detunings()
+    results = _medium_stage((_atom_stage(replace(cfg, coupling_rabi=rabi), dets),
+                             medium) for rabi in rabis)
     return [(p, rabi, find_dispersion_peaks(result))
             for p, rabi, result in zip(powers, rabis, results)]
 
@@ -452,7 +449,7 @@ def sweep_temperature(
     serve the whole scan.
     """
     media = [replace(cfg, temperature=t, density=None).medium() for t in temps]
-    atom = _atom_stage(cfg)
+    atom = _atom_stage(cfg, cfg.detunings())
     return list(zip(temps, _medium_stage((atom, medium) for medium in media)))
 
 
@@ -510,6 +507,7 @@ def write_csv(path, columns: Sequence[str], table) -> None:
 
 
 def write_metadata(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys, in one write:
+    ``json.dump`` with an indent writes each token on its own."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,8 +147,7 @@ class MediumParams:
         return 2.0 * math.pi / self.wavelength
 
 
-@dataclass(frozen=True)
-class SusceptibilityPair:
+class SusceptibilityPair(NamedTuple):
     """chi, refractive index, and absorption per circular component.
 
     The fields are scalars, or arrays of one shape (one entry per detuning).
@@ -178,8 +177,7 @@ class SusceptibilityPair:
         )
 
 
-@dataclass(frozen=True)
-class RotationAngle:
+class RotationAngle(NamedTuple):
     """Rotation of the probe polarization plane, radians; scalars or arrays
     like the ``SusceptibilityPair`` they come from.
 
@@ -193,20 +191,27 @@ class RotationAngle:
 
 # Weideman's expansion of the Faddeeva function: N terms of a series in
 # Z = (L + i z) / (L - i z), whose coefficients are the Fourier coefficients
-# of (L^2 + t^2) exp(-t^2) on the grid t = L tan(theta / 2).
+# of (L^2 + t^2) exp(-t^2) on the grid t = L tan(theta / 2), highest degree
+# first. They are written out to the last bit, so that no FFT runs at import;
+# tests/oracles.py derives them and the tests compare the two exactly.
 _FADDEEVA_N = 40
 _FADDEEVA_L = math.sqrt(_FADDEEVA_N / math.sqrt(2.0))
-
-
-def _faddeeva_coefficients(n: int, scale: float) -> np.ndarray:
-    """Polynomial coefficients of Weideman's series, highest degree first."""
-    m = 2 * n
-    t = scale * np.tan(np.arange(-m + 1, m) * np.pi / (2 * m))
-    f = np.r_[0.0, np.exp(-t * t) * (scale * scale + t * t)]
-    return (np.fft.fft(np.fft.fftshift(f)).real / (2 * m))[n:0:-1]
-
-
-_FADDEEVA_COEFFS = _faddeeva_coefficients(_FADDEEVA_N, _FADDEEVA_L)
+_FADDEEVA_COEFFS = (
+    -1.7356980998791865e-15, 1.201674910759281e-15, 1.1519170220749485e-14,
+    -5.231716366324404e-15, -7.071088022159408e-14, 1.3778224047664046e-14,
+    4.5341448909434655e-13, 1.203330952919568e-13, -2.90771851041427e-12,
+    -2.7277735625830245e-12, 1.771418567386718e-11, 3.4727420938907015e-11,
+    -9.055138860958323e-11, -3.5632350403602684e-10, 2.1085990731251058e-10,
+    3.017780425551564e-09, 3.249746582945079e-09, -1.8315616834296834e-08,
+    -6.351773483015411e-08, 1.419864237295343e-08, 5.912136953029057e-07,
+    1.4835661133172014e-06, -1.066013898416273e-06, -1.8007447144723407e-05,
+    -5.5913092642348794e-05, -3.939363145483805e-05, 0.000439807015986967,
+    0.002705405633073729, 0.010048186242783535, 0.02920291647124188,
+    0.07182361779074328, 0.15504263802479504, 0.2998943799615006,
+    0.5266528988277086, 0.8472174576593815, 1.2563815675765133,
+    1.7253830848179779, 2.201513794878312, 2.6160541527618597,
+    2.899624509389705,
+)
 
 
 def _faddeeva(z: np.ndarray) -> np.ndarray:

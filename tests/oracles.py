@@ -2,7 +2,8 @@
 
 None of these runs in a CLI scenario: the sweeps evaluate whole grids
 through ``spectra.susceptibility_arrays``, the velocity average has a
-closed form, and the steady state is solved on the population block only.
+closed form whose series coefficients are written out in ``spectra``, and
+the steady state is solved on the population block only.
 They stay here as independent or single-point oracles, next to the rate
 draws for which the steady state must be a density matrix.
 """
@@ -42,6 +43,16 @@ def analytic_coherences(populations, scheme, probe, coupling, rates, stark=NO_ST
             value = 0.5j * p.probe_rabi * rho_gg / denom
             out[(scheme.label(p.excited), scheme.label(p.ground))] = value
     return out
+
+
+def faddeeva_coefficients(n, scale):
+    """Coefficients of Weideman's n-term series for the Faddeeva function,
+    highest degree first: the Fourier coefficients of (L^2 + t^2) exp(-t^2)
+    on t = L tan(theta / 2), L = ``scale``, by one FFT."""
+    m = 2 * n
+    t = scale * np.tan(np.arange(-m + 1, m) * np.pi / (2 * m))
+    f = np.r_[0.0, np.exp(-t * t) * (scale * scale + t * t)]
+    return (np.fft.fft(np.fft.fftshift(f)).real / (2 * m))[n:0:-1]
 
 
 def susceptibility_pair(scheme, probe, coupling, rates, populations, medium,

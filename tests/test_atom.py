@@ -1,9 +1,12 @@
 """Level schemes, shifts, pathway census, and power calibration."""
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
+from eitrot import dynamics, scenarios
 from eitrot.atom import (
     COUPLING,
     LINEAR,
@@ -15,6 +18,7 @@ from eitrot.atom import (
     SIGMA_PLUS,
     TWO_PI,
     FieldDrive,
+    Sublevel,
     build_level_scheme,
     coupling_polarization,
     decay_amplitude,
@@ -24,7 +28,11 @@ from eitrot.atom import (
     stark_shifts,
     zeeman_shift,
 )
+from eitrot.cli import parse_config
+from eitrot.detection import JonesVector
+from eitrot.dynamics import level_index
 from eitrot.scenarios import ScenarioConfig, sweep_probe_detuning
+from eitrot.spectra import rotation_angle
 
 WC80 = FieldDrive(COUPLING, SIGMA_MINUS, TWO_PI * 80e6)
 WP10 = FieldDrive(PROBE, LINEAR, TWO_PI * 10e6)
@@ -238,3 +246,57 @@ class TestFieldDrive:
         assert coupling_polarization("sigma_f2") == SIGMA_MINUS
         assert coupling_polarization("pi_f2") == PI
         assert coupling_polarization("sigma_f1") == SIGMA_MINUS
+
+
+@functools.cache
+def _records() -> dict:
+    """One instance of each plain record, by class name."""
+    scheme = build_level_scheme("sigma_f2")
+    cfg = ScenarioConfig(points=41, detuning_min=-TWO_PI * 40e6,
+                         detuning_max=TWO_PI * 40e6)
+    result = sweep_probe_detuning(cfg)
+    peaks = scenarios.find_dispersion_peaks(result)
+    return {
+        "Sublevel": scheme.sublevels[0],
+        "Transition": scheme.transitions[0],
+        "StarkShifts": stark_shifts(WC80, scheme),
+        "LevelScheme": scheme,
+        "ProbePathway": probe_pathways(scheme, WP10, WC80, SIGMA_MINUS)[0],
+        "JonesVector": JonesVector.linear(),
+        "_Scatter": dynamics._scatter_tables(scheme, np.arange(169)),
+        "SusceptibilityPair": result.pair,
+        "RotationAngle": rotation_angle(result.pair, result.medium),
+        "Peak": peaks.left,
+        "PeakPair": peaks,
+        "SweepResult": result,
+        "TransmissionCurve": scenarios.eit_transmission(cfg, SIGMA_MINUS),
+        "_Atom": scenarios._atom_stage(cfg, cfg.detunings()),
+        "RunSpec": parse_config({"scenario": "spectrum"}),
+    }
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", [
+        "Sublevel", "Transition", "StarkShifts", "LevelScheme", "ProbePathway",
+        "JonesVector", "_Scatter", "SusceptibilityPair", "RotationAngle", "Peak",
+        "PeakPair", "SweepResult", "TransmissionCurve", "_Atom", "RunSpec"])
+    def test_fields_cannot_be_set(self, name):
+        record = _records()[name]
+        assert type(record).__name__ == name
+        first = next(iter(type(record).__annotations__))
+        with pytest.raises(AttributeError):
+            setattr(record, first, getattr(record, first))
+
+    def test_sublevel_is_keyed_by_value(self):
+        scheme = build_level_scheme("sigma_f2")
+        own = scheme.by_label("b4")
+        made = Sublevel("ground_f2", 1, 2)
+        assert made == own and hash(made) == hash(own)
+        index = level_index(scheme)
+        assert index[made] == index[own] == 6  # after a1..a3, b1..b3
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_sublevels_sort_by_manifold_m_and_f(self, scheme_id):
+        sublevels = build_level_scheme(scheme_id).sublevels
+        by_fields = sorted(sublevels, key=lambda s: (s.manifold, s.m, s.f))
+        assert sorted(sublevels) == by_fields

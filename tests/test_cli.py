@@ -531,12 +531,16 @@ class TestOtherScenarios:
         assert len(rows) == 4
 
 
-def test_import_leaves_out_unused_scipy_modules():
+def test_import_leaves_out_unused_modules():
     # the runtime is numpy-only: importing scipy.linalg alone would add about
     # 300 ms to every start-up, scipy.signal and scipy.stats about a second;
-    # and the package root imports no module, so eitrot.atom loads no numpy
+    # the package root imports no module, so eitrot.atom loads no numpy; only
+    # main and its helpers import yaml (about 20 ms) and argparse; and the
+    # Faddeeva coefficients are literals, so nothing needs numpy.fft
     src = Path(eitrot.__file__).resolve().parents[1]
-    for module, absent in (("eitrot.cli", "scipy"), ("eitrot.atom", "numpy")):
+    for module, absent in (("eitrot.cli", "scipy"), ("eitrot.atom", "numpy"),
+                           ("eitrot.cli", "yaml"), ("eitrot.cli", "argparse"),
+                           ("eitrot.cli", "numpy.fft")):
         code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
                 "print(' '.join(sorted(sys.modules)))")
         done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],

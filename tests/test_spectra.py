@@ -23,6 +23,7 @@ from eitrot.atom import (
     stark_shifts,
 )
 from eitrot.dynamics import RelaxationRates
+from eitrot import spectra
 from eitrot.spectra import (
     MediumParams,
     SusceptibilityPair,
@@ -32,7 +33,7 @@ from eitrot.spectra import (
     susceptibility_arrays,
     thermal_v_width,
 )
-from oracles import maxwellian_weight, susceptibility_pair
+from oracles import faddeeva_coefficients, maxwellian_weight, susceptibility_pair
 
 GAMMA_CA = TWO_PI * 3.5e6
 GAMMA_BA = TWO_PI * 1.1e6
@@ -172,6 +173,11 @@ class TestFaddeevaKernel:
     # sqrt(pi) w(z). Floating-point errors raise as in a CLI run (underflow
     # is not one of them).
     STRICT = dict(over="raise", divide="raise", invalid="raise")
+
+    def test_coefficient_literals_are_the_fft_values(self):
+        # the literals replace an FFT at import; they must match it bit for bit
+        want = faddeeva_coefficients(spectra._FADDEEVA_N, spectra._FADDEEVA_L)
+        assert np.array_equal(want, spectra._FADDEEVA_COEFFS)
 
     @settings(max_examples=500, deadline=None)
     @given(x=st.floats(-1e3, 1e3), log_y=st.floats(-6.0, 3.0))
