@@ -19,10 +19,10 @@ excited 5P1/2 hyperfine manifold. Three scheme variants are supported:
 
 All angular frequencies are rad/s. Transition amplitudes are the D1 line's
 closed forms in decay normalization (squares sum to one per excited sublevel
-over both ground manifolds), see :func:`decay_amplitude`. The lines each
-drive drives are read from the table once per scheme_id, role and
-polarization and cached: transitions, amplitudes and norms only, nothing
-that depends on a Rabi frequency, a detuning, a field or a rate.
+over both ground manifolds), see :func:`decay_amplitude`. A scheme carries
+the position of each sublevel and, for each drive ``FieldDrive`` admits, the
+lines it drives: transitions, amplitudes and norms only, nothing that
+depends on a Rabi frequency, a detuning, a field or a rate.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 TWO_PI = 2.0 * math.pi
 MHZ = TWO_PI * 1e6  # rad/s of one MHz of ordinary frequency
@@ -58,6 +59,12 @@ PROBE = "probe"
 COUPLING = "coupling"
 
 SCHEME_IDS = ("sigma_f2", "pi_f2", "sigma_f1")
+
+# polarizations each field role admits
+POLARIZATIONS = {
+    PROBE: (SIGMA_MINUS, SIGMA_PLUS, LINEAR),
+    COUPLING: (SIGMA_MINUS, SIGMA_PLUS, PI),
+}
 
 # power -> Rabi anchors, (watts, rad/s)
 RABI_ANCHORS = {
@@ -102,12 +109,11 @@ class FieldDrive:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if self.which not in (PROBE, COUPLING):
+        if self.which not in POLARIZATIONS:
             raise ValueError(f"unknown field role {self.which!r}")
         if self.rabi_scale < 0:
             raise ValueError("rabi_scale must be >= 0")
-        allowed = (SIGMA_MINUS, SIGMA_PLUS, LINEAR) if self.which == PROBE \
-            else (SIGMA_MINUS, SIGMA_PLUS, PI)
+        allowed = POLARIZATIONS[self.which]
         if self.polarization not in allowed:
             raise ValueError(
                 f"{self.which} polarization must be one of {allowed}, got {self.polarization!r}"
@@ -136,28 +142,20 @@ def zeeman_shift(s: Sublevel, b_field: float) -> float:
     return s.m * G_FACTORS[s.manifold, s.f] * MU_BOHR * b_field / HBAR
 
 
-class StarkShifts(NamedTuple):
-    """Light shifts of the F=2 sublevels from far-detuned coupling.
-
-    ``shifts`` maps m of the F=2 sublevel to delta = |Omega_far|^2/(4 Delta).
-    """
-
-    shifts: dict
-
-    def of(self, s: Sublevel) -> float:
-        if s.manifold != GROUND_F2:
-            return 0.0
-        return self.shifts.get(s.m, 0.0)
-
-
-NO_STARK = StarkShifts(shifts={})
+NO_STARK: Mapping[int, float] = MappingProxyType({})
 
 
 class LevelScheme(NamedTuple):
+    """``index`` maps each sublevel to its position, ``lines`` each drive of
+    ``POLARIZATIONS`` to its ``_resolve_lines``. Both are read-only mappings,
+    so a scheme cannot be hashed: per-scheme tables are keyed by scheme_id."""
+
     scheme_id: str
     sublevels: tuple[Sublevel, ...]
     transitions: tuple[Transition, ...]
     far_level_detuning: float | None
+    index: Mapping[Sublevel, int]
+    lines: Mapping[tuple[str, str], tuple]
 
     def ground(self) -> tuple[Sublevel, ...]:
         return tuple(s for s in self.sublevels if s.manifold != EXCITED)
@@ -178,36 +176,18 @@ class LevelScheme(NamedTuple):
     def decay_channels(self, upper: Sublevel) -> tuple[Transition, ...]:
         return tuple(t for t in self.transitions if t.upper == upper and t.cg != 0.0)
 
-    def driven_transitions(self, drive: FieldDrive) -> tuple[Transition, ...]:
-        return _drive_lines(self, drive.which, drive.polarization)[0]
 
-    def cg_norm(self, drive: FieldDrive) -> float:
-        return _drive_lines(self, drive.which, drive.polarization)[1]
-
-
-# Drive lines by (scheme_id, role, polarization). The key holds the
-# scheme_id, not the scheme, whose hash walks every sublevel and transition
-# (some 40 times the cost of hashing the key).
-_LINES: dict = {}
-
-
-def _drive_lines(scheme: LevelScheme, which: str, polarization: str) -> tuple:
+def _resolve_lines(transitions, sublevels, drive: FieldDrive) -> tuple:
     """(lines by ground m, their largest |cg| or 1.0 if none, the first line
     into each excited sublevel, the far amplitudes of ``stark_shifts``)."""
-    if (lines := _LINES.get(key := (scheme.scheme_id, which, polarization))) is None:
-        lines = _LINES[key] = _resolve_lines(scheme, FieldDrive(which, polarization, 0.0))
-    return lines
-
-
-def _resolve_lines(scheme: LevelScheme, drive: FieldDrive) -> tuple:
     manifold = GROUND_F1 if drive.which == PROBE else GROUND_F2
     pols = drive.components()
-    lines = sorted((t for t in scheme.transitions if t.lower.manifold == manifold
+    lines = sorted((t for t in transitions if t.lower.manifold == manifold
                     and t.polarization in pols), key=lambda t: t.lower.m)
     top = max((abs(t.cg) for t in lines), default=0.0)
     # amplitude of each F=2 sublevel toward the far F'=1 level a coupling drives
     far = {s.m: decay_amplitude(s.f, s.m, 1, s.m + _POL_DELTA_M[drive.polarization])
-           for s in scheme.ground() if s.manifold == GROUND_F2 and drive.which == COUPLING}
+           for s in sublevels if s.manifold == GROUND_F2 and drive.which == COUPLING}
     return (tuple(lines), top if top > 0.0 else 1.0,
             {t.upper: t for t in reversed(lines)}, far)
 
@@ -257,8 +237,8 @@ def decay_amplitude(f_g, m_g, f_e, m_e) -> float:
 
 @functools.cache
 def build_level_scheme(scheme_id: str) -> LevelScheme:
-    """Assemble sublevels and the full sigma/pi transition table for a scheme,
-    once per id: a scheme is immutable and depends on its id alone."""
+    """Assemble a scheme's sublevels, sigma/pi transition table and what they
+    determine, once per id: a scheme is immutable and depends on its id alone."""
     if scheme_id not in SCHEME_IDS:
         raise ValueError(f"unknown scheme {scheme_id!r}; expected one of {SCHEME_IDS}")
     excited_f = 1 if scheme_id == "sigma_f1" else 2
@@ -278,11 +258,16 @@ def build_level_scheme(scheme_id: str) -> LevelScheme:
             pol = {-1: SIGMA_MINUS, 0: PI, +1: SIGMA_PLUS}[dm]
             transitions.append(
                 Transition(g, e, pol, decay_amplitude(g.f, g.m, e.f, e.m)))
+    transitions = tuple(transitions)
     return LevelScheme(
         scheme_id=scheme_id,
         sublevels=sublevels,
-        transitions=tuple(transitions),
+        transitions=transitions,
         far_level_detuning=FPRIME_SPLITTING if scheme_id == "sigma_f2" else None,
+        index=MappingProxyType({s: i for i, s in enumerate(sublevels)}),
+        lines=MappingProxyType({
+            (which, pol): _resolve_lines(transitions, sublevels, FieldDrive(which, pol, 0.0))
+            for which, pols in POLARIZATIONS.items() for pol in pols}),
     )
 
 
@@ -290,8 +275,8 @@ def coupling_polarization(scheme_id: str) -> str:
     return PI if scheme_id == "pi_f2" else SIGMA_MINUS
 
 
-def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> StarkShifts:
-    """Light shifts delta_b = |Omega_far|^2 / (4 Delta) of the F=2 sublevels.
+def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> Mapping[int, float]:
+    """Light shifts delta_b = |Omega_far|^2 / (4 Delta) of the F=2 sublevels, by m.
 
     The coupling also drives each b sublevel toward the far F'=1 manifold
     (detuned by ``scheme.far_level_detuning``); the resulting shift moves the
@@ -300,10 +285,9 @@ def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> StarkShifts:
     """
     if scheme.far_level_detuning is None or coupling.which != COUPLING:
         return NO_STARK
-    _, norm, _, far = _drive_lines(scheme, COUPLING, coupling.polarization)
-    return StarkShifts(shifts={
-        m: abs(coupling.rabi_scale * amp / norm) ** 2 / (4.0 * scheme.far_level_detuning)
-        for m, amp in far.items()})
+    _, norm, _, far = scheme.lines[COUPLING, coupling.polarization]
+    return {m: abs(coupling.rabi_scale * amp / norm) ** 2 / (4.0 * scheme.far_level_detuning)
+            for m, amp in far.items()}
 
 
 def rabi_from_power(power: float, which: str) -> float:
@@ -337,18 +321,17 @@ def probe_pathways(
     probe: FieldDrive,
     coupling: FieldDrive,
     component: str,
-    stark: StarkShifts = NO_STARK,
+    stark: Mapping[int, float] = NO_STARK,
 ) -> tuple[ProbePathway, ...]:
     """Absorption pathways of one circular probe component, ordered by ground m."""
     if component not in (SIGMA_MINUS, SIGMA_PLUS):
         raise ValueError("component must be a circular polarization")
     if component not in probe.components():
         return ()
-    probe_norm = scheme.cg_norm(probe)
-    _, coupling_norm, partners, _ = _drive_lines(scheme, coupling.which,
-                                                 coupling.polarization)
+    probe_norm = scheme.lines[probe.which, probe.polarization][1]
+    _, coupling_norm, partners, _ = scheme.lines[coupling.which, coupling.polarization]
     pathways = []
-    for t in _drive_lines(scheme, PROBE, component)[0]:
+    for t in scheme.lines[PROBE, component][0]:
         partner = None
         coupling_rabi = 0.0
         if (ct := partners.get(t.upper)) is not None:
@@ -362,7 +345,7 @@ def probe_pathways(
                 probe_dipole=t.cg * REDUCED_DIPOLE,
                 partner=partner,
                 coupling_rabi=coupling_rabi,
-                stark_shift=stark.of(partner) if partner is not None else 0.0,
+                stark_shift=stark.get(partner.m, 0.0) if partner is not None else 0.0,
             )
         )
     return tuple(pathways)

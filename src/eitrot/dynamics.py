@@ -52,7 +52,6 @@ v entries of x and of R x count twice: |rho_u|^2 + |rho_v|^2 =
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -66,7 +65,6 @@ from .atom import (
     FieldDrive,
     LevelScheme,
     ProbePathway,
-    StarkShifts,
     Sublevel,
     MHZ,
     probe_pathways,
@@ -138,23 +136,20 @@ class SteadyStateError(RuntimeError):
 
 
 def level_index(scheme: LevelScheme) -> Mapping[Sublevel, int]:
-    """Position of each sublevel, built once per scheme_id, read-only."""
-    if (idx := _LEVELS.get(scheme.scheme_id)) is None:
-        idx = _LEVELS[scheme.scheme_id] = types.MappingProxyType(
-            {s: i for i, s in enumerate(scheme.sublevels)})
-    return idx
+    """Position of each sublevel: the scheme's read-only ``index``."""
+    return scheme.index
 
 
 def build_hamiltonian(
     scheme: LevelScheme,
     probe: FieldDrive,
     coupling: FieldDrive,
-    stark: StarkShifts = NO_STARK,
+    stark: Mapping[int, float] = NO_STARK,
     b_field: float = 0.0,
 ) -> np.ndarray:
     """Interaction-picture Hamiltonian (rad/s) of the module docstring;
     ``b_field`` in tesla."""
-    idx = level_index(scheme)
+    idx = scheme.index
     n = len(scheme.sublevels)
     h = np.zeros((n, n), dtype=complex)
     two_photon = probe.detuning - coupling.detuning
@@ -163,12 +158,12 @@ def build_hamiltonian(
         if s.manifold == EXCITED:
             h[i, i] = -probe.detuning + z
         elif s.manifold == GROUND_F2:
-            h[i, i] = -two_photon - stark.of(s) + z
+            h[i, i] = -two_photon - stark.get(s.m, 0.0) + z
         else:
             h[i, i] = z
     for drive in (probe, coupling):
-        norm = scheme.cg_norm(drive)
-        for t in scheme.driven_transitions(drive):
+        lines, norm, _, _ = scheme.lines[drive.which, drive.polarization]
+        for t in lines:
             omega = drive.rabi_scale * t.cg / norm
             g, e = idx[t.lower], idx[t.upper]
             h[e, g] += -0.5 * omega
@@ -191,10 +186,8 @@ def build_liouvillian(
 
 # Scatter tables, built on first use: of the whole superoperator by
 # scheme_id, of its population block by (scheme_id, bytes of h != 0). Keys
-# hold the scheme_id, not the scheme, whose hash walks every sublevel and
-# transition (see ``atom._LINES``).
+# hold the scheme_id: a scheme holds read-only mappings and cannot be hashed.
 _SCATTERS: dict = {}
-_LEVELS: dict = {}  # level_index, by scheme_id for the same reason
 
 
 class _Scatter(NamedTuple):
@@ -240,7 +233,7 @@ def _scatter_tables(scheme: LevelScheme, index: np.ndarray) -> _Scatter:
     classes = np.select(
         [exc[:, None] & exc, exc[:, None] | exc, np.eye(n, dtype=bool),
          manifold[:, None] == manifold], [1, 2, 0, 3], 4).reshape(-1)
-    idx = level_index(scheme)
+    idx = scheme.index
     channels = [
         (idx[t.lower], idx[t.upper], t.lower.m - t.upper.m, t.cg, t.lower.manifold)
         for e in scheme.excited()
@@ -603,7 +596,7 @@ def coupled_element_count(
     in the ``population_block`` (75 of its 85 at the default point).
     """
     n = len(scheme.sublevels)
-    idx = level_index(scheme)
+    idx = scheme.index
     seeds = np.zeros(n * n, dtype=bool)
     for component in probe.components():
         for p in probe_pathways(scheme, probe, coupling, component):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .atom import (
     TWO_PI,
     FieldDrive,
     LevelScheme,
-    StarkShifts,
     Sublevel,
     build_level_scheme,
     coupling_polarization,
@@ -63,7 +62,6 @@ from .dynamics import (
     RelaxationRates,
     block_populations,
     build_hamiltonian,
-    level_index,
 )
 from .spectra import (
     CELL_LENGTH,
@@ -191,7 +189,7 @@ class ScenarioConfig:
     def probe_drive(self, detuning: float) -> FieldDrive:
         return FieldDrive(PROBE, self.probe_polarization, self.probe_rabi, detuning)
 
-    def stark(self, scheme: LevelScheme) -> StarkShifts:
+    def stark(self, scheme: LevelScheme) -> Mapping[int, float]:
         if not self.stark_enabled:
             return NO_STARK
         return stark_shifts(self.coupling_drive(), scheme)
@@ -261,7 +259,7 @@ def _ground_populations(
     cfg: ScenarioConfig,
     scheme: LevelScheme,
     coupling: FieldDrive,
-    stark: StarkShifts,
+    stark: Mapping[int, float],
     offsets: Sequence[float],
 ) -> dict[Sublevel, np.ndarray]:
     """Steady-state ground occupations with the probe detuned by each of
@@ -274,7 +272,7 @@ def _ground_populations(
     probe = cfg.probe_drive(cfg.coupling_detuning)
     h = build_hamiltonian(scheme, probe, coupling, stark, cfg.b_field)
     pops = block_populations(scheme, h, cfg.rates, offsets)
-    idx = level_index(scheme)
+    idx = scheme.index
     return {s: pops[:, idx[s]] for s in scheme.ground()}
 
 

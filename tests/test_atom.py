@@ -1,5 +1,6 @@
 """Level schemes, shifts, pathway census, and power calibration."""
 
+import contextlib
 import functools
 import math
 
@@ -99,6 +100,27 @@ class TestSchemeCache:
         assert build_level_scheme(scheme_id) is cached
         assert cached == build_level_scheme.__wrapped__(scheme_id)
 
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_lines_cover_every_admitted_drive(self, scheme_id):
+        admitted = set()
+        for which in (PROBE, COUPLING):
+            for polarization in (SIGMA_MINUS, SIGMA_PLUS, PI, LINEAR):
+                with contextlib.suppress(ValueError):
+                    FieldDrive(which, polarization, 0.0)
+                    admitted.add((which, polarization))
+        assert admitted == {(PROBE, SIGMA_MINUS), (PROBE, SIGMA_PLUS), (PROBE, LINEAR),
+                            (COUPLING, SIGMA_MINUS), (COUPLING, SIGMA_PLUS), (COUPLING, PI)}
+        assert set(build_level_scheme(scheme_id).lines) == admitted
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_tables_are_read_only(self, scheme_id):
+        scheme = build_level_scheme(scheme_id)
+        with pytest.raises(TypeError):
+            scheme.index[scheme.sublevels[0]] = 1
+        with pytest.raises(TypeError):
+            scheme.lines[PROBE, LINEAR] = scheme.lines[PROBE, SIGMA_MINUS]
+        assert scheme.index[scheme.sublevels[0]] == 0
+
 
 class TestPathwayCensus:
     def test_asymmetric_scheme_counts(self):
@@ -184,16 +206,16 @@ class TestStark:
     def test_frozen_shifts_at_80_mhz(self):
         scheme = build_level_scheme("sigma_f2")
         st = stark_shifts(WC80, scheme)
-        assert st.shifts[0] == pytest.approx(TWO_PI * 0.65359477e6, rel=1e-6)
-        assert st.shifts[1] == pytest.approx(TWO_PI * 1.96078431e6, rel=1e-6)
-        assert st.shifts[2] == pytest.approx(TWO_PI * 3.92156863e6, rel=1e-6)
+        assert st[0] == pytest.approx(TWO_PI * 0.65359477e6, rel=1e-6)
+        assert st[1] == pytest.approx(TWO_PI * 1.96078431e6, rel=1e-6)
+        assert st[2] == pytest.approx(TWO_PI * 3.92156863e6, rel=1e-6)
 
     def test_shift_ratios(self):
         # cg^2 ratios of the far-level lines: 1/3 : 1 : 2
         scheme = build_level_scheme("sigma_f2")
         st = stark_shifts(WC80, scheme)
-        assert st.shifts[1] / st.shifts[0] == pytest.approx(3.0, rel=1e-9)
-        assert st.shifts[2] / st.shifts[1] == pytest.approx(2.0, rel=1e-9)
+        assert st[1] / st[0] == pytest.approx(3.0, rel=1e-9)
+        assert st[2] / st[1] == pytest.approx(2.0, rel=1e-9)
 
     def test_quadratic_in_rabi(self):
         scheme = build_level_scheme("sigma_f2")
@@ -201,12 +223,12 @@ class TestStark:
         st2 = stark_shifts(
             FieldDrive(COUPLING, SIGMA_MINUS, 2 * WC80.rabi_scale), scheme
         )
-        assert st2.shifts[1] == pytest.approx(4 * st1.shifts[1], rel=1e-12)
+        assert st2[1] == pytest.approx(4 * st1[1], rel=1e-12)
 
     def test_no_stark_is_zero(self):
-        scheme = build_level_scheme("sigma_f2")
-        for s in scheme.sublevels:
-            assert NO_STARK.of(s) == 0.0
+        assert dict(NO_STARK) == {}
+        with pytest.raises(TypeError):
+            NO_STARK[0] = 1.0
 
 
 class TestCalibration:
@@ -259,7 +281,6 @@ def _records() -> dict:
     return {
         "Sublevel": scheme.sublevels[0],
         "Transition": scheme.transitions[0],
-        "StarkShifts": stark_shifts(WC80, scheme),
         "LevelScheme": scheme,
         "ProbePathway": probe_pathways(scheme, WP10, WC80, SIGMA_MINUS)[0],
         "JonesVector": JonesVector.linear(),
@@ -277,7 +298,7 @@ def _records() -> dict:
 
 class TestRecords:
     @pytest.mark.parametrize("name", [
-        "Sublevel", "Transition", "StarkShifts", "LevelScheme", "ProbePathway",
+        "Sublevel", "Transition", "LevelScheme", "ProbePathway",
         "JonesVector", "_Scatter", "SusceptibilityPair", "RotationAngle", "Peak",
         "PeakPair", "SweepResult", "TransmissionCurve", "_Atom", "RunSpec"])
     def test_fields_cannot_be_set(self, name):

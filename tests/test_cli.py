@@ -281,6 +281,17 @@ class TestMainErrors:
         assert capsys.readouterr().err == \
             "error: config: configuration must be a mapping\n"
 
+    @pytest.mark.parametrize("override", [
+        "probe.rabi_mhz", "probe..rabi_mhz=1", "=1", "probe.rabi_mhz=[1", "scenario.x=1"])
+    def test_malformed_override_exit_code(self, tmp_path, capsys, override):
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
+                     "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: override '{override}'")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("key, value", [
         ("gamma_ca_mhz", "-3.5"),
         ("gamma_ca_mhz", ".nan"),

@@ -112,9 +112,9 @@ class TestHamiltonian:
 
 
 class TestPerSchemeCaches:
-    """The drive lines (``atom``) and the level index (``dynamics``) are
-    resolved once per scheme and reused: a reused entry must be exactly what
-    a cold cache resolves for the same inputs."""
+    """The drive lines and the level index are resolved once per scheme, when
+    ``build_level_scheme`` first builds it, and reused: a reused entry must be
+    exactly what a newly built scheme resolves for the same inputs."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -128,13 +128,13 @@ class TestPerSchemeCaches:
     def test_reused_entries_match_a_cold_cache(
             self, scheme_id, probe_polarization, coupling_mhz, probe_mhz, b_gauss,
             stark_enabled):
-        scheme = build_level_scheme(scheme_id)
         probe = FieldDrive(PROBE, probe_polarization, TWO_PI * 10e6,
                            detuning=TWO_PI * probe_mhz * 1e6)
         coupling = FieldDrive(COUPLING, coupling_polarization(scheme_id),
                               TWO_PI * coupling_mhz * 1e6)
 
         def resolve():
+            scheme = build_level_scheme(scheme_id)
             stark = stark_shifts(coupling, scheme) if stark_enabled else NO_STARK
             h = build_hamiltonian(scheme, probe, coupling, stark, b_gauss * 1e-4)
             paths = [probe_pathways(scheme, probe, coupling, c, stark)
@@ -143,16 +143,15 @@ class TestPerSchemeCaches:
             return h.tobytes(), repr(paths), repr(stark), dict(level_index(scheme))
 
         warm = resolve()
-        atom._LINES.clear()
-        dynamics._LEVELS.clear()
+        build_level_scheme.cache_clear()
         assert resolve() == warm
 
     def test_a_repeated_power_scan_resolves_no_lines(self, monkeypatch):
         misses = []
         resolve = atom._resolve_lines
-        monkeypatch.setattr(atom, "_LINES", {})
         monkeypatch.setattr(atom, "_resolve_lines",
                             lambda *args: misses.append(args) or resolve(*args))
+        build_level_scheme.cache_clear()
         cfg = ScenarioConfig(points=41, detuning_min=-40 * TWO_PI * 1e6,
                              detuning_max=40 * TWO_PI * 1e6)
         sweep_coupling_power(cfg, [5e-3, 15e-3])

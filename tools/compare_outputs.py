@@ -62,6 +62,10 @@ MATRIX = [
     ("detector_trace", [{"scenario": "detector-trace"}]),
     ("populations_0g", [{"scenario": "populations"}]),
     ("populations_10g", [{"scenario": "populations", "magnetic_field_g": 10}]),
+    ("populations_pi_f2_10g", [{"scenario": "populations", "scheme": "pi_f2",
+                                "magnetic_field_g": 10}]),
+    ("populations_sigma_f1_10g", [{"scenario": "populations", "scheme": "sigma_f1",
+                                   "magnetic_field_g": 10}]),
     ("pi_f2_power_scan", [{"scenario": "power-scan", "scheme": "pi_f2"}]),
     ("pi_f2_spectrum_10g", [{"scenario": "spectrum", "scheme": "pi_f2",
                              "magnetic_field_g": 10}]),
