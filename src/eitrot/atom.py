@@ -145,17 +145,26 @@ def zeeman_shift(s: Sublevel, b_field: float) -> float:
 NO_STARK: Mapping[int, float] = MappingProxyType({})
 
 
+class DriveLines(NamedTuple):
+    """What one drive drives in a scheme; both tables are read-only."""
+
+    lines: tuple[Transition, ...]  # ordered by ground m
+    norm: float  # the largest |cg| of the lines, 1.0 if none
+    partners: Mapping[Sublevel, Transition]  # first line into each excited sublevel
+    far: Mapping[int, float]  # F=2 amplitude toward F'=1 by m (coupling only)
+
+
 class LevelScheme(NamedTuple):
     """``index`` maps each sublevel to its position, ``lines`` each drive of
-    ``POLARIZATIONS`` to its ``_resolve_lines``. Both are read-only mappings,
-    so a scheme cannot be hashed: per-scheme tables are keyed by scheme_id."""
+    ``POLARIZATIONS`` to its ``DriveLines``. Both are read-only mappings, so
+    a scheme cannot be hashed: per-scheme tables are keyed by scheme_id."""
 
     scheme_id: str
     sublevels: tuple[Sublevel, ...]
     transitions: tuple[Transition, ...]
     far_level_detuning: float | None
     index: Mapping[Sublevel, int]
-    lines: Mapping[tuple[str, str], tuple]
+    lines: Mapping[tuple[str, str], DriveLines]
 
     def ground(self) -> tuple[Sublevel, ...]:
         return tuple(s for s in self.sublevels if s.manifold != EXCITED)
@@ -177,9 +186,7 @@ class LevelScheme(NamedTuple):
         return tuple(t for t in self.transitions if t.upper == upper and t.cg != 0.0)
 
 
-def _resolve_lines(transitions, sublevels, drive: FieldDrive) -> tuple:
-    """(lines by ground m, their largest |cg| or 1.0 if none, the first line
-    into each excited sublevel, the far amplitudes of ``stark_shifts``)."""
+def _resolve_lines(transitions, sublevels, drive: FieldDrive) -> DriveLines:
     manifold = GROUND_F1 if drive.which == PROBE else GROUND_F2
     pols = drive.components()
     lines = sorted((t for t in transitions if t.lower.manifold == manifold
@@ -188,8 +195,9 @@ def _resolve_lines(transitions, sublevels, drive: FieldDrive) -> tuple:
     # amplitude of each F=2 sublevel toward the far F'=1 level a coupling drives
     far = {s.m: decay_amplitude(s.f, s.m, 1, s.m + _POL_DELTA_M[drive.polarization])
            for s in sublevels if s.manifold == GROUND_F2 and drive.which == COUPLING}
-    return (tuple(lines), top if top > 0.0 else 1.0,
-            {t.upper: t for t in reversed(lines)}, far)
+    return DriveLines(tuple(lines), top if top > 0.0 else 1.0,
+                      MappingProxyType({t.upper: t for t in reversed(lines)}),
+                      MappingProxyType(far))
 
 
 # Signed hyperfine factor of each D1 line, keyed (F, F'): the Racah
@@ -285,9 +293,9 @@ def stark_shifts(coupling: FieldDrive, scheme: LevelScheme) -> Mapping[int, floa
     """
     if scheme.far_level_detuning is None or coupling.which != COUPLING:
         return NO_STARK
-    _, norm, _, far = scheme.lines[COUPLING, coupling.polarization]
-    return {m: abs(coupling.rabi_scale * amp / norm) ** 2 / (4.0 * scheme.far_level_detuning)
-            for m, amp in far.items()}
+    drive = scheme.lines[COUPLING, coupling.polarization]
+    return {m: abs(coupling.rabi_scale * amp / drive.norm) ** 2
+            / (4.0 * scheme.far_level_detuning) for m, amp in drive.far.items()}
 
 
 def rabi_from_power(power: float, which: str) -> float:
@@ -328,15 +336,15 @@ def probe_pathways(
         raise ValueError("component must be a circular polarization")
     if component not in probe.components():
         return ()
-    probe_norm = scheme.lines[probe.which, probe.polarization][1]
-    _, coupling_norm, partners, _ = scheme.lines[coupling.which, coupling.polarization]
+    probe_norm = scheme.lines[probe.which, probe.polarization].norm
+    coupled = scheme.lines[coupling.which, coupling.polarization]
     pathways = []
-    for t in scheme.lines[PROBE, component][0]:
+    for t in scheme.lines[PROBE, component].lines:
         partner = None
         coupling_rabi = 0.0
-        if (ct := partners.get(t.upper)) is not None:
+        if (ct := coupled.partners.get(t.upper)) is not None:
             partner = ct.lower
-            coupling_rabi = coupling.rabi_scale * ct.cg / coupling_norm
+            coupling_rabi = coupling.rabi_scale * ct.cg / coupled.norm
         pathways.append(
             ProbePathway(
                 ground=t.lower,

@@ -162,9 +162,9 @@ def build_hamiltonian(
         else:
             h[i, i] = z
     for drive in (probe, coupling):
-        lines, norm, _, _ = scheme.lines[drive.which, drive.polarization]
-        for t in lines:
-            omega = drive.rabi_scale * t.cg / norm
+        driven = scheme.lines[drive.which, drive.polarization]
+        for t in driven.lines:
+            omega = drive.rabi_scale * t.cg / driven.norm
             g, e = idx[t.lower], idx[t.upper]
             h[e, g] += -0.5 * omega
             h[g, e] += -0.5 * omega

@@ -9,8 +9,9 @@ evaluates the susceptibilities, angle and metadata of a stack of sweeps on
 one grid: a power scan runs one atom stage per power, a temperature scan
 one in all, and either one medium stage for the whole scan. The probe
 pathways do not depend on the probe detuning, so one set serves a sweep's
-grid, and the sweeps of a stack share one closed-form kernel call. The
-detection chain runs on those arrays only when a detector trace is written
+grid, and the sweeps of a stack share one call of the closed-form kernel,
+which evaluates their pathways in blocks of rows. The detection chain runs
+on those arrays only when a detector trace is written
 (``SweepResult.signals``).
 Ground-state populations follow one of two policies: the default solves the
 steady state once at two-photon resonance and reuses it across the sweep
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .atom import (
     TWO_PI,
     FieldDrive,
     LevelScheme,
-    Sublevel,
     build_level_scheme,
     coupling_polarization,
     probe_pathways,
@@ -113,6 +113,9 @@ EIT_CSV_COLUMNS = [
 
 _FLAT_TOL = 1e-12  # rad, see find_dispersion_peaks
 _PROMINENCE_FRACTION = 0.02  # see count_transmission_peaks
+# The longest complex array numpy can describe (2**59 - 1 on 64-bit
+# platforms): a longer detuning grid cannot hold a susceptibility.
+_MAX_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 class NumericError(Exception):
@@ -152,6 +155,8 @@ class ScenarioConfig:
             raise ValueError("population_policy must be 'fixed' or 'per_point'")
         if not self.points >= 2:
             raise ValueError("points must be at least 2")
+        if not self.points <= _MAX_POINTS:
+            raise ValueError(f"points must be at most {_MAX_POINTS}")
         if not self.detuning_min < self.detuning_max:
             raise ValueError("detuning_max must be above detuning_min")
         for name in ("probe_rabi", "coupling_rabi"):
@@ -255,36 +260,13 @@ class TransmissionCurve(NamedTuple):
     transmission: np.ndarray
 
 
-def _ground_populations(
-    cfg: ScenarioConfig,
-    scheme: LevelScheme,
-    coupling: FieldDrive,
-    stark: Mapping[int, float],
-    offsets: Sequence[float],
-) -> dict[Sublevel, np.ndarray]:
-    """Steady-state ground occupations with the probe detuned by each of
-    ``offsets`` (rad/s) from two-photon resonance, one entry per offset.
-
-    The Hamiltonian is built once, at resonance; an offset only moves the
-    superoperator diagonal, so one factorization of its population block
-    serves every offset (see ``block_populations``).
-    """
-    probe = cfg.probe_drive(cfg.coupling_detuning)
-    h = build_hamiltonian(scheme, probe, coupling, stark, cfg.b_field)
-    pops = block_populations(scheme, h, cfg.rates, offsets)
-    idx = scheme.index
-    return {s: pops[:, idx[s]] for s in scheme.ground()}
-
-
 def steady_populations(cfg: ScenarioConfig) -> dict:
     """Ground-sublevel occupations from the steady-state solve at
     two-photon resonance (probe detuning equal to the coupling detuning),
     the representative point for the fixed-population policy.
     """
-    scheme = cfg.scheme()
-    pops = _ground_populations(cfg, scheme, cfg.coupling_drive(),
-                               cfg.stark(scheme), [0.0])
-    return {s: float(v[0]) for s, v in pops.items()}
+    resonance = np.array([cfg.coupling_detuning])
+    return _atom_stage(replace(cfg, population_policy="fixed"), resonance).populations
 
 
 class _Atom(NamedTuple):
@@ -299,22 +281,25 @@ class _Atom(NamedTuple):
 
 
 def _atom_stage(cfg: ScenarioConfig, dets: np.ndarray) -> _Atom:
-    """The atom of ``cfg`` on the grid ``dets``, which is ``cfg.detunings()``:
-    the atoms of a scan share one."""
+    """The atom of ``cfg`` on the grid ``dets``, which the atoms of a scan
+    share; only the ``per_point`` policy reads it."""
     scheme = cfg.scheme()
     coupling = cfg.coupling_drive()
     stark = cfg.stark(scheme)
+    probe = cfg.probe_drive(cfg.coupling_detuning)
 
-    # the metadata always reports the populations at two-photon resonance,
-    # so that point is solved first under either policy
+    # h is built at two-photon resonance, the point the metadata always
+    # reports, so that point is solved first under either policy; one
+    # factorization serves every other detuning (see ``block_populations``)
+    h = build_hamiltonian(scheme, probe, coupling, stark, cfg.b_field)
     per_point = cfg.population_policy == "per_point"
     offsets = [0.0, *(dets - cfg.coupling_detuning)] if per_point else [0.0]
-    all_pops = _ground_populations(cfg, scheme, coupling, stark, offsets)
-    meta_pops = {s: float(v[0]) for s, v in all_pops.items()}
-    pops = {s: v[1:] for s, v in all_pops.items()} if per_point else meta_pops
+    all_pops = block_populations(scheme, h, cfg.rates, offsets)
+    idx = scheme.index
+    meta_pops = {s: float(all_pops[0, idx[s]]) for s in scheme.ground()}
+    pops = {s: all_pops[1:, idx[s]] for s in meta_pops} if per_point else meta_pops
 
     # pathways carry no probe detuning, so one set serves the whole grid
-    probe = cfg.probe_drive(cfg.coupling_detuning)
     paths = [probe_pathways(scheme, probe, coupling, component, stark)
              for component in (SIGMA_MINUS, SIGMA_PLUS)]
     return _Atom(cfg, dets, (*paths,), pops, {
@@ -325,36 +310,16 @@ def _atom_stage(cfg: ScenarioConfig, dets: np.ndarray) -> _Atom:
     })
 
 
-# Most pathway x detuning elements that one kernel call evaluates (a complex
-# temporary of 128 KB). A larger stack is slower: the working set of the
-# Faddeeva kernel leaves the cache.
-_STACK_ELEMENTS = 8192
-
-
-def _medium_stage(pairs: Iterable[tuple[_Atom, MediumParams]]) -> Iterator[SweepResult]:
-    """The sweep of each (atom, medium) pair, in order; the atoms share one
-    grid. Consecutive pairs share one kernel call while it holds at most
-    ``_STACK_ELEMENTS`` elements (a pair above that runs alone), and the
-    pairs are taken, and the sweeps given, one kernel call at a time."""
-    group, size = [], 0
-    for atom, medium in pairs:
-        n = (len(atom.paths[0]) + len(atom.paths[1])) * atom.detunings.size
-        if group and size + n > _STACK_ELEMENTS:
-            yield from _stacked_sweeps(group)
-            group, size = [], 0
-        group.append((atom, medium))
-        size += n
-    if group:
-        yield from _stacked_sweeps(group)
-
-
-def _stacked_sweeps(group: list[tuple[_Atom, MediumParams]]) -> Iterator[SweepResult]:
-    first = group[0][0]
+def _medium_stage(pairs: Sequence[tuple[_Atom, MediumParams]]) -> list[SweepResult]:
+    """The sweep of each (atom, medium) pair, in order, from one kernel
+    call; the atoms share one grid."""
+    first = pairs[0][0]
     chis = susceptibility_arrays(
-        [(*atom.paths, atom.populations, medium) for atom, medium in group],
+        [(*atom.paths, atom.populations, medium) for atom, medium in pairs],
         first.detunings, first.cfg.coupling_detuning, first.cfg.rates,
         first.cfg.b_field)
-    for (atom, medium), (chi_m, chi_p) in zip(group, chis):
+    results = []
+    for (atom, medium), (chi_m, chi_p) in zip(pairs, chis):
         bad = np.count_nonzero(~(np.isfinite(chi_m) & np.isfinite(chi_p)))
         if bad:
             raise NumericError(f"susceptibility not finite at {bad} of "
@@ -363,16 +328,17 @@ def _stacked_sweeps(group: list[tuple[_Atom, MediumParams]]) -> Iterator[SweepRe
         pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
         metadata = {**atom.metadata, "density_m3": medium.density,
                     "temperature_k": medium.temperature, "v_width_ms": medium.v_width}
-        yield SweepResult(detunings=atom.detunings, pair=pair, medium=medium,
-                          phi_exact=rotation_angle(pair, medium).exact,
-                          metadata=metadata)
+        results.append(SweepResult(detunings=atom.detunings, pair=pair, medium=medium,
+                                   phi_exact=rotation_angle(pair, medium).exact,
+                                   metadata=metadata))
+    return results
 
 
 def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     """One detuning sweep: the medium stage of its atom stage. The medium is
     built first, so that one that cannot be built fails before any solve."""
     medium = cfg.medium()
-    return next(_medium_stage([(_atom_stage(cfg, cfg.detunings()), medium)]))
+    return _medium_stage([(_atom_stage(cfg, cfg.detunings()), medium)])[0]
 
 
 def find_dispersion_peaks(result: SweepResult) -> PeakPair:
@@ -429,8 +395,8 @@ def sweep_coupling_power(
     medium = cfg.medium()
     rabis = [rabi_from_power(p, COUPLING) for p in powers]
     dets = cfg.detunings()
-    results = _medium_stage((_atom_stage(replace(cfg, coupling_rabi=rabi), dets),
-                             medium) for rabi in rabis)
+    results = _medium_stage([(_atom_stage(replace(cfg, coupling_rabi=rabi), dets),
+                              medium) for rabi in rabis])
     return [(p, rabi, find_dispersion_peaks(result))
             for p, rabi, result in zip(powers, rabis, results)]
 
@@ -448,7 +414,7 @@ def sweep_temperature(
     """
     media = [replace(cfg, temperature=t, density=None).medium() for t in temps]
     atom = _atom_stage(cfg, cfg.detunings())
-    return list(zip(temps, _medium_stage((atom, medium) for medium in media)))
+    return list(zip(temps, _medium_stage([(atom, medium) for medium in media])))
 
 
 def eit_transmission(cfg: ScenarioConfig, component: str) -> TransmissionCurve:

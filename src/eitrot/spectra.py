@@ -21,11 +21,11 @@ non-negative gamma_ba guarantee (``RelaxationRates`` enforces both). On that
 upper half-plane w is evaluated by Weideman's rational approximation
 (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) with
 N = ``_FADDEEVA_N`` terms, accurate to a few 1e-14 relative. The kernel
-evaluates it in one call for every pathway of a stack of sweeps on one
-grid, elementwise (a row per pathway, with its sweep's k V), and sums the
-partials per sweep and circular component into chi- and chi+, hence
-refractive indices, absorption coefficients, and the rotation angle of the
-linear probe polarization.
+evaluates it for every pathway of a stack of sweeps on one grid,
+elementwise (a row per pathway, with its sweep's k V) in blocks of rows
+that stay in cache, and sums the partials per sweep and circular component
+into chi- and chi+, hence refractive indices, absorption coefficients, and
+the rotation angle of the linear probe polarization.
 
 The mapping from cell temperature to vapor density uses the liquid-phase Rb
 vapor-pressure curve rescaled to pass through a measured anchor point, so
@@ -239,6 +239,12 @@ def doppler_average(denominator, kv):
     return math.sqrt(math.pi) / kv * _faddeeva(1j * np.asarray(denominator) / kv)
 
 
+# Most pathway x detuning elements that one kernel block evaluates (a complex
+# temporary of 128 KB). A larger block is slower: the working set of the
+# Faddeeva kernel leaves the cache.
+_STACK_ELEMENTS = 8192
+
+
 def _component_sum(partials: np.ndarray) -> np.ndarray:
     # Summing in a canonical order makes mirror-image pathway sets, whose
     # partials agree bit for bit, give bit-identical totals.
@@ -260,8 +266,9 @@ def susceptibility_arrays(
     ``populations`` maps ground sublevels to occupations, either one number
     per sublevel or one array per sublevel with one entry per detuning.
     The pathways of all items are the rows of one array over the detunings,
-    each with the k V and density of its item's medium, so one Faddeeva
-    evaluation serves them all.
+    each with the k V and density of its item's medium. The Faddeeva kernel
+    takes them in blocks of whole rows, at most ``_STACK_ELEMENTS`` elements
+    or one row each.
     """
     dets = np.atleast_1d(np.asarray(detunings, dtype=float))
     paths, kv, weights = [], [], []
@@ -272,14 +279,18 @@ def susceptibility_arrays(
             kv.append(medium.wavevector * medium.v_width)
             weights.append(
                 prefactor * p.probe_dipole ** 2 * populations.get(p.ground, 0.0))
+    rows = max(1, _STACK_ELEMENTS // dets.size)
+    blocks = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        denominators = pathway_denominator(paths, dets, coupling_detuning, rates,
-                                           b_field)
-        # An undamped ground coherence (gamma_ba = 0) at exact two-photon
-        # resonance makes the dressed denominator infinite; the average then
-        # tends to zero: that pathway is fully transparent.
-        factors = np.where(np.isinf(denominators), 0.0,
-                           doppler_average(denominators, np.reshape(kv, (-1, 1))))
+        for start in range(0, len(paths), rows):
+            denominators = pathway_denominator(paths[start:start + rows], dets,
+                                               coupling_detuning, rates, b_field)
+            # An undamped ground coherence (gamma_ba = 0) at exact two-photon
+            # resonance makes the dressed denominator infinite; the average
+            # then tends to zero: that pathway is fully transparent.
+            blocks.append(np.where(np.isinf(denominators), 0.0, doppler_average(
+                denominators, np.reshape(kv[start:start + rows], (-1, 1)))))
+    factors = np.concatenate(blocks)
     partials = np.empty(factors.shape, dtype=complex)
     for row, weight in zip(partials, weights):  # a number, or one per detuning
         row[:] = weight

@@ -18,6 +18,7 @@ from eitrot.atom import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     TWO_PI,
+    DriveLines,
     FieldDrive,
     Sublevel,
     build_level_scheme,
@@ -120,6 +121,20 @@ class TestSchemeCache:
         with pytest.raises(TypeError):
             scheme.lines[PROBE, LINEAR] = scheme.lines[PROBE, SIGMA_MINUS]
         assert scheme.index[scheme.sublevels[0]] == 0
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_drive_tables_are_read_only(self, scheme_id):
+        # a cached scheme serves the whole process, so no caller may change
+        # the coupling partners or the far amplitudes of any drive
+        scheme = build_level_scheme(scheme_id)
+        coupling = FieldDrive(COUPLING, coupling_polarization(scheme_id), TWO_PI * 80e6)
+        shifts = dict(stark_shifts(coupling, scheme))
+        for drive, lines in scheme.lines.items():
+            assert isinstance(lines, DriveLines), drive
+            for table in (lines.partners, lines.far):
+                with pytest.raises(TypeError):
+                    table[next(iter(table), 0)] = 99.0
+        assert stark_shifts(coupling, scheme) == shifts
 
 
 class TestPathwayCensus:
@@ -282,6 +297,7 @@ def _records() -> dict:
         "Sublevel": scheme.sublevels[0],
         "Transition": scheme.transitions[0],
         "LevelScheme": scheme,
+        "DriveLines": scheme.lines[COUPLING, SIGMA_MINUS],
         "ProbePathway": probe_pathways(scheme, WP10, WC80, SIGMA_MINUS)[0],
         "JonesVector": JonesVector.linear(),
         "_Scatter": dynamics._scatter_tables(scheme, np.arange(169)),
@@ -298,7 +314,7 @@ def _records() -> dict:
 
 class TestRecords:
     @pytest.mark.parametrize("name", [
-        "Sublevel", "Transition", "LevelScheme", "ProbePathway",
+        "Sublevel", "Transition", "LevelScheme", "DriveLines", "ProbePathway",
         "JonesVector", "_Scatter", "SusceptibilityPair", "RotationAngle", "Peak",
         "PeakPair", "SweepResult", "TransmissionCurve", "_Atom", "RunSpec"])
     def test_fields_cannot_be_set(self, name):

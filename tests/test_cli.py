@@ -421,6 +421,23 @@ class TestMainErrors:
             "error: numeric: out of memory: Unable to allocate 7.28 TiB for an array\n"
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("points, code, err", [
+        (2**59 - 1, 2, "error: numeric: out of memory: "),
+        *((points, 1, f"error: config: key 'probe.points' must be at most {2**59 - 1}")
+          for points in (2**59, 2**60, 2**63 - 1, 10**20)),
+    ], ids=["2^59-1", "2^59", "2^60", "2^63-1", "10^20"])
+    def test_grid_too_long_exit_code(self, tmp_path, capsys, points, code, err):
+        # every such float64 grid exceeds the 128 TiB address space, so none
+        # is allocated: the longest grid numpy can describe runs out of
+        # memory, and a longer one is refused before the run
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path),
+                     "--set", f"probe.points={points}"]) == code
+        got = capsys.readouterr().err
+        assert got.startswith(err)
+        assert len(got.splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, SPECTRUM_YAML)
         assert main(["--config", str(cfg), "--outdir", str(tmp_path),
@@ -484,6 +501,31 @@ class TestDeterminism:
         for name in one:
             assert ((tmp_path / "one" / name).read_bytes()
                     == (tmp_path / "two" / name).read_bytes()), name
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("scenario, lines", [
+        ("spectrum", ["sweeping 41 detuning points"]),
+        ("detector-trace", ["sweeping 41 detuning points"]),
+        ("power-scan", [f"power {p} mW done" for p in (6, 8, 10, 12, 15)]),
+        ("temp-scan", [f"temperature {t} K done" for t in ("318.15", "328.15", "338.15")]),
+        ("eit-peaks", []),
+        ("populations", []),
+    ])
+    def test_verbose_writes_progress_to_stderr_only(self, tmp_path, capsys,
+                                                    scenario, lines):
+        cfg = write(tmp_path, f"scenario: {scenario}\nprobe:\n  points: 41\n")
+        runs = []
+        for flags in ([], ["-v"]):
+            outdir = tmp_path / ("verbose" if flags else "quiet")
+            assert main(["--config", str(cfg), "--outdir", str(outdir), *flags]) == 0
+            out, err = capsys.readouterr()
+            runs.append((out, err, {p.name: p.read_bytes() for p in outdir.iterdir()}))
+        (quiet_out, quiet_err, quiet_files), (out, err, files) = runs
+        assert quiet_err == ""
+        assert err.splitlines() == lines
+        assert out == quiet_out
+        assert files == quiet_files
 
 
 class TestOtherScenarios:

@@ -14,6 +14,7 @@ from eitrot.atom import (
     COUPLING,
     LINEAR,
     NO_STARK,
+    PI,
     PROBE,
     SCHEME_IDS,
     SIGMA_MINUS,
@@ -390,11 +391,9 @@ class TestSteadyState:
             return h
 
         monkeypatch.setattr(scenarios, "build_hamiltonian", nan_hamiltonian)
-        cfg = ScenarioConfig()
-        scheme = cfg.scheme()
+        cfg = ScenarioConfig(population_policy="per_point")
         with pytest.raises(SteadyStateError, match="not finite") as err:
-            scenarios._ground_populations(cfg, scheme, cfg.coupling_drive(),
-                                          cfg.stark(scheme), [0.0, TWO_PI * 3e6])
+            scenarios._atom_stage(cfg, np.array([TWO_PI * 3e6]))
         assert err.value.null_dim is None
 
     def test_overflowing_solution_raises_without_diagnosis(self):
@@ -533,6 +532,41 @@ class TestSteadyStatePopulations:
         pops = block_populations(SCHEME, default_h(), RelaxationRates(), [0.0, 0.0])
         direct = solve_steady_state(default_lio()).diagonal().real
         assert np.array_equal(pops, [direct, direct])
+
+    def test_a_failing_offset_is_diagnosed_on_its_own_superoperator(self, monkeypatch):
+        # with no residual accepted, the first offset fails; its null space
+        # must be sized on the block with the probe detuned by that offset
+        seen = []
+        failure = dynamics._failure
+        monkeypatch.setattr(dynamics, "_failure",
+                            lambda lio, *args: seen.append(lio.copy()) or failure(lio, *args))
+        monkeypatch.setattr(dynamics, "_RESIDUAL_TOL", 0.0)
+        offset = TWO_PI * 3e6
+        with pytest.raises(SteadyStateError,
+                           match=r"exceeds 0e\+00 \(null-space dimension 1\)"):
+            block_populations(SCHEME, default_h(), RelaxationRates(), [offset])
+        lio = default_lio(probe=replace(WP10, detuning=offset))
+        block = population_block(lio)
+        [got] = seen
+        want = lio[np.ix_(block, block)]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_liouvillian(SCHEME, np.zeros((3, 3)), RelaxationRates()),
+     ValueError, "hamiltonian does not match the scheme"),
+    (lambda: population_block(np.zeros((3, 3))),
+     ValueError, "superoperator must be square with square side"),
+    (lambda: FieldDrive("pump", LINEAR, 1.0), ValueError, "unknown field role 'pump'"),
+    (lambda: build_level_scheme("sigma_f3"), ValueError, "unknown scheme 'sigma_f3'"),
+    (lambda: probe_pathways(SCHEME, WP10, WC80, PI),
+     ValueError, "component must be a circular polarization"),
+    (lambda: SCHEME.by_label("z9"), KeyError, "no sublevel labelled 'z9'"),
+], ids=["liouvillian_shape", "block_side", "field_role", "scheme_id",
+        "pathway_component", "sublevel_label"])
+def test_library_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestPopulationBlock:

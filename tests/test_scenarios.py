@@ -14,7 +14,7 @@ from scipy.signal import find_peaks
 
 from eitrot.atom import SCHEME_IDS, SIGMA_MINUS, SIGMA_PLUS, TWO_PI
 from eitrot.detection import JonesVector, detector_intensities, propagate_cell
-from eitrot import dynamics, scenarios
+from eitrot import dynamics, scenarios, spectra
 from eitrot.dynamics import (
     RelaxationRates,
     build_hamiltonian,
@@ -34,7 +34,6 @@ from eitrot.scenarios import (
     sweep_coupling_power,
     sweep_probe_detuning,
     sweep_temperature,
-    _ground_populations,
     write_csv,
 )
 from eitrot.spectra import SusceptibilityPair
@@ -227,8 +226,8 @@ class TestSweep:
         coupling = cfg.coupling_drive()
         stark = cfg.stark(scheme)
         dets = TWO_PI * np.array([-40e6, -7.5e6, 0.0, 2e6, 3.1e6, 25e6])
-        pops = _ground_populations(cfg, scheme, coupling, stark,
-                                   dets - cfg.coupling_detuning)
+        pops = scenarios._atom_stage(replace(cfg, population_policy="per_point"),
+                                     dets).populations
         for k, det in enumerate(dets):
             h = build_hamiltonian(scheme, cfg.probe_drive(det), coupling, stark,
                                   cfg.b_field)
@@ -355,7 +354,7 @@ class TestScans:
         temps = [318.15, 328.15, 338.15]
         whole = (power_scan_sweeps(cfg, SCAN_POWERS, monkeypatch)[1],
                  sweep_temperature(cfg, temps))
-        monkeypatch.setattr(scenarios, "_STACK_ELEMENTS", 1)
+        monkeypatch.setattr(spectra, "_STACK_ELEMENTS", 1)
         split = (power_scan_sweeps(cfg, SCAN_POWERS, monkeypatch)[1],
                  sweep_temperature(cfg, temps))
         for a, b in zip(whole[0], split[0]):
@@ -365,13 +364,14 @@ class TestScans:
 
     @pytest.mark.parametrize("scan, points, calls", [
         ("power", 161, 1), ("temperature", 161, 1), ("power", 1201, 5),
-        ("spectrum", 1201, 1)])
+        ("spectrum", 1201, 1), ("spectrum", 4001, 3)])
     def test_kernel_calls_per_scan(self, scan, points, calls, monkeypatch):
-        # a scan stacks its sweeps into one kernel call while they fit the
-        # element budget: 5 x 6 x 161 elements do, two 6 x 1201 do not
+        # the kernel takes a scan's pathway rows in blocks of the element
+        # budget: 5 x 6 x 161 elements are one, 6 rows of 1201 one, 6 rows
+        # of 4001 three
         count = []
-        kernel = scenarios.susceptibility_arrays
-        monkeypatch.setattr(scenarios, "susceptibility_arrays",
+        kernel = spectra.doppler_average
+        monkeypatch.setattr(spectra, "doppler_average",
                             lambda *args: count.append(1) or kernel(*args))
         cfg = ScenarioConfig(points=points)
         if scan == "power":

@@ -79,6 +79,11 @@ MATRIX = [
                                  "magnetic_field_g": 10}]),
     ("power_scan_no_stark_10g", [{"scenario": "power-scan", "stark_shifts": False,
                                   "magnetic_field_g": 10}]),
+    # one sweep whose pathway rows span several Doppler-kernel blocks
+    ("spectrum_4001", [{"scenario": "spectrum", "probe": {"points": 4001}}]),
+    ("populations_per_point_detuned", [{"scenario": "populations",
+                                        "population_policy": "per_point",
+                                        "coupling": {"detuning_mhz": 3}}]),
 ]
 
 # Runs the CLI of the tree whose src/ is argv[1], failing if eitrot would
