@@ -49,6 +49,7 @@ FPRIME_SPLITTING = TWO_PI * 816e6  # rad/s, excited-state hyperfine interval
 GROUND_F1 = "ground_f1"
 GROUND_F2 = "ground_f2"
 EXCITED = "excited"
+_LABELS = {GROUND_F1: "a", GROUND_F2: "b", EXCITED: "c"}  # see LevelScheme.label
 
 SIGMA_MINUS = "sigma_minus"
 SIGMA_PLUS = "sigma_plus"
@@ -173,8 +174,7 @@ class LevelScheme(NamedTuple):
         return tuple(s for s in self.sublevels if s.manifold == EXCITED)
 
     def label(self, s: Sublevel) -> str:
-        base = {GROUND_F1: "a", GROUND_F2: "b", EXCITED: "c"}[s.manifold]
-        return f"{base}{s.m + s.f + 1}"
+        return f"{_LABELS[s.manifold]}{s.m + s.f + 1}"
 
     def by_label(self, label: str) -> Sublevel:
         for s in self.sublevels:

@@ -380,9 +380,9 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
         print(f"{spec.scenario}: {cfg.points} points, max |phi| = {max_phi:.6g} deg")
 
     elif spec.scenario == "power-scan":
+        log(f"scanning {len(spec.powers_w)} powers over {cfg.points} detuning points")
         rows = []
         for power, rabi, peaks in sweep_coupling_power(cfg, list(spec.powers_w)):
-            log(f"power {power * 1e3:g} mW done")
             rows.append((power * 1e3, rabi / MHZ,
                          *_peak_values(peaks, f"{power * 1e3:g} mW")))
         write_csv(csv_path, POWER_SCAN_CSV_COLUMNS, rows)
@@ -390,6 +390,8 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
         print(f"power-scan: {len(rows)} powers")
 
     elif spec.scenario == "temp-scan":
+        log(f"scanning {len(spec.temperatures_k)} temperatures over {cfg.points} "
+            "detuning points")
         results = sweep_temperature(cfg, list(spec.temperatures_k))
         rows = [(  # every temperature has its peaks before any file is written
             t, result.metadata["density_m3"],
@@ -398,7 +400,6 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
         ) for t, result in results]
         per_temp_files = []
         for i, (t, result) in enumerate(results, start=1):
-            log(f"temperature {t:.2f} K done")
             sub_path = outdir / f"{spec.basename}_t{i}.csv"
             write_csv(sub_path, SPECTRUM_CSV_COLUMNS, result.spectrum_table())
             per_temp_files.append(str(sub_path.name))

@@ -42,16 +42,17 @@ on v): in real coordinates an offset delta rotates each such pair, row u
 gaining -sigma delta x_v and row v +sigma delta x_u. So the steady states
 over a whole grid of probe detunings come from one factorization of the
 block at two-photon resonance plus a low-rank (Woodbury) update per detuning
-(``block_populations``); every solution is checked against its own
-superoperator, as ``solve_steady_state`` checks a single one. The residual
-||L rho|| / (||L||_F ||rho||) is taken in real coordinates, where the u and
-v entries of x and of R x count twice: |rho_u|^2 + |rho_v|^2 =
-2 (x_u^2 + x_v^2).
+(or per Doppler shift of the excited levels): ``_factor`` brings it to
+pole-residue form, ``_evaluate`` reads that at any offsets, and every
+solution passes one residual test (``_check_residual``) on its own
+superoperator: ||L rho|| / (||L||_F ||rho||) in real coordinates, where u
+and v count twice: |rho_u|^2 + |rho_v|^2 = 2 (x_u^2 + x_v^2).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -264,11 +265,12 @@ def _scatter_tables(scheme: LevelScheme, index: np.ndarray) -> _Scatter:
 
 def _real_coordinates(index: np.ndarray, n: int) -> tuple:
     """Real coordinates (module docstring) of the block over ``index``, as
-    (transpose, first, second, kind): the position of the transpose of each
-    element, the positions in F, the block's flat ``_parts``, from which
-    the m x m system R takes its entries, R[r, k] = F[first[j]] +
-    F[second[j]] kind[k] with j = r m + k, and kind, +1 on u, -1 on v and 0
-    on a population. Raises unless every transpose is in ``index``."""
+    (transpose, first, second, kind, weight): the position of the transpose
+    of each element, the positions in F, the block's flat ``_parts``, from
+    which the m x m system R takes its entries, R[r, k] = F[first[j]] +
+    F[second[j]] kind[k] with j = r m + k, kind, +1 on u, -1 on v and 0 on a
+    population, and the weight in norms, 1 on a population and 2 otherwise.
+    Raises unless every transpose is in ``index``."""
     m = index.size
     at = np.full(n * n, -1)
     at[index] = np.arange(m)
@@ -290,7 +292,8 @@ def _real_coordinates(index: np.ndarray, n: int) -> tuple:
     there = here + (transpose - k) * 2
     swap = v[:, None] & v
     return (transpose, np.where(swap, there, here).reshape(-1),
-            np.where(swap, here, there).reshape(-1), kind.astype(float))
+            np.where(swap, here, there).reshape(-1), kind.astype(float),
+            np.where(kind, 2.0, 1.0))
 
 
 def _assemble(t: _Scatter, h: np.ndarray, rates: RelaxationRates) -> np.ndarray:
@@ -359,12 +362,11 @@ def solve_steady_state(lio: np.ndarray) -> np.ndarray:
     block = population_block(lio)
     real = _real_coordinates(block, n)
     lio = lio[np.ix_(block, block)]
-    t, _, _, kind = real
+    t, _, _, kind, _ = real
     if np.abs(lio[np.ix_(t, t)] - lio.conj()).max() > _RESIDUAL_TOL * np.abs(lio).max():
         raise SteadyStateError(
             "steady-state superoperator does not map Hermitian rho to Hermitian rho")
-    (x,) = _steady_states(lio, np.zeros(block.size), real, [0.0],
-                          np.arange(block.size))
+    x = _factor(lio, np.zeros(block.size), real).x0
     u = np.flatnonzero(kind > 0)
     rho = np.zeros(n * n, dtype=complex)
     rho[block] = x
@@ -378,7 +380,15 @@ def block_populations(
 ) -> np.ndarray:
     """Steady-state populations of ``build_liouvillian(scheme, h, rates)``
     with the probe detuned by each of ``offsets`` from that of h, one row per
-    offset, from the population block alone (see ``_steady_states``).
+    offset, from the population block alone (``_population_record``)."""
+    offsets = np.asarray(offsets, dtype=float)
+    record, rows = _population_record(scheme, h, rates, offsets.any())
+    return _evaluate(record, offsets, rows)
+
+
+def _population_record(scheme, h, rates, detuned) -> tuple:
+    """The ``_factor`` of the population block of the superoperator of h, with
+    the probe's slope if ``detuned``, and the positions of its populations.
 
     The block's nonzero pattern, and so the block, depends only on the
     scheme and on where h is nonzero: commutator entries are +-i h_ij one
@@ -391,8 +401,8 @@ def block_populations(
     tables = _block_tables(scheme, h, rates)
     lio = _assemble(tables, h, rates)
     _check_finite(lio)
-    return _steady_states(lio, tables.slope, tables.real, offsets,
-                          tables.populations)
+    slope = tables.slope if detuned else np.zeros(tables.slope.size)
+    return _factor(lio, slope, tables.real), tables.populations
 
 
 def _block_tables(scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates) -> _Scatter:
@@ -406,7 +416,7 @@ def _block_tables(scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates) ->
     return tables
 
 
-# Offsets per batch in ``_steady_states``: each temporary then holds 128
+# Offsets per batch in ``_evaluate``: each temporary then holds 128
 # solution columns of the population block.
 _OFFSET_BLOCK = 128
 
@@ -419,106 +429,110 @@ def _side(lio: np.ndarray) -> int:
     return n
 
 
-def _steady_states(lio, slope, real, offsets, rows) -> np.ndarray:
-    """Entries ``rows`` (positions in the block) of the real coordinates x of
-    the checked steady state of ``lio + offset * diag(slope)``, one row per
-    offset. ``lio`` is a finite population block that maps Hermitian rho to
-    Hermitian rho, ``slope`` its part of the slope and ``real`` its
-    ``_real_coordinates``. Row 0 is a population (flat index 0), which the
-    trace row replaces in the factorized system.
+# The steady states of the block ``lio`` plus any offset times ``slope`` on
+# its diagonal in pole-residue form (x0, Y V, lam and b of ``_factor``), and
+# what ``_check_residual`` needs.
+_Record = namedtuple(
+    "_Record", "lio slope form moving partner d weight norm2 cross slope2 x0 yv lam b")
+
+
+def _factor(lio, slope, real) -> _Record:
+    """The ``_Record`` of the real coordinates x of the steady states of
+    ``lio + offset * diag(slope)``, with x0 checked. ``lio`` is a finite
+    population block that maps Hermitian rho to Hermitian rho, ``slope`` is
+    zero on its populations and ``real`` is its ``_real_coordinates``. Row
+    0 is a population (flat index 0), which the trace row replaces in the
+    factorized system.
 
     One factorization serves every offset. An offset adds offset * S to R,
     with S[k, t(k)] = d_k = -Im slope[k] (t the transpose) on the rows J it
     moves: the pair rotation of the module docstring. With A0 the system of
-    R and P = t(J), A0 is solved for e0, giving x0 (on its own, so offset 0
-    is bitwise the fixed solve), and for e_J, giving Y. By the Woodbury
+    R and P = t(J), A0 is solved for e0, giving x0 (on its own, so x0 is
+    bitwise the same for any slope), and for e_J, giving Y. By the Woodbury
     identity x = x0 - Y c, where (I + offset K) c = offset (d x0[P]) with the
     real K = diag(d) Y[P] = V diag(lam) V^-1, diagonalized once. So
-    V^-1 c = offset / (1 + offset lam) * V^-1 (d x0[P]), and
+    V^-1 c = offset / (1 + offset lam) * b with b = V^-1 (d x0[P]), and
     x = x0 - Re((Y V) (V^-1 c)), keeping of each conjugate pair of eigenpairs
     the one with Im lam > 0, weighted by 2. Every factorization and matrix
-    product is real. When no offset moves an entry (every offset zero), J is
-    empty and x0 is every solution. Each solution must pass the residual
-    test of ``solve_steady_state`` on its own unmodified superoperator (a
-    badly conditioned V would show there), whose Frobenius norm follows in
-    closed form from the diagonal.
+    product is real. A slope that moves no row leaves J empty and no poles:
+    x0 is then the steady state at every offset.
     """
-    m = lio.shape[0]
-    offsets = np.asarray(offsets, dtype=float)
-    t, _, _, kind = real
+    t, _, _, kind, weight = real
     form = _real_form(lio, real)
-    # row 0 holds the trace constraint, which no offset moves
-    moving = np.flatnonzero(slope.imag[1:]) + 1 if offsets.any() else np.empty(0, int)
+    moving = np.flatnonzero(slope.imag)
     partner, d = t[moving], -slope.imag[moving]
     system = form.copy()
     system[0] = kind == 0
-    unit = (np.arange(m)[:, None] == np.concatenate(([0], moving))).astype(float)
+    unit = (np.arange(t.size)[:, None] == np.concatenate(([0], moving))).astype(float)
     try:
         x0 = np.linalg.solve(system, unit[:, 0])
-        y = np.linalg.solve(system, unit[:, 1:]) if moving.size else unit[:, 1:]
     except np.linalg.LinAlgError as exc:
         raise _failure(
             lio, "steady-state system is singular (null-space dimension {}); "
             "no unique stationary density matrix") from exc
-    _check_finite(x0, y)
-    # ||rho||^2 and ||L rho||^2 in real coordinates: u and v count twice
-    weight = np.where(kind, 2.0, 1.0)
-    norm2 = np.vdot(lio, lio).real
-    if not moving.size:
-        x = x0[:, None]
-        resid = form @ x
-        residual = np.sqrt(weight @ resid**2 / (norm2 * (weight @ x**2)))[0]
-        if not residual <= _RESIDUAL_TOL:
-            raise _residual_failure(lio, residual, x0)
-        return np.tile(x0[rows], (offsets.size, 1))
-    try:
-        lam, v = np.linalg.eig(d[:, None] * y[partner])
-        # numpy stores each conjugate pair of eigenvectors a +- ib side by
-        # side, Im lam > 0 first. In the real basis of the columns
-        # v (real lam), a and -b, d x0[P] has coordinates w; V^-1 d x0[P]
-        # is then w on a real lam and (w_j + i w_j+1) / 2 on a pair.
-        w = np.linalg.solve(np.where(lam.imag < 0, v.imag, v.real), d * x0[partner])
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(
-            "steady-state update has no eigenvector basis") from exc
-    keep = lam.imag >= 0
-    b = (w + 1j * np.where(lam.imag > 0, np.roll(w, -1), 0.0))[keep]
-    lam, v = lam[keep], v[:, keep]
-    yv = y @ v.real, y @ v.imag
-    del y  # only x0 and Y V are needed from here on
+    _check_finite(x0)
+    yv, lam, b, cross, slope2 = (unit[:, 1:],) * 2, d, d, 0.0, 0.0  # empty: no poles
+    if moving.size:
+        y = np.linalg.solve(system, unit[:, 1:])  # x0 was solved: not singular
+        _check_finite(y)
+        try:
+            lam, v = np.linalg.eig(d[:, None] * y[partner])
+            # numpy stores each conjugate pair of eigenvectors a +- ib side
+            # by side, Im lam > 0 first. In the real basis of the columns
+            # v (real lam), a and -b, d x0[P] has coordinates w; V^-1 d x0[P]
+            # is then w on a real lam and (w_j + i w_j+1) / 2 on a pair.
+            w = np.linalg.solve(np.where(lam.imag < 0, v.imag, v.real), d * x0[partner])
+        except np.linalg.LinAlgError as exc:
+            raise SteadyStateError(
+                "steady-state update has no eigenvector basis") from exc
+        keep = lam.imag >= 0
+        b = (w + 1j * np.where(lam.imag > 0, np.roll(w, -1), 0.0))[keep]
+        lam, v = lam[keep], v[:, keep]
+        yv = y @ v.real, y @ v.imag
+        # ||L + offset diag(slope)||_F^2
+        #   = ||L||_F^2 + 2 offset Re(diag(L)^H slope) + offset^2 ||slope||^2
+        cross = 2.0 * np.vdot(np.diagonal(lio), slope).real
+        slope2 = np.vdot(slope, slope).real
+    record = _Record(lio, slope, form, moving, partner, d, weight,
+                     np.vdot(lio, lio).real, cross, slope2, x0, yv, lam, b)
+    _check_residual(record, 0.0, x0[:, None])
+    return record
 
-    # ||L + offset diag(slope)||_F^2
-    #   = ||L||_F^2 + 2 offset Re(diag(L)^H slope) + offset^2 ||slope||^2
-    cross = 2.0 * np.vdot(np.diagonal(lio), slope).real
-    slope2 = np.vdot(slope, slope).real
+
+def _evaluate(record, offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entries ``rows`` (positions in the block) of the checked steady state
+    of ``record`` (``_factor``) at each of ``offsets``, one row per offset."""
     out = np.empty((offsets.size, rows.size))
     for start in range(0, offsets.size, _OFFSET_BLOCK):
         delta = offsets[start:start + _OFFSET_BLOCK]
         # V^-1 c for every offset
-        u = delta / (1.0 + delta * lam[:, None]) * b[:, None]
-        x = x0[:, None] - (yv[0] @ u.real - yv[1] @ u.imag)
-        resid = form @ x
-        resid[moving] += d[:, None] * delta * x[partner]
-        residual = np.sqrt(weight @ resid**2 / (
-            (norm2 + delta * (cross + delta * slope2)) * (weight @ x**2)))
-        failed = np.flatnonzero(~(residual <= _RESIDUAL_TOL))
-        if failed.size:
-            k = failed[0]
-            shifted = lio.copy()
-            shifted.reshape(-1)[:: m + 1] += delta[k] * slope
-            raise _residual_failure(shifted, residual[k], x[:, k])
+        u = delta / (1.0 + delta * record.lam[:, None]) * record.b[:, None]
+        x = record.x0[:, None] - (record.yv[0] @ u.real - record.yv[1] @ u.imag)
+        _check_residual(record, delta, x)
         out[start:start + delta.size] = x[rows].T
     return out
 
 
-def _residual_failure(lio, residual, x) -> SteadyStateError:
-    return _failure(lio, f"steady-state residual {residual:.2e} exceeds "
-                    f"{_RESIDUAL_TOL:.0e} (null-space dimension {{}})", x)
+def _check_residual(record, delta, x: np.ndarray) -> None:
+    """Raise unless each column of ``x``, the solution at the offset of the
+    same entry of ``delta`` (or at the one offset ``delta``), passes the
+    residual test on its own superoperator (a poor V would show here)."""
+    resid = record.form @ x
+    if record.moving.size:  # the pair rotation of each offset
+        resid[record.moving] += record.d[:, None] * delta * x[record.partner]
+    norm2 = record.norm2 + delta * (record.cross + delta * record.slope2)
+    residual = np.sqrt(record.weight @ resid**2 / (norm2 * (record.weight @ x**2)))
+    if not residual.max() <= _RESIDUAL_TOL:
+        k = np.argmin(residual <= _RESIDUAL_TOL)
+        shifted = record.lio + np.diag(np.broadcast_to(delta, residual.shape)[k]
+                                       * record.slope)
+        raise _failure(shifted, f"steady-state residual {residual[k]:.2e} exceeds "
+                       f"{_RESIDUAL_TOL:.0e} (null-space dimension {{}})", x[:, k])
 
 
 def _real_form(lio: np.ndarray, real: tuple) -> np.ndarray:
     """The real system R of the population block ``lio`` (module docstring)."""
-    _, first, second, kind = real
+    _, first, second, kind, _ = real
     parts = _parts(lio).reshape(-1)
     form = parts.take(second).reshape(lio.shape)
     form *= kind

@@ -21,7 +21,8 @@ for sensitivity studies. Both assemble and solve only the population block
 of the superoperator at two-photon resonance (85 of 169 elements for the
 linear probe); ``per_point`` gets every detuning from the block's one
 factorization plus a low-rank update, since the probe detuning moves only
-the superoperator diagonal.
+the superoperator diagonal. A population below ``_POPULATION_TOL`` at any
+solved detuning is not a density matrix and fails the sweep.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ from .detection import (
 )
 from .dynamics import (
     RelaxationRates,
-    block_populations,
+    SteadyStateError,
+    _evaluate,
+    _population_record,
     build_hamiltonian,
 )
 from .spectra import (
@@ -113,6 +116,11 @@ EIT_CSV_COLUMNS = [
 
 _FLAT_TOL = 1e-12  # rad, see find_dispersion_peaks
 _PROMINENCE_FRACTION = 0.02  # see count_transmission_peaks
+# Least accepted population (see _check_populations): the steady-state
+# residual tolerance of ``dynamics``. A population that is zero comes out
+# as rounding (-0.0 at worst over the tests), and the least ground
+# population over the documented inputs is +0.0215.
+_POPULATION_TOL = 1e-9
 # The longest complex array numpy can describe (2**59 - 1 on 64-bit
 # platforms): a longer detuning grid cannot hold a susceptibility.
 _MAX_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
@@ -289,15 +297,20 @@ def _atom_stage(cfg: ScenarioConfig, dets: np.ndarray) -> _Atom:
     probe = cfg.probe_drive(cfg.coupling_detuning)
 
     # h is built at two-photon resonance, the point the metadata always
-    # reports, so that point is solved first under either policy; one
-    # factorization serves every other detuning (see ``block_populations``)
+    # reports, so that point is solved first under either policy; its one
+    # factorization serves every other detuning (see ``dynamics._factor``)
     h = build_hamiltonian(scheme, probe, coupling, stark, cfg.b_field)
     per_point = cfg.population_policy == "per_point"
-    offsets = [0.0, *(dets - cfg.coupling_detuning)] if per_point else [0.0]
-    all_pops = block_populations(scheme, h, cfg.rates, offsets)
-    idx = scheme.index
-    meta_pops = {s: float(all_pops[0, idx[s]]) for s in scheme.ground()}
-    pops = {s: all_pops[1:, idx[s]] for s in meta_pops} if per_point else meta_pops
+    record, rows = _population_record(scheme, h, cfg.rates, per_point)
+    resonance = record.x0[rows]
+    _check_populations(scheme, resonance[None], [cfg.coupling_detuning])
+    idx, values = scheme.index, resonance.tolist()
+    meta_pops = {s: values[idx[s]] for s in scheme.ground()}
+    pops = meta_pops
+    if per_point:
+        all_pops = _evaluate(record, dets - cfg.coupling_detuning, rows)
+        _check_populations(scheme, all_pops, dets)
+        pops = {s: all_pops[:, idx[s]] for s in meta_pops}
 
     # pathways carry no probe detuning, so one set serves the whole grid
     paths = [probe_pathways(scheme, probe, coupling, component, stark)
@@ -308,6 +321,18 @@ def _atom_stage(cfg: ScenarioConfig, dets: np.ndarray) -> _Atom:
         "population_policy": cfg.population_policy,
         "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
     })
+
+
+def _check_populations(scheme: LevelScheme, pops: np.ndarray, dets) -> None:
+    """Raise ``SteadyStateError`` if a population (one row per detuning of
+    ``dets``, one column per sublevel) lies below ``-_POPULATION_TOL``: the
+    steady state is then not a density matrix."""
+    if pops.min() < -_POPULATION_TOL:
+        k, i = np.unravel_index(np.argmin(pops), pops.shape)
+        raise SteadyStateError(
+            "steady state is not a density matrix: population "
+            f"{scheme.label(scheme.sublevels[i])} = {pops[k, i]:.1e} at "
+            f"{dets[k] / MHZ:g} MHz")
 
 
 def _medium_stage(pairs: Sequence[tuple[_Atom, MediumParams]]) -> list[SweepResult]:

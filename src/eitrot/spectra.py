@@ -290,11 +290,9 @@ def susceptibility_arrays(
             # then tends to zero: that pathway is fully transparent.
             blocks.append(np.where(np.isinf(denominators), 0.0, doppler_average(
                 denominators, np.reshape(kv[start:start + rows], (-1, 1)))))
-    factors = np.concatenate(blocks)
-    partials = np.empty(factors.shape, dtype=complex)
-    for row, weight in zip(partials, weights):  # a number, or one per detuning
-        row[:] = weight
-    partials *= factors
+            for row, weight in zip(blocks[-1], weights[start:start + rows]):
+                row *= weight  # a number, or one per detuning
+    partials = np.concatenate(blocks)
     ends = np.cumsum([len(side) for item in items for side in item[:2]])
     sums = [_component_sum(part) for part in np.split(partials, ends[:-1])]
     return list(zip(sums[::2], sums[1::2]))

@@ -438,6 +438,30 @@ class TestMainErrors:
         assert len(got.splitlines()) == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("policy, code", [("fixed", 0), ("per_point", 2)])
+    def test_negative_population_exit_code(self, tmp_path, capsys, policy, code):
+        # rates outside the Lindblad domain (gamma_ca below gamma/2): at
+        # resonance the populations are positive, but 60 MHz off it b5
+        # reaches -3.3e-3, so the per-point steady state there is not a
+        # density matrix and the run writes nothing
+        cfg = write(tmp_path, f"""\
+scenario: spectrum
+population_policy: {policy}
+probe: {{rabi_mhz: 25.84, detuning_min_mhz: -100, detuning_max_mhz: 100, points: 201}}
+coupling: {{rabi_mhz: 136.15}}
+rates: {{gamma_ca_mhz: 0.221, gamma_ba_mhz: 2.867, transit_mhz: 0.138,
+        gamma_ground_mhz: 0.624}}
+""")
+        outdir = tmp_path / "out"
+        assert main(["--config", str(cfg), "--outdir", str(outdir)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("error: numeric: steady state is not a density matrix: "
+                           "population b5 = -3.3e-03 at 60 MHz\n")
+            assert not list(outdir.iterdir())
+        else:
+            assert err == ""
+
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, SPECTRUM_YAML)
         assert main(["--config", str(cfg), "--outdir", str(tmp_path),
@@ -507,8 +531,8 @@ class TestVerbose:
     @pytest.mark.parametrize("scenario, lines", [
         ("spectrum", ["sweeping 41 detuning points"]),
         ("detector-trace", ["sweeping 41 detuning points"]),
-        ("power-scan", [f"power {p} mW done" for p in (6, 8, 10, 12, 15)]),
-        ("temp-scan", [f"temperature {t} K done" for t in ("318.15", "328.15", "338.15")]),
+        ("power-scan", ["scanning 5 powers over 41 detuning points"]),
+        ("temp-scan", ["scanning 3 temperatures over 41 detuning points"]),
         ("eit-peaks", []),
         ("populations", []),
     ])

@@ -534,13 +534,20 @@ class TestSteadyStatePopulations:
         assert np.array_equal(pops, [direct, direct])
 
     def test_a_failing_offset_is_diagnosed_on_its_own_superoperator(self, monkeypatch):
-        # with no residual accepted, the first offset fails; its null space
-        # must be sized on the block with the probe detuned by that offset
+        # with no residual accepted once offset 0 is factored and checked,
+        # the first offset fails; its null space must be sized on the block
+        # with the probe detuned by that offset
         seen = []
-        failure = dynamics._failure
+        failure, factor = dynamics._failure, dynamics._factor
         monkeypatch.setattr(dynamics, "_failure",
                             lambda lio, *args: seen.append(lio.copy()) or failure(lio, *args))
-        monkeypatch.setattr(dynamics, "_RESIDUAL_TOL", 0.0)
+
+        def factor_then_accept_no_residual(*args):
+            record = factor(*args)
+            monkeypatch.setattr(dynamics, "_RESIDUAL_TOL", 0.0)
+            return record
+
+        monkeypatch.setattr(dynamics, "_factor", factor_then_accept_no_residual)
         offset = TWO_PI * 3e6
         with pytest.raises(SteadyStateError,
                            match=r"exceeds 0e\+00 \(null-space dimension 1\)"):
@@ -756,6 +763,80 @@ class TestBlockAssembly:
         assert np.array_equal(
             block_populations(SCHEME, h, rates, offsets)[0],
             solve_steady_state(build_liouvillian(SCHEME, h, rates)).diagonal().real)
+
+
+def block_coordinates(rho, tables):
+    """The real coordinates x of ``rho`` on the population block of ``tables``."""
+    flat = rho.reshape(-1)[tables.index]
+    # x_v = Im rho_u = -Im rho_v
+    return np.where(tables.real[3] < 0, -flat.imag, flat.real)
+
+
+class TestPoleResidueRecord:
+    """The record that ``dynamics._factor`` leaves, read by ``_evaluate``."""
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    @pytest.mark.parametrize("b_field", [0.0, 10e-4])
+    @pytest.mark.parametrize("detuned", [False, True])
+    def test_x0_is_the_block_solve_steady_state_solves(self, scheme_id, b_field, detuned):
+        cfg = ScenarioConfig(scheme_id=scheme_id, b_field=b_field,
+                             coupling_detuning=TWO_PI * 2e6)
+        scheme = cfg.scheme()
+        h = build_hamiltonian(scheme, cfg.probe_drive(0.0), cfg.coupling_drive(),
+                              cfg.stark(scheme), cfg.b_field)
+        record, _ = dynamics._population_record(scheme, h, cfg.rates, detuned)
+        rho = solve_steady_state(build_liouvillian(scheme, h, cfg.rates))
+        tables = dynamics._block_tables(scheme, h, cfg.rates)
+        assert np.array_equal(record.x0, block_coordinates(rho, tables))
+        # only a slope that moves rows leaves poles
+        assert (record.lam.size > 0) is detuned
+
+    @settings(max_examples=30, deadline=None)
+    @given(scheme_id=st.sampled_from(SCHEME_IDS),
+           b_gauss=st.sampled_from([0.0, 10.0]) | st.floats(-30.0, 30.0),
+           offsets_mhz=st.lists(st.just(0.0) | st.floats(-400.0, 400.0),
+                                min_size=1, max_size=300))
+    def test_evaluate_is_block_populations(self, scheme_id, b_gauss, offsets_mhz):
+        cfg = ScenarioConfig(scheme_id=scheme_id, b_field=b_gauss * 1e-4)
+        scheme = cfg.scheme()
+        h = build_hamiltonian(scheme, cfg.probe_drive(0.0), cfg.coupling_drive(),
+                              cfg.stark(scheme), cfg.b_field)
+        offsets = MHZ * np.array(offsets_mhz)
+        record, rows = dynamics._population_record(scheme, h, cfg.rates, True)
+        pops = dynamics._evaluate(record, offsets, rows)
+        assert np.array_equal(pops, block_populations(scheme, h, cfg.rates, offsets))
+        assert np.array_equal(pops[offsets == 0], np.tile(record.x0[rows], (
+            np.count_nonzero(offsets == 0), 1)))
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    @pytest.mark.parametrize("polarization", [LINEAR, SIGMA_MINUS, SIGMA_PLUS])
+    @pytest.mark.parametrize("b_field", [0.0, 10e-4, -30e-4])
+    def test_doppler_slope_matches_a_dense_velocity_class(self, scheme_id, polarization,
+                                                          b_field):
+        # An atom at velocity v sees both beams detuned by -k v (equal
+        # wavevectors), which raises the excited levels by k v and leaves the
+        # two-photon detuning alone: the slope -i (e_r - e_c), e = 1 on the
+        # excited levels, moves the optical coherences only. Measured worst
+        # difference over these cases and 10 velocity classes to 1200 MHz:
+        # 1.5e-14.
+        cfg = ScenarioConfig(scheme_id=scheme_id, probe_polarization=polarization,
+                             b_field=b_field)
+        scheme = cfg.scheme()
+        h = build_hamiltonian(scheme, cfg.probe_drive(0.0), cfg.coupling_drive(),
+                              cfg.stark(scheme), cfg.b_field)
+        tables = dynamics._block_tables(scheme, h, cfg.rates)
+        excited = np.array([s.manifold == atom.EXCITED for s in scheme.sublevels], float)
+        slope = (-1j * (excited[:, None] - excited)).reshape(-1)[tables.index]
+        if (scheme_id, polarization, b_field) == ("sigma_f2", LINEAR, 0.0):
+            assert (np.count_nonzero(slope), slope.size) == (40, 85)
+        record = dynamics._factor(dynamics._assemble(tables, h, cfg.rates), slope,
+                                  tables.real)
+        shifts = MHZ * np.array([0.0, 1.0, -250.0, 600.0, -1200.0])
+        xs = dynamics._evaluate(record, shifts, np.arange(tables.index.size))
+        for shift, x in zip(shifts, xs):
+            lio = build_liouvillian(scheme, h + shift * np.diag(excited), cfg.rates)
+            want = block_coordinates(dense_steady_state(lio), tables)
+            assert np.abs(x - want).max() <= 1e-12
 
 
 class TestAnalyticCoherences:

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -294,6 +295,18 @@ class TestInvariants:
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=sweep_configs(rates=lindblad_rates()), probe_off=st.booleans(),
+           coupling_off=st.booleans())
+    def test_lindblad_rates_pass_the_population_check(self, cfg, probe_off, coupling_off):
+        # the steady state of a Lindblad generator is a density matrix, so no
+        # population at any solved detuning trips the check, with either
+        # drive off too (its populations can then be exactly zero)
+        cfg = replace(cfg, population_policy="per_point",
+                      probe_rabi=0.0 if probe_off else cfg.probe_rabi,
+                      coupling_rabi=0.0 if coupling_off else cfg.coupling_rabi)
+        scenarios._atom_stage(cfg, cfg.detunings())
+
 
 class TestScans:
     def test_power_scan_is_monotone_in_both_peaks(self):
@@ -381,6 +394,20 @@ class TestScans:
         else:
             sweep_probe_detuning(cfg)
         assert len(count) == calls
+
+    def test_a_long_power_scan_weights_each_kernel_block_in_place(self):
+        # the 1201-point power scan takes its 30 pathway rows in 5 kernel
+        # blocks; weighting each block as it is computed peaks at about
+        # 1510 KiB under tracemalloc, against about 2075 KiB for a separate
+        # array of weighted partials filled after the last block
+        sweep_coupling_power(ScenarioConfig(), SCAN_POWERS)  # warm the caches
+        tracemalloc.start()
+        try:
+            sweep_coupling_power(ScenarioConfig(), SCAN_POWERS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1800 * 1024
 
     def test_a_seen_pattern_is_not_assembled_whole(self, monkeypatch):
         # the whole superoperator is assembled once per scheme and nonzero

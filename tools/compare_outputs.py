@@ -84,6 +84,10 @@ MATRIX = [
     ("populations_per_point_detuned", [{"scenario": "populations",
                                         "population_policy": "per_point",
                                         "coupling": {"detuning_mhz": 3}}]),
+    # rates outside the Lindblad domain whose populations stay positive
+    *((f"gamma_ca_0.3_{policy}", [{"scenario": "spectrum", "population_policy": policy,
+                                   "rates": {"gamma_ca_mhz": 0.3}}])
+      for policy in ("fixed", "per_point")),
 ]
 
 # Runs the CLI of the tree whose src/ is argv[1], failing if eitrot would
