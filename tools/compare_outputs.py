@@ -84,6 +84,14 @@ MATRIX = [
     ("populations_per_point_detuned", [{"scenario": "populations",
                                         "population_policy": "per_point",
                                         "coupling": {"detuning_mhz": 3}}]),
+    # CSV tables of several row blocks: a detector trace (1365 rows a block)
+    # whose fixed-notation cells (0.00...) lose trailing zeros, and three
+    # 1201 x 9 spectra beside a summary small enough for the one-% path
+    ("detector_trace_2001_per_point_10g", [{"scenario": "detector-trace",
+                                            "population_policy": "per_point",
+                                            "magnetic_field_g": 10,
+                                            "probe": {"points": 2001}}]),
+    ("temp_scan_1201", [{"scenario": "temp-scan", "probe": {"points": 1201}}]),
     # rates outside the Lindblad domain whose populations stay positive
     *((f"gamma_ca_0.3_{policy}", [{"scenario": "spectrum", "population_policy": policy,
                                    "rates": {"gamma_ca_mhz": 0.3}}])
