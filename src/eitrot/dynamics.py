@@ -28,7 +28,7 @@ F=1 populations quoted for this system (see tests).
 The superoperator splits into independent blocks, and the steady state is
 solved on the one that holds the populations (``population_block``: 85 of
 169 elements for a linear probe in ``sigma_f2``); the rest of rho is zero.
-The sweeps assemble that block only (``block_populations``), with the same
+The sweeps assemble that block only (``_population_record``), with the same
 scatter that writes the whole superoperator, so its entries are bitwise
 those of the whole.
 The superoperator maps Hermitian rho to Hermitian rho, so the block holds
@@ -76,7 +76,6 @@ __all__ = [
     "RelaxationRates",
     "SteadyStateError",
     "build_hamiltonian",
-    "block_populations",
     "build_liouvillian",
     "population_block",
     "solve_steady_state",
@@ -129,11 +128,8 @@ class RelaxationRates:
 
 
 class SteadyStateError(RuntimeError):
-    """Steady-state solve failed; carries the null-space dimension if known."""
-
-    def __init__(self, message: str, null_dim: int | None = None):
-        super().__init__(message)
-        self.null_dim = null_dim
+    """Steady-state solve failed; the message gives the null-space dimension
+    if it was sized."""
 
 
 def level_index(scheme: LevelScheme) -> Mapping[Sublevel, int]:
@@ -375,17 +371,6 @@ def solve_steady_state(lio: np.ndarray) -> np.ndarray:
     return rho.reshape(n, n)
 
 
-def block_populations(
-    scheme: LevelScheme, h: np.ndarray, rates: RelaxationRates, offsets
-) -> np.ndarray:
-    """Steady-state populations of ``build_liouvillian(scheme, h, rates)``
-    with the probe detuned by each of ``offsets`` from that of h, one row per
-    offset, from the population block alone (``_population_record``)."""
-    offsets = np.asarray(offsets, dtype=float)
-    record, rows = _population_record(scheme, h, rates, offsets.any())
-    return _evaluate(record, offsets, rows)
-
-
 def _population_record(scheme, h, rates, detuned) -> tuple:
     """The ``_factor`` of the population block of the superoperator of h, with
     the probe's slope if ``detuned``, and the positions of its populations.
@@ -545,8 +530,8 @@ def _failure(lio: np.ndarray, template: str, *solutions) -> SteadyStateError:
     null-space dimension from an SVD, after ``_check_finite``."""
     _check_finite(lio, *solutions)
     sv = np.linalg.svd(lio, compute_uv=False)
-    null_dim = int(np.sum(sv < np.linalg.norm(lio) * 1e-12))
-    return SteadyStateError(template.format(null_dim), null_dim)
+    nullity = int(np.sum(sv < np.linalg.norm(lio) * 1e-12))
+    return SteadyStateError(template.format(nullity))
 
 
 def _check_finite(*arrays) -> None:

@@ -21,7 +21,7 @@ for sensitivity studies. Both assemble and solve only the population block
 of the superoperator at two-photon resonance (85 of 169 elements for the
 linear probe); ``per_point`` gets every detuning from the block's one
 factorization plus a low-rank update, since the probe detuning moves only
-the superoperator diagonal. A population below ``_POPULATION_TOL`` at any
+the superoperator diagonal. A population below ``-_RESIDUAL_TOL`` at any
 solved detuning is not a density matrix and fails the sweep.
 """
 
@@ -60,6 +60,7 @@ from .detection import (
     recover_angle,
 )
 from .dynamics import (
+    _RESIDUAL_TOL,
     RelaxationRates,
     SteadyStateError,
     _evaluate,
@@ -117,11 +118,6 @@ EIT_CSV_COLUMNS = [
 
 _FLAT_TOL = 1e-12  # rad, see find_dispersion_peaks
 _PROMINENCE_FRACTION = 0.02  # see count_transmission_peaks
-# Least accepted population (see _check_populations): the steady-state
-# residual tolerance of ``dynamics``. A population that is zero comes out
-# as rounding (-0.0 at worst over the tests), and the least ground
-# population over the documented inputs is +0.0215.
-_POPULATION_TOL = 1e-9
 # The longest complex array numpy can describe (2**59 - 1 on 64-bit
 # platforms): a longer detuning grid cannot hold a susceptibility.
 _MAX_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
@@ -326,9 +322,13 @@ def _atom_stage(cfg: ScenarioConfig, dets: np.ndarray) -> _Atom:
 
 def _check_populations(scheme: LevelScheme, pops: np.ndarray, dets) -> None:
     """Raise ``SteadyStateError`` if a population (one row per detuning of
-    ``dets``, one column per sublevel) lies below ``-_POPULATION_TOL``: the
+    ``dets``, one column per sublevel) lies below ``-_RESIDUAL_TOL``: the
     steady state is then not a density matrix."""
-    if pops.min() < -_POPULATION_TOL:
+    # The least accepted population is the steady-state residual tolerance:
+    # a population that is zero comes out as rounding (-0.0 at worst over the
+    # tests), and the least ground population over the documented inputs is
+    # +0.0215.
+    if pops.min() < -_RESIDUAL_TOL:
         k, i = np.unravel_index(np.argmin(pops), pops.shape)
         raise SteadyStateError(
             "steady state is not a density matrix: population "

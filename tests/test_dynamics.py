@@ -29,7 +29,6 @@ from eitrot.atom import (
 from eitrot.dynamics import (
     RelaxationRates,
     SteadyStateError,
-    block_populations,
     build_hamiltonian,
     build_liouvillian,
     coupled_element_count,
@@ -348,12 +347,10 @@ class TestSteadyState:
         lio = build_liouvillian(SCHEME, h, rates)
         assert population_block(lio).tolist() == list(range(0, 169, 14))
         for solve in (lambda: solve_steady_state(lio),
-                      lambda: block_populations(SCHEME, h, rates,
-                                                [0.0, TWO_PI * 3e6])):
+                      lambda: dynamics._population_record(SCHEME, h, rates, True)):
             with pytest.raises(SteadyStateError, match=r"singular \(null-space "
-                               r"dimension 8\)") as err:
+                               r"dimension 8\)"):
                 solve()
-            assert err.value.null_dim == 8
 
     def test_singular_remainder_leaves_populations_unique(self):
         # undamped F=1-F=2 coherences under a sigma-minus probe: the whole
@@ -380,7 +377,7 @@ class TestSteadyState:
         lio[5, 7] = np.nan
         with pytest.raises(SteadyStateError, match="not finite") as err:
             solve_steady_state(lio)
-        assert err.value.null_dim is None
+        assert "null-space dimension" not in str(err.value)
 
     def test_non_finite_hamiltonian_raises_without_diagnosis(self, monkeypatch):
         # the runtime counterpart of the test above: the sweeps assemble only
@@ -394,7 +391,7 @@ class TestSteadyState:
         cfg = ScenarioConfig(population_policy="per_point")
         with pytest.raises(SteadyStateError, match="not finite") as err:
             scenarios._atom_stage(cfg, np.array([TWO_PI * 3e6]))
-        assert err.value.null_dim is None
+        assert "null-space dimension" not in str(err.value)
 
     def test_overflowing_solution_raises_without_diagnosis(self):
         # finite two-level system, mapping Hermitian rho to Hermitian rho,
@@ -405,7 +402,7 @@ class TestSteadyState:
         lio[1, 1], lio[2, 2], lio[3, 3] = 1e-10, 1e-10, 1.0
         with pytest.raises(SteadyStateError, match="not finite") as err:
             solve_steady_state(lio)
-        assert err.value.null_dim is None
+        assert "null-space dimension" not in str(err.value)
         # and the superoperator is handed back unchanged
         assert lio[0].tolist() == [0, 0, 0, 0]
 
@@ -418,7 +415,7 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError,
                            match="not closed under transposition") as err:
             solve_steady_state(lio)
-        assert err.value.null_dim is None
+        assert "null-space dimension" not in str(err.value)
 
     def test_non_hermitian_map_raises(self):
         # a block closed under transposition whose entries break the
@@ -429,7 +426,7 @@ class TestSteadyState:
         lio[coherence, coherence] += 1e-3 * np.abs(lio).max()
         with pytest.raises(SteadyStateError, match="Hermitian rho to Hermitian") as err:
             solve_steady_state(lio)
-        assert err.value.null_dim is None
+        assert "null-space dimension" not in str(err.value)
 
     def test_superoperator_is_not_modified(self):
         lio = default_lio()
@@ -512,8 +509,9 @@ class TestSteadyStatePopulations:
             return build_hamiltonian(scheme, cfg.probe_drive(det), coupling,
                                      stark_shift, cfg.b_field)
 
-        pops = block_populations(scheme, h_at(cfg.coupling_detuning), cfg.rates,
-                                 dets - cfg.coupling_detuning)
+        record, rows = dynamics._population_record(
+            scheme, h_at(cfg.coupling_detuning), cfg.rates, True)
+        pops = dynamics._evaluate(record, dets - cfg.coupling_detuning, rows)
         assert pops.shape == (len(dets), len(scheme.sublevels))
         for k, det in enumerate(dets):
             rho = dense_steady_state(build_liouvillian(scheme, h_at(det), cfg.rates))
@@ -526,10 +524,12 @@ class TestSteadyStatePopulations:
 
         monkeypatch.setattr(np.linalg, "eig", eig)
         with pytest.raises(SteadyStateError, match="no eigenvector basis"):
-            block_populations(SCHEME, default_h(), RelaxationRates(), [0.0, 1e6])
+            dynamics._population_record(SCHEME, default_h(), RelaxationRates(), True)
 
     def test_zero_offsets_give_the_resonance_solve(self):
-        pops = block_populations(SCHEME, default_h(), RelaxationRates(), [0.0, 0.0])
+        record, rows = dynamics._population_record(
+            SCHEME, default_h(), RelaxationRates(), True)
+        pops = dynamics._evaluate(record, np.zeros(2), rows)
         direct = solve_steady_state(default_lio()).diagonal().real
         assert np.array_equal(pops, [direct, direct])
 
@@ -549,9 +549,11 @@ class TestSteadyStatePopulations:
 
         monkeypatch.setattr(dynamics, "_factor", factor_then_accept_no_residual)
         offset = TWO_PI * 3e6
+        record, rows = dynamics._population_record(
+            SCHEME, default_h(), RelaxationRates(), True)
         with pytest.raises(SteadyStateError,
                            match=r"exceeds 0e\+00 \(null-space dimension 1\)"):
-            block_populations(SCHEME, default_h(), RelaxationRates(), [offset])
+            dynamics._evaluate(record, np.array([offset]), rows)
         lio = default_lio(probe=replace(WP10, detuning=offset))
         block = population_block(lio)
         [got] = seen
@@ -760,8 +762,9 @@ class TestBlockAssembly:
         offsets = [0.0, TWO_PI * 3e6, -TWO_PI * 11e6]
         h = build_hamiltonian(SCHEME, WP10, WC80, stark_shifts(WC80, SCHEME), 10e-4)
         rates = RelaxationRates()
+        record, rows = dynamics._population_record(SCHEME, h, rates, True)
         assert np.array_equal(
-            block_populations(SCHEME, h, rates, offsets)[0],
+            dynamics._evaluate(record, np.array(offsets), rows)[0],
             solve_steady_state(build_liouvillian(SCHEME, h, rates)).diagonal().real)
 
 
@@ -796,7 +799,7 @@ class TestPoleResidueRecord:
            b_gauss=st.sampled_from([0.0, 10.0]) | st.floats(-30.0, 30.0),
            offsets_mhz=st.lists(st.just(0.0) | st.floats(-400.0, 400.0),
                                 min_size=1, max_size=300))
-    def test_evaluate_is_block_populations(self, scheme_id, b_gauss, offsets_mhz):
+    def test_evaluate_at_offset_zero_is_x0(self, scheme_id, b_gauss, offsets_mhz):
         cfg = ScenarioConfig(scheme_id=scheme_id, b_field=b_gauss * 1e-4)
         scheme = cfg.scheme()
         h = build_hamiltonian(scheme, cfg.probe_drive(0.0), cfg.coupling_drive(),
@@ -804,7 +807,6 @@ class TestPoleResidueRecord:
         offsets = MHZ * np.array(offsets_mhz)
         record, rows = dynamics._population_record(scheme, h, cfg.rates, True)
         pops = dynamics._evaluate(record, offsets, rows)
-        assert np.array_equal(pops, block_populations(scheme, h, cfg.rates, offsets))
         assert np.array_equal(pops[offsets == 0], np.tile(record.x0[rows], (
             np.count_nonzero(offsets == 0), 1)))
 

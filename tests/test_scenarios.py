@@ -18,6 +18,7 @@ from eitrot.detection import JonesVector, detector_intensities, propagate_cell
 from eitrot import dynamics, scenarios, spectra
 from eitrot.dynamics import (
     RelaxationRates,
+    SteadyStateError,
     build_hamiltonian,
     build_liouvillian,
     solve_steady_state,
@@ -96,21 +97,6 @@ def synthetic_sweep(phi, detunings, coupling_detuning_mhz=0.0):
     )
 
 
-@st.composite
-def relaxation_rates(draw):
-    gamma = draw(mhz(3.0, 10.0))
-    return RelaxationRates(
-        gamma=gamma,
-        # spontaneous emission alone damps optical coherences at gamma/2;
-        # slower optical damping is unphysical, and rho can then have
-        # negative eigenvalues
-        gamma_ca=gamma / 2 + draw(mhz(0.0, 8.0)),
-        # undamped ground coherences make the steady state degenerate
-        gamma_ba=draw(mhz(0.05, 3.0)),
-        gamma_ground=draw(st.none() | mhz(0.05, 3.0)),
-        gamma_transit=draw(mhz(0.05, 3.0)))
-
-
 def choi_floor(lio):
     """Least eigenvalue of the generator's Choi matrix off the maximally
     entangled vector; >= 0 exactly when exp(L t) is completely positive."""
@@ -122,10 +108,10 @@ def choi_floor(lio):
     return np.linalg.eigvalsh((part + part.conj().T) / 2).min()
 
 
-def sweep_configs(scheme_id=st.sampled_from(SCHEME_IDS), b_gauss=st.floats(-30.0, 30.0),
-                  rates=relaxation_rates()):
-    """In-domain configurations over random drives, rates, fields and
-    densities, on a short grid."""
+def sweep_configs(scheme_id=st.sampled_from(SCHEME_IDS), b_gauss=st.floats(-30.0, 30.0)):
+    """In-domain configurations over random drives, Lindblad rates (whose
+    steady states pass the population check), fields and densities, on a
+    short grid."""
     return st.builds(
         ScenarioConfig, scheme_id=scheme_id, probe_rabi=mhz(0.1, 40.0),
         coupling_rabi=mhz(0.0, 150.0), coupling_detuning=mhz(-20.0, 20.0),
@@ -133,7 +119,7 @@ def sweep_configs(scheme_id=st.sampled_from(SCHEME_IDS), b_gauss=st.floats(-30.0
         points=st.just(41), density=st.floats(1e14, 1e19),
         b_field=b_gauss.map(lambda gauss: gauss * 1e-4), stark_enabled=st.booleans(),
         population_policy=st.sampled_from(["fixed", "per_point"]),
-        rates=rates)
+        rates=lindblad_rates())
 
 
 class TestConfigValidation:
@@ -283,7 +269,7 @@ class TestInvariants:
                                        atol=1e-12 * np.abs(want).max())
 
     @settings(max_examples=100, deadline=None)
-    @given(cfg=sweep_configs(rates=lindblad_rates()), probe_detuning=mhz(-60.0, 60.0))
+    @given(cfg=sweep_configs(), probe_detuning=mhz(-60.0, 60.0))
     def test_steady_state_is_a_density_matrix(self, cfg, probe_detuning):
         scheme = cfg.scheme()
         h = build_hamiltonian(scheme, cfg.probe_drive(probe_detuning),
@@ -296,7 +282,7 @@ class TestInvariants:
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     @settings(max_examples=40, deadline=None)
-    @given(cfg=sweep_configs(rates=lindblad_rates()), probe_off=st.booleans(),
+    @given(cfg=sweep_configs(), probe_off=st.booleans(),
            coupling_off=st.booleans())
     def test_lindblad_rates_pass_the_population_check(self, cfg, probe_off, coupling_off):
         # the steady state of a Lindblad generator is a density matrix, so no
@@ -306,6 +292,23 @@ class TestInvariants:
                       probe_rabi=0.0 if probe_off else cfg.probe_rabi,
                       coupling_rabi=0.0 if coupling_off else cfg.coupling_rabi)
         scenarios._atom_stage(cfg, cfg.detunings())
+
+    def test_fixed_policy_fails_the_population_check_at_resonance(self):
+        # gamma_ca = gamma/2 is not enough for a Lindblad generator: transit
+        # damps no coherence (see RelaxationRates), and the one steady state
+        # the fixed policy solves is not a density matrix
+        cfg = ScenarioConfig(
+            scheme_id="sigma_f1", probe_rabi=TWO_PI * 4e6, coupling_rabi=0.0,
+            stark_enabled=False, density=1e17, detuning_min=-TWO_PI * 10e6,
+            detuning_max=TWO_PI * 10e6, points=41,
+            rates=RelaxationRates(gamma=TWO_PI * 3e6, gamma_ca=TWO_PI * 1.5e6,
+                                  gamma_ba=TWO_PI * 0.0547e6,
+                                  gamma_transit=TWO_PI * 3e6))
+        assert cfg.population_policy == "fixed"
+        with pytest.raises(SteadyStateError) as err:
+            sweep_probe_detuning(cfg)
+        assert str(err.value) == ("steady state is not a density matrix: "
+                                  "population c2 = -8.4e-05 at 0 MHz")
 
 
 class TestScans:

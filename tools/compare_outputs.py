@@ -96,6 +96,15 @@ MATRIX = [
     *((f"gamma_ca_0.3_{policy}", [{"scenario": "spectrum", "population_policy": policy,
                                    "rates": {"gamma_ca_mhz": 0.3}}])
       for policy in ("fixed", "per_point")),
+    # rates outside it (gamma_ca = gamma/2) whose populations at resonance
+    # fail the population check: exit 2 and no output
+    ("gamma_ca_half_gamma_sigma_f1", [{
+        "scenario": "spectrum", "scheme": "sigma_f1", "stark_shifts": False,
+        "probe": {"rabi_mhz": 4, "detuning_min_mhz": -10, "detuning_max_mhz": 10,
+                  "points": 41},
+        "coupling": {"rabi_mhz": 0}, "medium": {"density_per_m3": 1e17},
+        "rates": {"gamma_mhz": 3, "gamma_ca_mhz": 1.5, "gamma_ba_mhz": 0.0547,
+                  "transit_mhz": 3}}]),
 ]
 
 # Runs the CLI of the tree whose src/ is argv[1], failing if eitrot would
