@@ -15,12 +15,15 @@ the form ``error: config: ...`` or ``error: numeric: ...``.
 
 Only ``main``, ``apply_overrides`` and ``build_parser`` import ``yaml`` and
 ``argparse``, so a caller that parses documents and runs them in process
-(``parse_config`` and ``run``) never loads either.
+(``parse_config`` and ``run``) never loads either. Importing it sets glibc's
+mmap and trim thresholds once, unless the environment sets them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -59,6 +62,18 @@ from .scenarios import (
     write_metadata,
 )
 from .spectra import SPECTRUM_CSV_COLUMNS
+
+# glibc gives each freed block of 128 KiB or more, and a heap top above 128
+# KiB, back to the kernel, so the next CSV block faults it in again. These are
+# the thresholds its dynamic rule reaches after freeing a 32 MiB block.
+if ("CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})
+        and os.confstr("CS_GNU_LIBC_VERSION")
+        and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                 "GLIBC_TUNABLES"} & os.environ.keys()):
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 SCENARIOS = (
     "spectrum",

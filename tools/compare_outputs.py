@@ -81,6 +81,10 @@ MATRIX = [
                                   "magnetic_field_g": 10}]),
     # one sweep whose pathway rows span several Doppler-kernel blocks
     ("spectrum_4001", [{"scenario": "spectrum", "probe": {"points": 4001}}]),
+    # 22 CSV row blocks; under the malloc thresholds that eitrot.cli sets,
+    # its tables and kernel temporaries come from the heap, not from mmap,
+    # so a rounding that depends on buffer alignment would show
+    ("spectrum_20001", [{"scenario": "spectrum", "probe": {"points": 20001}}]),
     ("populations_per_point_detuned", [{"scenario": "populations",
                                         "population_policy": "per_point",
                                         "coupling": {"detuning_mhz": 3}}]),
