@@ -10,8 +10,11 @@ Exit codes: 0 success, 1 configuration error (including a number that is
 not finite or out of its domain, a bad command-line flag, and an output that
 cannot be written), 2 numerical failure (including a scan step without
 dispersion peaks, a susceptibility that is not finite, a floating-point
-overflow, and running out of memory). Errors are single lines on stderr of
-the form ``error: config: ...`` or ``error: numeric: ...``.
+overflow, and running out of memory), 130 an interrupt and 141 a stdout whose
+reader has gone (128 + SIGINT or SIGPIPE, as a shell reports them). Errors are
+single lines on stderr: ``error: config: ...``, ``error: numeric: ...`` or
+``error: interrupted``. A run replaces its files all or none, then prints its
+summary line; per-temperature tables of a longer earlier ``temp-scan`` stay.
 
 Only ``main``, ``apply_overrides`` and ``build_parser`` import ``yaml`` and
 ``argparse``, so a caller that parses documents and runs them in process
@@ -25,6 +28,7 @@ import ctypes
 import math
 import os
 import sys
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -41,8 +45,8 @@ from .atom import (
     SIGMA_PLUS,
     rabi_from_power,
 )
-from .detection import TRACE_CSV_COLUMNS, IndeterminateAngleError
-from .dynamics import RelaxationRates, SteadyStateError
+from .detection import TRACE_CSV_COLUMNS
+from .dynamics import RelaxationRates
 from .scenarios import (
     EIT_CSV_COLUMNS,
     POWER_SCAN_CSV_COLUMNS,
@@ -74,15 +78,6 @@ if ("CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})
     _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-SCENARIOS = (
-    "spectrum",
-    "power-scan",
-    "temp-scan",
-    "eit-peaks",
-    "detector-trace",
-    "populations",
-)
 
 
 class ConfigError(Exception):
@@ -341,23 +336,7 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
     return doc
 
 
-def _metadata(spec: RunSpec, extra: dict | None = None) -> dict:
-    payload = {
-        "version": __version__,
-        "config": spec.resolved,
-        "calibration": {
-            f"{which}_anchor": {"power_w": power, "rabi_mhz": rabi / MHZ}
-            for which, (power, rabi) in RABI_ANCHORS.items()
-        },
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-_PEAK_KEYS = (
-    "left_detuning_mhz", "left_phi_deg", "right_detuning_mhz", "right_phi_deg",
-)
+_PEAK_KEYS = ("left_detuning_mhz", "left_phi_deg", "right_detuning_mhz", "right_phi_deg")
 
 
 def _peak_values(peaks: PeakPair, where: str) -> tuple[float, float, float, float]:
@@ -369,94 +348,127 @@ def _peak_values(peaks: PeakPair, where: str) -> tuple[float, float, float, floa
             peaks.right.detuning / MHZ, math.degrees(peaks.right.phi))
 
 
-def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
-    """Execute the scenario; returns the list of files written."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"{spec.basename}.csv"  # every scenario's main table
+def _files(spec: RunSpec, write_table, extra: dict | None = None, tables=()) -> list:
+    """A run's files as (name, write function of a path) pairs, in the order
+    ``run`` returns them: ``tables``, the main table and the meta file."""
+    meta = {"version": __version__, "config": spec.resolved, "calibration": {
+        f"{which}_anchor": {"power_w": power, "rabi_mhz": rabi / MHZ}
+        for which, (power, rabi) in RABI_ANCHORS.items()}, **(extra or {})}
+    return [*tables, (f"{spec.basename}.csv", write_table),
+            (f"{spec.basename}.meta.json", partial(write_metadata, payload=meta))]
+
+
+def _sweep(spec: RunSpec, log):
     cfg = spec.config
-    written = []  # per-temperature tables; csv_path and the meta file follow
+    log(f"sweeping {cfg.points} detuning points")
+    result = sweep_probe_detuning(cfg)
+    columns, table = ((SPECTRUM_CSV_COLUMNS, result.spectrum_table())
+                      if spec.scenario == "spectrum" else
+                      (TRACE_CSV_COLUMNS, result.trace_table()))
+    extra = {"sweep": result.metadata}
+    peaks = find_dispersion_peaks(result)
+    if peaks.found:  # a pi_f2 spectrum has none
+        extra["peaks"] = dict(zip(_PEAK_KEYS, _peak_values(peaks, spec.scenario)))
+    max_phi = math.degrees(abs(result.phi_exact).max())
+    return (_files(spec, partial(write_csv, columns=columns, table=table), extra),
+            f"{spec.scenario}: {cfg.points} points, max |phi| = {max_phi:.6g} deg")
 
-    def log(msg):
-        if verbose:
-            print(msg, file=sys.stderr)
 
-    if spec.scenario in ("spectrum", "detector-trace"):
-        log(f"sweeping {cfg.points} detuning points")
-        result = sweep_probe_detuning(cfg)
-        if spec.scenario == "spectrum":
-            write_csv(csv_path, SPECTRUM_CSV_COLUMNS, result.spectrum_table())
-        else:
-            write_csv(csv_path, TRACE_CSV_COLUMNS, result.trace_table())
-        meta = _metadata(spec, {"sweep": result.metadata})
-        peaks = find_dispersion_peaks(result)
-        if peaks.found:  # a pi_f2 spectrum has none
-            meta["peaks"] = dict(zip(_PEAK_KEYS, _peak_values(peaks, spec.scenario)))
-        max_phi = math.degrees(abs(result.phi_exact).max())
-        print(f"{spec.scenario}: {cfg.points} points, max |phi| = {max_phi:.6g} deg")
+def _power_scan(spec: RunSpec, log):
+    cfg = spec.config
+    log(f"scanning {len(spec.powers_w)} powers over {cfg.points} detuning points")
+    rows = [(power * 1e3, rabi / MHZ, *_peak_values(peaks, f"{power * 1e3:g} mW"))
+            for power, rabi, peaks in sweep_coupling_power(cfg, list(spec.powers_w))]
+    return (_files(spec, partial(write_csv, columns=POWER_SCAN_CSV_COLUMNS, table=rows)),
+            f"power-scan: {len(rows)} powers")
 
-    elif spec.scenario == "power-scan":
-        log(f"scanning {len(spec.powers_w)} powers over {cfg.points} detuning points")
-        rows = []
-        for power, rabi, peaks in sweep_coupling_power(cfg, list(spec.powers_w)):
-            rows.append((power * 1e3, rabi / MHZ,
-                         *_peak_values(peaks, f"{power * 1e3:g} mW")))
-        write_csv(csv_path, POWER_SCAN_CSV_COLUMNS, rows)
-        meta = _metadata(spec)
-        print(f"power-scan: {len(rows)} powers")
 
-    elif spec.scenario == "temp-scan":
-        log(f"scanning {len(spec.temperatures_k)} temperatures over {cfg.points} "
-            "detuning points")
-        results = sweep_temperature(cfg, list(spec.temperatures_k))
-        rows = [(  # every temperature has its peaks before any file is written
-            t, result.metadata["density_m3"],
-            *_peak_values(find_dispersion_peaks(result), f"{t:.2f} K"),
-            math.degrees(abs(result.phi_exact).max()),
-        ) for t, result in results]
-        per_temp_files = []
-        for i, (t, result) in enumerate(results, start=1):
-            sub_path = outdir / f"{spec.basename}_t{i}.csv"
-            write_csv(sub_path, SPECTRUM_CSV_COLUMNS, result.spectrum_table())
-            per_temp_files.append(str(sub_path.name))
-            written.append(sub_path)
-        write_csv(csv_path, TEMP_SCAN_CSV_COLUMNS, rows)
-        meta = _metadata(spec, {"per_temperature_files": per_temp_files})
-        print(f"temp-scan: {len(rows)} temperatures")
+def _temp_scan(spec: RunSpec, log):
+    log(f"scanning {len(spec.temperatures_k)} temperatures over {spec.config.points} "
+        "detuning points")
+    results = sweep_temperature(spec.config, list(spec.temperatures_k))
+    rows = [(t, result.metadata["density_m3"],
+             *_peak_values(find_dispersion_peaks(result), f"{t:.2f} K"),
+             math.degrees(abs(result.phi_exact).max())) for t, result in results]
+    tables = [(f"{spec.basename}_t{i}.csv", partial(
+        write_csv, columns=SPECTRUM_CSV_COLUMNS, table=result.spectrum_table()))
+        for i, (_, result) in enumerate(results, start=1)]
+    return (_files(spec, partial(write_csv, columns=TEMP_SCAN_CSV_COLUMNS, table=rows),
+                   {"per_temperature_files": [name for name, _ in tables]}, tables),
+            f"temp-scan: {len(rows)} temperatures")
 
-    elif spec.scenario == "eit-peaks":
-        curves = {comp: eit_transmission(cfg, comp)
-                  for comp in (SIGMA_MINUS, SIGMA_PLUS)}
-        counts = {comp: count_transmission_peaks(c) for comp, c in curves.items()}
-        write_csv(csv_path, EIT_CSV_COLUMNS, np.column_stack((
-            curves[SIGMA_MINUS].detunings / MHZ,
-            *(c.transmission for c in curves.values()))))
-        meta = _metadata(spec, {"peak_counts": counts})
-        print(
-            f"eit-peaks: sigma_minus={counts[SIGMA_MINUS]}"
-            f" sigma_plus={counts[SIGMA_PLUS]}"
-        )
 
-    elif spec.scenario == "populations":
-        pops = steady_populations(cfg)
-        scheme = cfg.scheme()
-        labels = [scheme.label(s) for s in scheme.ground()]
-        values = [pops[s] for s in scheme.ground()]
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("sublevel,population\n")
-            for lab, val in zip(labels, values):
-                fh.write(f"{lab},{val:.9g}\n")
-        meta = _metadata(spec, {"populations": dict(zip(labels, values))})
-        triple = " ".join(
-            f"{lab}={val:.3f}" for lab, val in zip(labels, values) if lab.startswith("a")
-        )
-        print(f"populations: {triple}")
+def _eit_peaks(spec: RunSpec, log):
+    curves = {comp: eit_transmission(spec.config, comp)
+              for comp in (SIGMA_MINUS, SIGMA_PLUS)}
+    counts = {comp: count_transmission_peaks(c) for comp, c in curves.items()}
+    table = np.column_stack((curves[SIGMA_MINUS].detunings / MHZ,
+                             *(c.transmission for c in curves.values())))
+    return (_files(spec, partial(write_csv, columns=EIT_CSV_COLUMNS, table=table),
+                   {"peak_counts": counts}),
+            f"eit-peaks: sigma_minus={counts[SIGMA_MINUS]} sigma_plus={counts[SIGMA_PLUS]}")
 
-    else:  # pragma: no cover - guarded by parse_config
-        raise ConfigError(f"unhandled scenario '{spec.scenario}'")
 
-    meta_path = outdir / f"{spec.basename}.meta.json"
-    write_metadata(meta_path, meta)
-    written += [csv_path, meta_path]
+def _write_populations(path, populations: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("sublevel,population\n")
+        fh.writelines(f"{lab},{val:.9g}\n" for lab, val in populations.items())
+
+
+def _populations(spec: RunSpec, log):
+    pops = steady_populations(spec.config)
+    scheme = spec.config.scheme()
+    populations = {scheme.label(s): pops[s] for s in scheme.ground()}
+    triple = " ".join(
+        f"{lab}={val:.3f}" for lab, val in populations.items() if lab.startswith("a"))
+    return (_files(spec, partial(_write_populations, populations=populations),
+                   {"populations": populations}),
+            f"populations: {triple}")
+
+
+# Each scenario returns its files (see _files) and its console line, and
+# writes nothing; run puts the files in place, then prints the line.
+_SCENARIOS = {
+    "spectrum": _sweep,
+    "power-scan": _power_scan,
+    "temp-scan": _temp_scan,
+    "eit-peaks": _eit_peaks,
+    "detector-trace": _sweep,
+    "populations": _populations,
+}
+SCENARIOS = tuple(_SCENARIOS)
+
+
+def _commit(outdir: Path, files: list) -> list[Path]:
+    """Write ``files`` into ``outdir`` all or none; returns their paths.
+    Each is written under a hidden temporary name first; only when all are
+    is each old file unlinked (ext4 flushes a file renamed over another) and
+    the new one renamed into place. Any exception removes the temporaries."""
+    paths = [outdir / name for name, _ in files]
+    # str, not Path: pathlib interns each name it parses, and every interned
+    # name that dies brings the resize of the interpreter's table nearer
+    temporaries = [os.path.join(outdir, f".{name}.{os.getpid()}.tmp") for name, _ in files]
+    try:
+        for temporary, (_, write) in zip(temporaries, files):
+            write(temporary)
+        for temporary, path in zip(temporaries, paths):
+            path.unlink(missing_ok=True)
+            os.rename(temporary, path)
+    except BaseException:
+        for temporary in temporaries:
+            Path(temporary).unlink(missing_ok=True)
+        raise
+    return paths
+
+
+def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
+    """Execute the scenario, put its files in place and print its console
+    line; returns the files written."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    log = partial(print, file=sys.stderr) if verbose else lambda msg: None
+    files, line = _SCENARIOS[spec.scenario](spec, log)
+    written = _commit(outdir, files)
+    print(line, flush=True)
     return written
 
 
@@ -512,10 +524,17 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout's reader has gone: point stdout at devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except OSError as exc:  # reading the config raises ConfigError instead
         print(f"error: config: cannot write output: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, SteadyStateError, IndeterminateAngleError) as exc:
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT
+    except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, OverflowError) as exc:

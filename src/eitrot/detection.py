@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import NumericError
 from .spectra import MediumParams, SusceptibilityPair
 
 __all__ = [
@@ -51,7 +52,7 @@ TRACE_CSV_COLUMNS = [
 _ANGLE_FLOOR = 1e-12
 
 
-class IndeterminateAngleError(ValueError):
+class IndeterminateAngleError(NumericError):
     """Both difference signals vanished, so the angle is undefined."""
 
 

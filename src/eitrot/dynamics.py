@@ -127,7 +127,11 @@ class RelaxationRates:
         return self.gamma_ba if self.gamma_ground is None else self.gamma_ground
 
 
-class SteadyStateError(RuntimeError):
+class NumericError(Exception):
+    """A run produced no usable result, such as a scan step without peaks."""
+
+
+class SteadyStateError(NumericError):
     """Steady-state solve failed; the message gives the null-space dimension
     if it was sized."""
 

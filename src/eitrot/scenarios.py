@@ -61,6 +61,7 @@ from .detection import (
 )
 from .dynamics import (
     _RESIDUAL_TOL,
+    NumericError,
     RelaxationRates,
     SteadyStateError,
     _evaluate,
@@ -121,11 +122,6 @@ _PROMINENCE_FRACTION = 0.02  # see count_transmission_peaks
 # The longest complex array numpy can describe (2**59 - 1 on 64-bit
 # platforms): a longer detuning grid cannot hold a susceptibility.
 _MAX_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
-
-
-class NumericError(Exception):
-    """A run produced no usable result, like a scan step without dispersion
-    peaks or a susceptibility that is not finite."""
 
 
 @dataclass(frozen=True)

@@ -488,7 +488,8 @@ class TestContract:
                                  st.lists(st.sampled_from(EDGE_VALUES),
                                           min_size=1, max_size=2), max_size=1))
     def test_every_run_ends_in_a_stated_outcome(self, scenario, numbers, scans):
-        # exit 0 with finite CSVs, or exit 1 or 2 with one error line and no CSV
+        # exit 0 with finite CSVs, or exit 1 or 2 with one error line and no
+        # output directory or an empty one
         doc = {"scenario": scenario, "probe": {"points": 5}}
         for key, value in {**numbers, **scans}.items():
             section, _, name = key.rpartition(".")
@@ -510,15 +511,26 @@ class TestContract:
             else:
                 assert code in (1, 2)
                 assert len(err.getvalue().splitlines()) == 1
-                assert not csvs
+                assert not outdir.exists() or not list(outdir.iterdir())
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("scenario", cli.SCENARIOS)
-    def test_identical_runs_write_identical_files(self, tmp_path, scenario):
+    def test_identical_runs_write_identical_files(self, tmp_path, monkeypatch,
+                                                  scenario):
+        # each output directory holds exactly the files that run returned
+        returned = []
+        run = cli.run
+
+        def recorded(*args, **kwargs):
+            returned.append(run(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "run", recorded)
         cfg = write(tmp_path, f"scenario: {scenario}\nprobe:\n  points: 41\n")
-        for run in ("one", "two"):
-            assert main(["--config", str(cfg), "--outdir", str(tmp_path / run)]) == 0
+        for name in ("one", "two"):
+            assert main(["--config", str(cfg), "--outdir", str(tmp_path / name)]) == 0
+            assert sorted(returned[-1]) == sorted((tmp_path / name).iterdir())
         one = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert one == sorted(p.name for p in (tmp_path / "two").iterdir())
         assert any(name.endswith(".csv") for name in one)
@@ -551,6 +563,73 @@ class TestVerbose:
         assert err.splitlines() == lines
         assert out == quiet_out
         assert files == quiet_files
+
+
+def snapshot(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestAllOrNone:
+    def test_failed_write_leaves_the_outdir_as_it_was(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a temp-scan rerun whose third file (the last per-temperature
+        # table) cannot be written replaces none of the earlier run's files
+        cfg = write(tmp_path, "scenario: temp-scan\nprobe:\n  points: 41\n")
+        outdir = tmp_path / "out"
+        assert main(["--config", str(cfg), "--outdir", str(outdir)]) == 0
+        (outdir / "notes.txt").write_text("kept\n")
+        before = snapshot(outdir)
+        calls = []
+
+        def failing(path, columns, table):
+            calls.append(Path(path).name)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            write_csv(path, columns, table)
+
+        monkeypatch.setattr(cli, "write_csv", failing)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--outdir", str(outdir),
+                     "--set", "probe.points=61"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: config: cannot write output: [Errno 28] No space left on device\n")
+        assert snapshot(outdir) == before
+        assert calls == [f".temp_scan_t{i}.csv.{os.getpid()}.tmp" for i in (1, 2, 3)]
+
+    @pytest.mark.parametrize("target", ["sweep_probe_detuning", "write_metadata"])
+    def test_interrupt_exit_code(self, tmp_path, capsys, monkeypatch, target):
+        # Ctrl-C during the sweep, or after the table is written under its
+        # temporary name, ends the run with one line and leaves no file
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, target, interrupted)
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        outdir = tmp_path / "out"
+        assert main(["--config", str(cfg), "--outdir", str(outdir)]) == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert not list(outdir.iterdir())
+
+    def test_closed_stdout_exit_code(self, tmp_path):
+        # the summary line is printed and flushed only once every file is in
+        # place, so a reader that has gone costs no file and reports no
+        # error; stdout is block-buffered, as it is for a pipe by default
+        cfg = write(tmp_path, SPECTRUM_YAML)
+        outdir = tmp_path / "out"
+        src = Path(eitrot.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read, written = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "eitrot.cli", "--config", str(cfg),
+                 "--outdir", str(outdir)], stdout=written, stderr=subprocess.PIPE,
+                text=True, env={**env, "PYTHONPATH": str(src)})
+        finally:
+            os.close(written)
+        assert (done.returncode, done.stderr) == (141, "")
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "spectrum.csv", "spectrum.meta.json"]
 
 
 class TestOtherScenarios:

@@ -89,3 +89,28 @@ def test_missing_file_fails(tmp_path):
     ok, lines = compare_outputs.compare_dirs(base, head)
     assert not ok
     assert lines[0] == "files differ: only in base ['spectrum.csv'], only in head []"
+
+
+def golden_record(shift=0.0, sha="aa", code=0):
+    meta = json.loads(json.dumps(META))
+    meta["sweep"]["populations"]["a1"] += shift
+    return {"runs": [[code, "spectrum: 3 points\n", ""]],
+            "meta": {"spectrum.meta.json": meta}, "sha256": {"spectrum.csv": sha}}
+
+
+def test_golden_record_within_the_tolerance_matches():
+    assert compare_outputs.golden_problems(
+        "case", golden_record(), golden_record(shift=1e-15), "abc1234") == []
+
+
+def test_golden_mismatch_names_case_file_and_command():
+    problems = compare_outputs.golden_problems(
+        "case", golden_record(), golden_record(shift=1e-6, sha="bb", code=2), "abc1234")
+    see = "; see python tools/compare_outputs.py --against abc1234"
+    assert problems == [
+        "case case, runs differ: [[0, 'spectrum: 3 points\\n', '']]"
+        " vs [[2, 'spectrum: 3 points\\n', '']]" + see,
+        "case case, spectrum.csv: bytes differ" + see,
+        "case case, spectrum.meta.json: keys and non-float values equal, largest"
+        " float difference 1e-06 (at sweep.populations.a1)" + see,
+    ]

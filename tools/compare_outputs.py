@@ -1,6 +1,7 @@
 """Check that this tree's CLI outputs match those of another revision.
 
     python tools/compare_outputs.py --against <rev>
+    python tools/compare_outputs.py --write-golden
 
 Checks ``<rev>`` out into a temporary local ``git worktree``, runs every
 case of ``MATRIX`` in both trees (each document in a fresh interpreter with
@@ -17,6 +18,12 @@ Exits 0 when every CSV is identical, every meta float lies within
 ``META_ATOL`` and every run's exit code and console output agree, and 1
 otherwise. The worktree is removed either way. The benchmark's workload
 documents come from ``perfbench/workloads.py``, which is only imported.
+
+``--write-golden`` runs every case in this process, through this tree's
+``eitrot.cli.main``, and writes ``tests/golden.json``: per case the exit
+code, stdout and stderr of each run, the SHA-256 of each other file and
+each meta file in full, with the commit checked out. A tier-1 test runs the
+cases the same way and compares (``golden_problems``).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -37,6 +45,7 @@ from pathlib import Path
 import yaml
 
 REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden.json"
 
 # Largest accepted difference of a meta.json float; a nan difference fails.
 META_ATOL = 1e-14
@@ -85,6 +94,9 @@ MATRIX = [
     # its tables and kernel temporaries come from the heap, not from mmap,
     # so a rounding that depends on buffer alignment would show
     ("spectrum_20001", [{"scenario": "spectrum", "probe": {"points": 20001}}]),
+    # a rerun that replaces the files of the first run
+    ("spectrum_rerun", [{"scenario": "spectrum", "probe": {"points": 201}},
+                        {"scenario": "spectrum", "probe": {"points": 101}}]),
     ("populations_per_point_detuned", [{"scenario": "populations",
                                         "population_policy": "per_point",
                                         "coupling": {"detuning_mhz": 3}}]),
@@ -140,6 +152,68 @@ def run_case(tree: Path, docs: list[dict], outdir: Path) -> list[tuple]:
             env={**os.environ, "PYTHONPATH": str(tree / "src")})
         runs.append((proc.returncode, proc.stdout, proc.stderr))
     return runs
+
+
+def run_in_process(docs: list[dict], outdir: Path) -> list[tuple]:
+    """``run_case`` through this tree's ``eitrot.cli.main`` in this process."""
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    from eitrot.cli import main as cli_main
+    outdir.mkdir(parents=True)
+    runs = []
+    for i, doc in enumerate(docs):
+        config = outdir.parent / f"{outdir.name}.{i}.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["--config", str(config), "--outdir", str(outdir)])
+        runs.append([code, out.getvalue(), err.getvalue()])
+    return runs
+
+
+def golden_case(docs: list[dict], outdir: Path) -> dict:
+    """One case's golden record: its runs, then each file of ``outdir``,
+    a meta file in full and any other by its SHA-256."""
+    runs = run_in_process(docs, outdir)
+    files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+    return {"runs": runs,
+            "meta": {n: json.loads(d) for n, d in files.items() if n.endswith(".json")},
+            "sha256": {n: hashlib.sha256(d).hexdigest()
+                       for n, d in files.items() if not n.endswith(".json")}}
+
+
+def golden_problems(name: str, want: dict, got: dict, revision: str) -> list[str]:
+    """What differs between a case's golden record ``want`` and ``got``; a
+    meta float counts within ``META_ATOL``."""
+    problems = []
+    if want["runs"] != got["runs"]:
+        problems.append(f"runs differ: {want['runs']} vs {got['runs']}")
+    names_w = want["meta"].keys() | want["sha256"].keys()
+    names_g = got["meta"].keys() | got["sha256"].keys()
+    if names_w != names_g:
+        problems.append(f"files differ: only golden {sorted(names_w - names_g)},"
+                        f" only this tree {sorted(names_g - names_w)}")
+    for file in sorted(names_w & names_g):
+        if file in want["meta"]:
+            same, report = compare_meta(json.dumps(want["meta"][file]),
+                                        json.dumps(got["meta"][file]))
+        else:
+            same, report = want["sha256"][file] == got["sha256"][file], ["bytes differ"]
+        if not same:
+            problems.append(f"{file}: {report[0]}")
+    return [f"case {name}, {problem}; see python tools/compare_outputs.py"
+            f" --against {revision}" for problem in problems]
+
+
+def write_golden() -> None:
+    """Write ``GOLDEN`` from every case of ``MATRIX``, run in this process."""
+    revision = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
+        cases = {name: golden_case(docs, Path(tmp) / name) for name, docs in MATRIX}
+    GOLDEN.write_text(json.dumps({"revision": revision, "cases": cases}, indent=1,
+                                 sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(cases)} cases at {revision} to {GOLDEN.relative_to(REPO)}")
 
 
 def _number(cell: str) -> float | None:
@@ -272,8 +346,14 @@ def report_case(name: str, docs: list[dict], base_tree: Path, tmp: Path) -> bool
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", required=True, help="git revision to compare with")
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--against", help="git revision to compare with")
+    which.add_argument("--write-golden", action="store_true",
+                       help=f"write {GOLDEN.relative_to(REPO)} from this tree")
     args = parser.parse_args(argv)
+    if args.write_golden:
+        write_golden()
+        return 0
 
     ok = True
     with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
