@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Reads a YAML run configuration, executes one named scenario, and writes CSV
-data plus a JSON metadata sidecar into the output directory. All frequency
-keys carry an explicit unit suffix (_mhz means ordinary frequency in MHz,
+data plus a JSON metadata sidecar into the output directory. This module
+alone decides those bytes: every table's header and layout, each cell as
+``'%.9g' % x`` and the JSON; the scenarios only compute. All frequency keys
+carry an explicit unit suffix (_mhz means ordinary frequency in MHz,
 converted to angular rad/s internally); powers are _mw or _uw, lengths _mm,
 temperatures _c or _k, densities _per_cm3 or _per_m3, magnetic field _g.
 
@@ -14,7 +16,8 @@ overflow, and running out of memory), 130 an interrupt and 141 a stdout whose
 reader has gone (128 + SIGINT or SIGPIPE, as a shell reports them). Errors are
 single lines on stderr: ``error: config: ...``, ``error: numeric: ...`` or
 ``error: interrupted``. A run replaces its files all or none, then prints its
-summary line; per-temperature tables of a longer earlier ``temp-scan`` stay.
+summary line; a ``temp-scan`` also removes the per-temperature tables that a
+longer earlier scan of the same basename left.
 
 Only ``main``, ``apply_overrides`` and ``build_parser`` import ``yaml`` and
 ``argparse``, so a caller that parses documents and runs them in process
@@ -25,13 +28,16 @@ mmap and trim thresholds once, unless the environment sets them.
 from __future__ import annotations
 
 import ctypes
+import errno
+import json
 import math
 import os
+import re
 import sys
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,17 +49,16 @@ from .atom import (
     RABI_ANCHORS,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    TWO_PI,
     rabi_from_power,
 )
-from .detection import TRACE_CSV_COLUMNS
+from .detection import recover_angle
 from .dynamics import RelaxationRates
 from .scenarios import (
-    EIT_CSV_COLUMNS,
-    POWER_SCAN_CSV_COLUMNS,
-    TEMP_SCAN_CSV_COLUMNS,
     NumericError,
     PeakPair,
     ScenarioConfig,
+    SweepResult,
     check_powers,
     count_transmission_peaks,
     eit_transmission,
@@ -62,10 +67,8 @@ from .scenarios import (
     sweep_coupling_power,
     sweep_probe_detuning,
     sweep_temperature,
-    write_csv,
-    write_metadata,
 )
-from .spectra import SPECTRUM_CSV_COLUMNS
+from .spectra import _STACK_ELEMENTS
 
 # glibc gives each freed block of 128 KiB or more, and a heap top above 128
 # KiB, back to the kernel, so the next CSV block faults it in again. These are
@@ -336,6 +339,174 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
     return doc
 
 
+# CSV cells (see write_csv). A table of fewer cells is formatted by one
+# ``%``: ``_format_cells`` spends about 0.1 ms on numpy calls at any size,
+# and measured after a sweep the two break even at 300-540 cells.
+_VECTOR_CELLS = 1024
+# 10**0 ... 10**22, all exact, then 22 ones: a * _POW10[k] / _POW10[-k] is
+# a * 10**k rounded once, as one multiply or one divide, for |k| <= 22.
+_POW10 = np.array([float(10 ** k) for k in range(23)] + [1.0] * 22)
+# A cell is laid out in four 8-byte words, NUL where no byte goes:
+#   0: sign, the "0." and up to three "0"s of 0.000ddd, first digit, point;
+#   1, 2: the other eight digits, each followed by a point slot;
+#   3: "e" with sign and two exponent digits, the separator.
+# The tables below hold words, read as uint64 so that one gather or one
+# bitwise operation places eight bytes in either byte order.
+_ASCII = np.frombuffer(b"0123456789", np.uint8)
+
+
+def _padded(strings: list[bytes], width: int) -> np.ndarray:
+    """The strings as the rows of a uint8 array, NUL-padded to ``width``."""
+    return np.array(strings, f"S{width}").view(np.uint8).reshape(len(strings), width)
+
+
+def _digit_tables():
+    """b"%04d" % i in the even bytes of word i, and its count of trailing
+    "0"s, for i below 10**4."""
+    words = np.zeros((10, 10, 10, 10, 8), np.uint8)
+    for k in range(4):
+        words[..., 2 * k] = _ASCII.reshape((10,) + (1,) * (3 - k))
+    zeros = np.zeros(10000, np.intp)
+    for k in range(1, 5):
+        zeros[::10 ** k] = k
+    return words.view(np.uint64).ravel(), zeros
+
+
+_DIGIT_WORDS, _TRAILING_ZEROS = _digit_tables()
+# the first word without prefix and point, by sign bit and first digit
+_FIRST = _padded([s + bytes(5) + b"%d" % d for s in (bytes(1), b"-") for d in range(10)],
+                 8).view(np.uint64).ravel()
+_COMMA, _NEWLINE = _padded([bytes(4) + b",", bytes(4) + b"\n"], 8).view(np.uint64).ravel()
+
+
+def _cell_templates():
+    """(bytes kept, bytes added) per row 46 z + e + 14 of a cell with
+    exponent e (-14 to 31, the exponents with an exact power of ten and
+    their carries) whose 9-digit mantissa ends in z zeros (0-8): a mask
+    that clears the digits after the last one kept, and the prefix, point
+    and exponent."""
+    e = np.arange(-14, 32)
+    fixed = (e >= -4) & (e <= 8)
+    point = np.where(fixed, np.maximum(e, -1), 0)  # the digit before the "."
+    kept = np.maximum(9 - np.arange(9)[:, None, None], point[:, None] + 1)
+    slot = np.arange(9)
+    keep = np.full((9, 46, 32), 255, np.uint8)
+    keep[..., 8:24:2] = 255 * (slot[1:] < kept)
+    add = np.zeros((9, 46, 32), np.uint8)
+    add[..., 7:24:2] = ord(".") * ((slot == point[:, None]) & (kept > point[:, None] + 1))
+    add[..., 1:6] = _padded([b"0.000"[:1 - k] if -4 <= k < 0 else b"" for k in e.tolist()], 5)
+    add[..., 24:28] = _padded([b"" if -4 <= k <= 8 else b"e%+03d" % k for k in e.tolist()], 4)
+    return keep.view(np.uint64).reshape(-1, 4), add.view(np.uint64).reshape(-1, 4)
+
+
+_KEEP, _ADD = _cell_templates()
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    k = np.clip(8 - e, -22, 22).astype(np.intp)
+    return a * _POW10[k] / _POW10[-k]
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, e, slow) with |x| = m 10**(e - 8) to 9 significant digits.
+
+    e comes from log10 |x| (one off next to a power of ten, which the scaled
+    value shows) and the mantissa m from s = |x| 10**(8 - e), rounded once
+    from the exact product. Rounding is monotone, so s lies on the same side
+    of each tie m + 1/2 (exact in a float) as the product, and rint(s) is
+    the correctly rounded mantissa unless s is a tie. m = 1e9 carries into
+    e. ``slow`` indexes the cells this cannot decide (not finite, |8 - e|
+    above 22, a tie); they and zeros get m = 1e8, e = 0.
+    """
+    a = np.abs(x)
+    a[a == 0] = 1.0  # formatted as 1, its digit cleared in _cell_words
+    a[~(a < np.inf)] = 1e300  # inf and nan: out of range
+    e = np.log10(a)
+    np.floor(e, out=e)
+    s = _scaled(a, e)
+    off = np.flatnonzero((s < 1e8) | (s >= 1e9))
+    if off.size:
+        e[off] += np.where(s[off] < 1e8, -1.0, 1.0)
+        s[off] = _scaled(a[off], e[off])
+    m = np.rint(s)
+    s -= m
+    slow = np.flatnonzero((np.abs(s, out=s) == 0.5) | (np.abs(8 - e) > 22))
+    m[slow], e[slow] = 1e8, 0.0
+    carry = m == 1e9
+    m[carry] = 1e8
+    e += carry
+    return m, e, slow
+
+
+def _cell_words(table: np.ndarray, m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The four words of each cell of ``table`` (see ``_cell_templates``)
+    from the ``_decimal`` m and e of its flattened cells."""
+    x = table.ravel()
+    high = np.floor(m / 1e4)  # the first five digits
+    low = (m - high * 1e4).astype(np.intp)
+    first = np.floor(high / 1e4)
+    mid = (high - first * 1e4).astype(np.intp)
+    first[x == 0] = 0
+    first += 10 * np.signbit(x)
+    zeros = _TRAILING_ZEROS[low] + (low == 0) * _TRAILING_ZEROS[mid]
+    row = (e + 14 + 46 * zeros).astype(np.intp)
+    words = np.empty((x.size, 4), np.uint64)
+    words[:, 0] = _FIRST[first.astype(np.intp)]
+    words[:, 1] = _DIGIT_WORDS[mid]
+    words[:, 2] = _DIGIT_WORDS[low]
+    ends = words.reshape(*table.shape, 4)[:, :, 3]
+    ends[:] = _COMMA
+    ends[:, -1] = _NEWLINE
+    words &= np.take(_KEEP, row, axis=0)
+    words |= np.take(_ADD, row, axis=0)
+    return words
+
+
+def _format_cells(table: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D float table, each cell exactly ``'%.9g' % x``:
+    the cells ``_decimal`` cannot decide by ``%``, the others from the
+    words of ``_cell_words``."""
+    x = table.ravel()
+    m, e, slow = _decimal(x)
+    cells = _cell_words(table, m, e).view(np.uint8).reshape(x.size, 32)
+    if slow.size:  # over the 28 bytes before the separator
+        cells[slow, :28] = _padded([b"%.9g" % v for v in x[slow].tolist()], 28)
+    return cells.tobytes().translate(None, b"\0")
+
+
+def write_csv(path, columns: Sequence[str], table) -> None:
+    """Write a 2-D table under its header line, each cell exactly
+    ``'%.9g' % x``, comma separated, with LF line ends on every platform.
+
+    A table of ``_VECTOR_CELLS`` cells or more is formatted by
+    ``_format_cells`` in blocks of whole rows, at most ``_STACK_ELEMENTS``
+    cells or one row each; a smaller one by one ``%``.
+    """
+    table = np.asarray(table, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        if table.size < _VECTOR_CELLS:
+            row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+            fh.write((row * len(table) % tuple(table.ravel().tolist())).encode())
+            return
+        rows = max(1, _STACK_ELEMENTS // table.shape[1])
+        for start in range(0, len(table), rows):
+            fh.write(_format_cells(table[start:start + rows]))
+
+
+def _write_populations(path, populations: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("sublevel,population\n")
+        fh.writelines(f"{lab},{val:.9g}\n" for lab, val in populations.items())
+
+
+def write_metadata(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys, in one write:
+    ``json.dump`` with an indent writes each token on its own."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 _PEAK_KEYS = ("left_detuning_mhz", "left_phi_deg", "right_detuning_mhz", "right_phi_deg")
 
 
@@ -358,13 +529,45 @@ def _files(spec: RunSpec, write_table, extra: dict | None = None, tables=()) -> 
             (f"{spec.basename}.meta.json", partial(write_metadata, payload=meta))]
 
 
+SPECTRUM_CSV_COLUMNS = [
+    "detuning_mhz",
+    "re_chi_minus", "im_chi_minus",
+    "re_chi_plus", "im_chi_plus",
+    "n_diff", "alpha_plus", "alpha_minus", "phi_deg",
+]
+
+
+def _spectrum_table(result: SweepResult) -> np.ndarray:
+    p = result.pair
+    return np.column_stack((
+        result.detunings / TWO_PI / 1e6,
+        p.chi_minus.real, p.chi_minus.imag,
+        p.chi_plus.real, p.chi_plus.imag,
+        p.n_plus - p.n_minus,
+        p.alpha_plus, p.alpha_minus,
+        np.degrees(result.phi_exact),
+    ))
+
+
+TRACE_CSV_COLUMNS = ["detuning_mhz", "i_d1", "i_d2", "i_d3", "i_d4", "phi_deg"]
+
+
+def _trace_table(result: SweepResult) -> np.ndarray:
+    s = result.signals
+    return np.column_stack((
+        result.detunings / TWO_PI / 1e6,
+        s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0,
+        np.degrees(recover_angle(s)),
+    ))
+
+
 def _sweep(spec: RunSpec, log):
     cfg = spec.config
     log(f"sweeping {cfg.points} detuning points")
     result = sweep_probe_detuning(cfg)
-    columns, table = ((SPECTRUM_CSV_COLUMNS, result.spectrum_table())
+    columns, table = ((SPECTRUM_CSV_COLUMNS, _spectrum_table(result))
                       if spec.scenario == "spectrum" else
-                      (TRACE_CSV_COLUMNS, result.trace_table()))
+                      (TRACE_CSV_COLUMNS, _trace_table(result)))
     extra = {"sweep": result.metadata}
     peaks = find_dispersion_peaks(result)
     if peaks.found:  # a pi_f2 spectrum has none
@@ -372,6 +575,9 @@ def _sweep(spec: RunSpec, log):
     max_phi = math.degrees(abs(result.phi_exact).max())
     return (_files(spec, partial(write_csv, columns=columns, table=table), extra),
             f"{spec.scenario}: {cfg.points} points, max |phi| = {max_phi:.6g} deg")
+
+
+POWER_SCAN_CSV_COLUMNS = ["power_mw", "rabi_mhz", *_PEAK_KEYS]
 
 
 def _power_scan(spec: RunSpec, log):
@@ -383,19 +589,25 @@ def _power_scan(spec: RunSpec, log):
             f"power-scan: {len(rows)} powers")
 
 
+TEMP_SCAN_CSV_COLUMNS = ["temperature_k", "density_m3", *_PEAK_KEYS, "max_abs_phi_deg"]
+
+
 def _temp_scan(spec: RunSpec, log):
     log(f"scanning {len(spec.temperatures_k)} temperatures over {spec.config.points} "
         "detuning points")
     results = sweep_temperature(spec.config, list(spec.temperatures_k))
-    rows = [(t, result.metadata["density_m3"],
+    rows = [(t, result.medium.density,
              *_peak_values(find_dispersion_peaks(result), f"{t:.2f} K"),
              math.degrees(abs(result.phi_exact).max())) for t, result in results]
     tables = [(f"{spec.basename}_t{i}.csv", partial(
-        write_csv, columns=SPECTRUM_CSV_COLUMNS, table=result.spectrum_table()))
+        write_csv, columns=SPECTRUM_CSV_COLUMNS, table=_spectrum_table(result)))
         for i, (_, result) in enumerate(results, start=1)]
     return (_files(spec, partial(write_csv, columns=TEMP_SCAN_CSV_COLUMNS, table=rows),
                    {"per_temperature_files": [name for name, _ in tables]}, tables),
             f"temp-scan: {len(rows)} temperatures")
+
+
+EIT_CSV_COLUMNS = ["detuning_mhz", "transmission_sigma_minus", "transmission_sigma_plus"]
 
 
 def _eit_peaks(spec: RunSpec, log):
@@ -407,12 +619,6 @@ def _eit_peaks(spec: RunSpec, log):
     return (_files(spec, partial(write_csv, columns=EIT_CSV_COLUMNS, table=table),
                    {"peak_counts": counts}),
             f"eit-peaks: sigma_minus={counts[SIGMA_MINUS]} sigma_plus={counts[SIGMA_PLUS]}")
-
-
-def _write_populations(path, populations: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sublevel,population\n")
-        fh.writelines(f"{lab},{val:.9g}\n" for lab, val in populations.items())
 
 
 def _populations(spec: RunSpec, log):
@@ -439,11 +645,12 @@ _SCENARIOS = {
 SCENARIOS = tuple(_SCENARIOS)
 
 
-def _commit(outdir: Path, files: list) -> list[Path]:
-    """Write ``files`` into ``outdir`` all or none; returns their paths.
-    Each is written under a hidden temporary name first; only when all are
-    is each old file unlinked (ext4 flushes a file renamed over another) and
-    the new one renamed into place. Any exception removes the temporaries."""
+def _commit(outdir: Path, files: list, stale: list[Path]) -> list[Path]:
+    """Write ``files`` into ``outdir`` all or none, then remove the ``stale``
+    paths; returns the files' paths. Each is written under a hidden temporary
+    name first; only when all are, and no target is a directory, is each old
+    file unlinked (ext4 flushes a file renamed over another) and the new one
+    renamed into place. Any exception removes the temporaries."""
     paths = [outdir / name for name, _ in files]
     # str, not Path: pathlib interns each name it parses, and every interned
     # name that dies brings the resize of the interpreter's table nearer
@@ -451,9 +658,14 @@ def _commit(outdir: Path, files: list) -> list[Path]:
     try:
         for temporary, (_, write) in zip(temporaries, files):
             write(temporary)
+        for path in (*paths, *stale):  # unlinking it would stop the renames part way
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for temporary, path in zip(temporaries, paths):
             path.unlink(missing_ok=True)
             os.rename(temporary, path)
+        for path in stale:
+            path.unlink(missing_ok=True)
     except BaseException:
         for temporary in temporaries:
             Path(temporary).unlink(missing_ok=True)
@@ -467,7 +679,12 @@ def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     log = partial(print, file=sys.stderr) if verbose else lambda msg: None
     files, line = _SCENARIOS[spec.scenario](spec, log)
-    written = _commit(outdir, files)
+    stale = []
+    if spec.scenario == "temp-scan":  # the tables of a longer earlier scan
+        table = re.compile(re.escape(spec.basename) + r"_t([1-9][0-9]*)\.csv")
+        stale = [outdir / name for name in os.listdir(outdir)
+                 if (k := table.fullmatch(name)) and int(k[1]) > len(spec.temperatures_k)]
+    written = _commit(outdir, files, stale)
     print(line, flush=True)
     return written
 

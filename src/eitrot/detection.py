@@ -34,7 +34,6 @@ __all__ = [
     "propagate_cell",
     "detector_intensities",
     "recover_angle",
-    "TRACE_CSV_COLUMNS",
 ]
 
 # half-wave plate at 22.5 deg to the input polarization, as a Jones operator
@@ -44,10 +43,6 @@ HALF_WAVE_MATRIX = np.array(
         [math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0],
     ]
 )
-
-TRACE_CSV_COLUMNS = [
-    "detuning_mhz", "i_d1", "i_d2", "i_d3", "i_d4", "phi_deg",
-]
 
 _ANGLE_FLOOR = 1e-12
 

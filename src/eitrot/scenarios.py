@@ -1,5 +1,5 @@
-"""Composed experiments: detuning sweeps, power and temperature scans,
-EIT transmission peak counting, and their CSV/metadata serialization.
+"""Composed experiments: detuning sweeps, power and temperature scans and
+EIT transmission peak counting.
 
 A sweep has two stages. The atom stage resolves a ScenarioConfig into
 everything the cell temperature does not change: the level scheme, field
@@ -27,7 +27,6 @@ solved detuning is not a density matrix and fails the sweep.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -57,7 +56,6 @@ from .detection import (
     JonesVector,
     detector_intensities,
     propagate_cell,
-    recover_angle,
 )
 from .dynamics import (
     _RESIDUAL_TOL,
@@ -69,7 +67,6 @@ from .dynamics import (
     build_hamiltonian,
 )
 from .spectra import (
-    _STACK_ELEMENTS,
     CELL_LENGTH,
     VAPOR_CURVE_RANGE_K,
     MediumParams,
@@ -93,28 +90,6 @@ __all__ = [
     "sweep_temperature",
     "eit_transmission",
     "count_transmission_peaks",
-    "write_csv",
-    "write_metadata",
-    "POWER_SCAN_CSV_COLUMNS",
-    "TEMP_SCAN_CSV_COLUMNS",
-    "EIT_CSV_COLUMNS",
-]
-
-POWER_SCAN_CSV_COLUMNS = [
-    "power_mw", "rabi_mhz",
-    "left_detuning_mhz", "left_phi_deg",
-    "right_detuning_mhz", "right_phi_deg",
-]
-
-TEMP_SCAN_CSV_COLUMNS = [
-    "temperature_k", "density_m3",
-    "left_detuning_mhz", "left_phi_deg",
-    "right_detuning_mhz", "right_phi_deg",
-    "max_abs_phi_deg",
-]
-
-EIT_CSV_COLUMNS = [
-    "detuning_mhz", "transmission_sigma_minus", "transmission_sigma_plus",
 ]
 
 _FLAT_TOL = 1e-12  # rad, see find_dispersion_peaks
@@ -235,25 +210,6 @@ class SweepResult(NamedTuple):
         array per detector, computed on each access."""
         return detector_intensities(
             propagate_cell(JonesVector.linear(), self.pair, self.medium), 1.0)
-
-    def spectrum_table(self) -> np.ndarray:
-        p = self.pair
-        return np.column_stack((
-            self.detunings / TWO_PI / 1e6,
-            p.chi_minus.real, p.chi_minus.imag,
-            p.chi_plus.real, p.chi_plus.imag,
-            p.n_plus - p.n_minus,
-            p.alpha_plus, p.alpha_minus,
-            np.degrees(self.phi_exact),
-        ))
-
-    def trace_table(self) -> np.ndarray:
-        s = self.signals
-        return np.column_stack((
-            self.detunings / TWO_PI / 1e6,
-            s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0,
-            np.degrees(recover_angle(s)),
-        ))
 
 
 class TransmissionCurve(NamedTuple):
@@ -480,164 +436,3 @@ def count_transmission_peaks(curve: TransmissionCurve) -> int:
             count += 1
     return count
 
-
-# CSV cells (see write_csv). A table of fewer cells is formatted by one
-# ``%``: ``_format_cells`` spends about 0.1 ms on numpy calls at any size,
-# and measured after a sweep the two break even at 300-540 cells.
-_VECTOR_CELLS = 1024
-# 10**0 ... 10**22, all exact, then 22 ones: a * _POW10[k] / _POW10[-k] is
-# a * 10**k rounded once, as one multiply or one divide, for |k| <= 22.
-_POW10 = np.array([float(10 ** k) for k in range(23)] + [1.0] * 22)
-# A cell is laid out in four 8-byte words, NUL where no byte goes:
-#   0: sign, the "0." and up to three "0"s of 0.000ddd, first digit, point;
-#   1, 2: the other eight digits, each followed by a point slot;
-#   3: "e" with sign and two exponent digits, the separator.
-# The tables below hold words, read as uint64 so that one gather or one
-# bitwise operation places eight bytes in either byte order.
-_ASCII = np.frombuffer(b"0123456789", np.uint8)
-
-
-def _padded(strings: list[bytes], width: int) -> np.ndarray:
-    """The strings as the rows of a uint8 array, NUL-padded to ``width``."""
-    return np.array(strings, f"S{width}").view(np.uint8).reshape(len(strings), width)
-
-
-def _digit_tables():
-    """b"%04d" % i in the even bytes of word i, and its count of trailing
-    "0"s, for i below 10**4."""
-    words = np.zeros((10, 10, 10, 10, 8), np.uint8)
-    for k in range(4):
-        words[..., 2 * k] = _ASCII.reshape((10,) + (1,) * (3 - k))
-    zeros = np.zeros(10000, np.intp)
-    for k in range(1, 5):
-        zeros[::10 ** k] = k
-    return words.view(np.uint64).ravel(), zeros
-
-
-_DIGIT_WORDS, _TRAILING_ZEROS = _digit_tables()
-# the first word without prefix and point, by sign bit and first digit
-_FIRST = _padded([s + bytes(5) + b"%d" % d for s in (bytes(1), b"-") for d in range(10)],
-                 8).view(np.uint64).ravel()
-_COMMA, _NEWLINE = _padded([bytes(4) + b",", bytes(4) + b"\n"], 8).view(np.uint64).ravel()
-
-
-def _cell_templates():
-    """(bytes kept, bytes added) per row 46 z + e + 14 of a cell with
-    exponent e (-14 to 31, the exponents with an exact power of ten and
-    their carries) whose 9-digit mantissa ends in z zeros (0-8): a mask
-    that clears the digits after the last one kept, and the prefix, point
-    and exponent."""
-    e = np.arange(-14, 32)
-    fixed = (e >= -4) & (e <= 8)
-    point = np.where(fixed, np.maximum(e, -1), 0)  # the digit before the "."
-    kept = np.maximum(9 - np.arange(9)[:, None, None], point[:, None] + 1)
-    slot = np.arange(9)
-    keep = np.full((9, 46, 32), 255, np.uint8)
-    keep[..., 8:24:2] = 255 * (slot[1:] < kept)
-    add = np.zeros((9, 46, 32), np.uint8)
-    add[..., 7:24:2] = ord(".") * ((slot == point[:, None]) & (kept > point[:, None] + 1))
-    add[..., 1:6] = _padded([b"0.000"[:1 - k] if -4 <= k < 0 else b"" for k in e.tolist()], 5)
-    add[..., 24:28] = _padded([b"" if -4 <= k <= 8 else b"e%+03d" % k for k in e.tolist()], 4)
-    return keep.view(np.uint64).reshape(-1, 4), add.view(np.uint64).reshape(-1, 4)
-
-
-_KEEP, _ADD = _cell_templates()
-
-
-def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    k = np.clip(8 - e, -22, 22).astype(np.intp)
-    return a * _POW10[k] / _POW10[-k]
-
-
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, e, slow) with |x| = m 10**(e - 8) to 9 significant digits.
-
-    e comes from log10 |x| (one off next to a power of ten, which the scaled
-    value shows) and the mantissa m from s = |x| 10**(8 - e), rounded once
-    from the exact product. Rounding is monotone, so s lies on the same side
-    of each tie m + 1/2 (exact in a float) as the product, and rint(s) is
-    the correctly rounded mantissa unless s is a tie. m = 1e9 carries into
-    e. ``slow`` indexes the cells this cannot decide (not finite, |8 - e|
-    above 22, a tie); they and zeros get m = 1e8, e = 0.
-    """
-    a = np.abs(x)
-    a[a == 0] = 1.0  # formatted as 1, its digit cleared in _cell_words
-    a[~(a < np.inf)] = 1e300  # inf and nan: out of range
-    e = np.log10(a)
-    np.floor(e, out=e)
-    s = _scaled(a, e)
-    off = np.flatnonzero((s < 1e8) | (s >= 1e9))
-    if off.size:
-        e[off] += np.where(s[off] < 1e8, -1.0, 1.0)
-        s[off] = _scaled(a[off], e[off])
-    m = np.rint(s)
-    s -= m
-    slow = np.flatnonzero((np.abs(s, out=s) == 0.5) | (np.abs(8 - e) > 22))
-    m[slow], e[slow] = 1e8, 0.0
-    carry = m == 1e9
-    m[carry] = 1e8
-    e += carry
-    return m, e, slow
-
-
-def _cell_words(table: np.ndarray, m: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The four words of each cell of ``table`` (see ``_cell_templates``)
-    from the ``_decimal`` m and e of its flattened cells."""
-    x = table.ravel()
-    high = np.floor(m / 1e4)  # the first five digits
-    low = (m - high * 1e4).astype(np.intp)
-    first = np.floor(high / 1e4)
-    mid = (high - first * 1e4).astype(np.intp)
-    first[x == 0] = 0
-    first += 10 * np.signbit(x)
-    zeros = _TRAILING_ZEROS[low] + (low == 0) * _TRAILING_ZEROS[mid]
-    row = (e + 14 + 46 * zeros).astype(np.intp)
-    words = np.empty((x.size, 4), np.uint64)
-    words[:, 0] = _FIRST[first.astype(np.intp)]
-    words[:, 1] = _DIGIT_WORDS[mid]
-    words[:, 2] = _DIGIT_WORDS[low]
-    ends = words.reshape(*table.shape, 4)[:, :, 3]
-    ends[:] = _COMMA
-    ends[:, -1] = _NEWLINE
-    words &= np.take(_KEEP, row, axis=0)
-    words |= np.take(_ADD, row, axis=0)
-    return words
-
-
-def _format_cells(table: np.ndarray) -> bytes:
-    """The CSV lines of a 2-D float table, each cell exactly ``'%.9g' % x``:
-    the cells ``_decimal`` cannot decide by ``%``, the others from the
-    words of ``_cell_words``."""
-    x = table.ravel()
-    m, e, slow = _decimal(x)
-    cells = _cell_words(table, m, e).view(np.uint8).reshape(x.size, 32)
-    if slow.size:  # over the 28 bytes before the separator
-        cells[slow, :28] = _padded([b"%.9g" % v for v in x[slow].tolist()], 28)
-    return cells.tobytes().translate(None, b"\0")
-
-
-def write_csv(path, columns: Sequence[str], table) -> None:
-    """Write a 2-D table under its header line, each cell exactly
-    ``'%.9g' % x``, comma separated, with LF line ends on every platform.
-
-    A table of ``_VECTOR_CELLS`` cells or more is formatted by
-    ``_format_cells`` in blocks of whole rows, at most ``_STACK_ELEMENTS``
-    cells or one row each; a smaller one by one ``%``.
-    """
-    table = np.asarray(table, dtype=float)
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        if table.size < _VECTOR_CELLS:
-            row = ",".join(["%.9g"] * table.shape[1]) + "\n"
-            fh.write((row * len(table) % tuple(table.ravel().tolist())).encode())
-            return
-        rows = max(1, _STACK_ELEMENTS // table.shape[1])
-        for start in range(0, len(table), rows):
-            fh.write(_format_cells(table[start:start + rows]))
-
-
-def write_metadata(path, payload: dict) -> None:
-    """Write ``payload`` as indented JSON with sorted keys, in one write:
-    ``json.dump`` with an indent writes each token on its own."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -61,7 +61,6 @@ __all__ = [
     "doppler_average",
     "susceptibility_arrays",
     "rotation_angle",
-    "SPECTRUM_CSV_COLUMNS",
 ]
 
 # vapor-pressure anchor: density at 328.15 K fixed to the measured value
@@ -75,13 +74,6 @@ _ANCHOR_DENSITY = 1.62e17  # m^-3
 VAPOR_CURVE_RANGE_K = (200.0, 961.0)
 
 CELL_LENGTH = 0.05  # m, the default vapor-cell length
-
-SPECTRUM_CSV_COLUMNS = [
-    "detuning_mhz",
-    "re_chi_minus", "im_chi_minus",
-    "re_chi_plus", "im_chi_plus",
-    "n_diff", "alpha_plus", "alpha_minus", "phi_deg",
-]
 
 
 def _raw_vapor_density(t_kelvin: float) -> float:

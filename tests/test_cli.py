@@ -4,24 +4,26 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import eitrot
-from eitrot import cli
+from eitrot import cli, spectra
 from eitrot.atom import TWO_PI
-from eitrot.cli import ConfigError, main, parse_config
-from eitrot.detection import TRACE_CSV_COLUMNS
-from eitrot.scenarios import sweep_probe_detuning, write_csv
+from eitrot.cli import TRACE_CSV_COLUMNS, ConfigError, main, parse_config, write_csv
+from eitrot.scenarios import sweep_probe_detuning
 
 SPECTRUM_YAML = """\
 scenario: spectrum
@@ -596,6 +598,45 @@ class TestAllOrNone:
         assert snapshot(outdir) == before
         assert calls == [f".temp_scan_t{i}.csv.{os.getpid()}.tmp" for i in (1, 2, 3)]
 
+    @pytest.mark.parametrize("scenario, directory", [
+        ("spectrum", "spectrum.meta.json"), ("temp-scan", "temp_scan_t3.csv")])
+    def test_directory_at_a_target_leaves_the_outdir_as_it_was(
+            self, tmp_path, capsys, scenario, directory):
+        # a directory where a rerun would replace or remove a file stops it
+        # before any file is replaced, and its temporaries are removed
+        cfg = write(tmp_path, f"scenario: {scenario}\nprobe:\n  points: 41\n")
+        outdir = tmp_path / "out"
+        args = ["--config", str(cfg), "--outdir", str(outdir)]
+        assert main(args) == 0
+        (outdir / directory).unlink()
+        (outdir / directory).mkdir()
+        before = {p.name: p.is_dir() or p.read_bytes() for p in outdir.iterdir()}
+        capsys.readouterr()
+        assert main([*args, "--set", "probe.points=61",
+                     "--set", "temp_scan.temperatures_c=[45, 55]"]) == 1
+        assert capsys.readouterr() == ("", "error: config: cannot write output: "
+                                       f"[Errno 21] Is a directory: '{outdir / directory}'\n")
+        assert {p.name: p.is_dir() or p.read_bytes() for p in outdir.iterdir()} == before
+
+    def test_shorter_temp_scan_rerun_leaves_exactly_its_tables(self, tmp_path):
+        # a temp-scan over fewer temperatures removes the earlier scan's
+        # extra tables; other scenarios and other names remove nothing
+        cfg = write(tmp_path, "scenario: temp-scan\nprobe:\n  points: 41\n")
+        outdir = tmp_path / "out"
+        args = ["--config", str(cfg), "--outdir", str(outdir)]
+        assert main(args) == 0
+        others = ["temp_scan_t04.csv", "temp_scan_t4.csv.bak", "temp_scanx_t4.csv"]
+        for name in others:
+            (outdir / name).write_text("kept\n")
+        assert main([*args, "--set", "scenario=spectrum", "--set", "output_basename=temp_scan",
+                     "--set", "temp_scan.temperatures_c=[45]"]) == 0
+        assert (outdir / "temp_scan_t3.csv").exists()
+        assert main([*args, "--set", "temp_scan.temperatures_c=[45, 55]"]) == 0
+        meta = json.loads((outdir / "temp_scan.meta.json").read_text())
+        assert meta["per_temperature_files"] == ["temp_scan_t1.csv", "temp_scan_t2.csv"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(
+            ["temp_scan.csv", "temp_scan.meta.json", *meta["per_temperature_files"], *others])
+
     @pytest.mark.parametrize("target", ["sweep_probe_detuning", "write_metadata"])
     def test_interrupt_exit_code(self, tmp_path, capsys, monkeypatch, target):
         # Ctrl-C during the sweep, or after the table is written under its
@@ -688,16 +729,119 @@ class TestOtherScenarios:
         assert len(rows) == 4
 
 
+def _near(values):
+    """Each value with its neighbours one ulp below and above."""
+    v = np.asarray(values, dtype=float)
+    return [*v, *np.nextafter(v, -np.inf), *np.nextafter(v, np.inf)]
+
+
+class TestWriteCsv:
+    # edge values beside hypothesis's own draws, which include nan and inf
+    EDGES = [-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+             1e300, -1e300, 1e-300, -1e-300]
+    # where the vectorized format decides: 9th-digit ties, exact and not,
+    # carries to 1e9, powers of ten (where log10 may be one off), the
+    # switches between fixed and exponent notation at e = -5/-4 and 8/9,
+    # and the ends of the exact powers of ten (|8 - e| <= 22)
+    DECISIONS = [
+        *_near([100000000.5, 100000001.5, 12345678.25, 1234567.125, 1000000005.0,
+                float(2**53 + 2), 999999999.5, 9999999995.0, 999999999.6,
+                9.9999999996, 0.99999999996, 9.999999995e-5, 9.9999999996e-5,
+                1e-5, 0.0001, 99999999.9, 999999999.0, 999999999.4, 1e9,
+                9.999999995e22, 9.9999999995e30, 9.99999999e-15, 1.5e100, -1e-100]),
+        *_near(10.0 ** np.arange(-25, 40)),
+        *(float(f"{m}5e{k}") for m, k in ((123456789, -3), (100000000, 20), (999999999, -12),
+                                          (314159265, 2), (271828182, -12))),
+        -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1.7976931348623157e308,
+    ]
+
+    @staticmethod
+    def _want(columns, table) -> bytes:
+        # the per-cell oracle
+        return (",".join(columns) + "\n" + "".join(
+            ",".join(f"{float(x):.9g}" for x in row) + "\n" for row in table)).encode()
+
+    def _check(self, table):
+        columns = [f"c{j}" for j in range(table.shape[1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/table.csv"
+            write_csv(path, columns, table)
+            with open(path, "rb") as fh:
+                assert fh.read() == self._want(columns, table)
+
+    # cutoff 0 takes every table through the vectorized formatter
+    @pytest.mark.parametrize("cutoff", [cli._VECTOR_CELLS, 0])
+    @settings(max_examples=300, deadline=None)
+    @given(table=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 9)),
+                        elements=st.floats() | st.sampled_from(EDGES + DECISIONS)))
+    def test_bytes_match_the_per_cell_format(self, cutoff, table):
+        with mock.patch.object(cli, "_VECTOR_CELLS", cutoff):
+            self._check(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 1500), st.integers(1, 9)),
+           picks=st.lists(st.sampled_from(EDGES + DECISIONS) | st.floats(), min_size=1,
+                          max_size=40),
+           share=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_large_tables_match_the_per_cell_format(self, shape, picks, share, seed):
+        # spectrum-like cells of any exponent, a share of them replaced by
+        # the drawn values; from 1024 cells on, in blocks of whole rows
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 40, shape)
+        table = np.where(rng.random(shape) < share, rng.choice(picks, shape), table)
+        blocks = math.ceil(shape[0] / (spectra._STACK_ELEMENTS // shape[1]))
+        with mock.patch.object(cli, "_format_cells",
+                               wraps=cli._format_cells) as vectorized:
+            self._check(table)
+        assert vectorized.call_count == (blocks if table.size >= 1024 else 0)
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_an_exponent_one_off_is_corrected(self, shift):
+        # log10 is one off at most next to a power of ten, where either
+        # exponent gives the same digits; shifted for every cell, the
+        # exponent must be corrected from the scaled value
+        rng = np.random.default_rng(0)
+        table = np.reshape([*self.DECISIONS, *(rng.standard_normal(300) * 10.0 **
+                                               rng.integers(-20, 35, 300))], (-1, 1))
+        log10 = np.log10
+        with mock.patch.object(np, "log10", lambda a: log10(a) + shift), \
+                mock.patch.object(cli, "_VECTOR_CELLS", 0):
+            self._check(table)
+
+    def test_lookup_tables_are_their_string_forms(self):
+        quads = [b"%04d" % i for i in range(10000)]
+        words = cli._DIGIT_WORDS.view(np.uint8).reshape(-1, 8)
+        assert [row.tobytes() for row in words[:, ::2]] == quads
+        assert not words[:, 1::2].any()
+        assert cli._TRAILING_ZEROS.tolist() == [
+            len(q) - len(q.rstrip(b"0")) for q in quads]
+        assert cli._POW10.tolist() == [float(10**k) for k in range(23)] + [1.0] * 22
+        first = cli._FIRST.view(np.uint8).reshape(20, 8)
+        assert [row.tobytes() for row in first] == [
+            sign + bytes(5) + b"%d" % d + bytes(1) for sign in (bytes(1), b"-")
+            for d in range(10)]
+        # prefix and exponent bytes of each exponent, for any trailing zeros
+        add = cli._ADD.view(np.uint8).reshape(9, 46, 32)
+        assert (add == add[:1]).all(axis=0)[:, [*range(6), *range(24, 32)]].all()
+        for row, e in enumerate(range(-14, 32)):
+            prefix = b"0.000"[:1 - e] if -4 <= e < 0 else b""
+            exponent = b"" if -4 <= e <= 8 else b"e%+03d" % e
+            assert add[0, row, 1:6].tobytes() == prefix.ljust(5, b"\0")
+            assert add[0, row, 24:28].tobytes() == exponent.ljust(4, b"\0")
+
+
 def test_import_leaves_out_unused_modules():
     # the runtime is numpy-only: importing scipy.linalg alone would add about
     # 300 ms to every start-up, scipy.signal and scipy.stats about a second;
     # the package root imports no module, so eitrot.atom loads no numpy; only
-    # main and its helpers import yaml (about 20 ms) and argparse; and the
-    # Faddeeva coefficients are literals, so nothing needs numpy.fft
+    # main and its helpers import yaml (about 20 ms) and argparse; the
+    # Faddeeva coefficients are literals, so nothing needs numpy.fft; and
+    # only eitrot.cli writes files, so eitrot.scenarios loads no json
     src = Path(eitrot.__file__).resolve().parents[1]
     for module, absent in (("eitrot.cli", "scipy"), ("eitrot.atom", "numpy"),
                            ("eitrot.cli", "yaml"), ("eitrot.cli", "argparse"),
-                           ("eitrot.cli", "numpy.fft")):
+                           ("eitrot.cli", "numpy.fft"), ("eitrot.scenarios", "json")):
         code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
                 "print(' '.join(sorted(sys.modules)))")
         done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],

@@ -97,6 +97,11 @@ MATRIX = [
     # a rerun that replaces the files of the first run
     ("spectrum_rerun", [{"scenario": "spectrum", "probe": {"points": 201}},
                         {"scenario": "spectrum", "probe": {"points": 101}}]),
+    # a temp-scan rerun over fewer temperatures, which removes the first
+    # run's third per-temperature table
+    ("temp_scan_rerun_fewer", [{"scenario": "temp-scan", "probe": {"points": 41}},
+                               {"scenario": "temp-scan", "probe": {"points": 41},
+                                "temp_scan": {"temperatures_c": [45, 55]}}]),
     ("populations_per_point_detuned", [{"scenario": "populations",
                                         "population_policy": "per_point",
                                         "coupling": {"detuning_mhz": 3}}]),
