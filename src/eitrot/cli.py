@@ -3,10 +3,12 @@
 Reads a YAML run configuration, executes one named scenario, and writes CSV
 data plus a JSON metadata sidecar into the output directory. This module
 alone decides those bytes: every table's header and layout, each cell as
-``'%.9g' % x`` and the JSON; the scenarios only compute. All frequency keys
-carry an explicit unit suffix (_mhz means ordinary frequency in MHz,
-converted to angular rad/s internally); powers are _mw or _uw, lengths _mm,
-temperatures _c or _k, densities _per_cm3 or _per_m3, magnetic field _g.
+``'%.9g' % x``, the JSON and every key in it. The scenarios only compute and
+return values; the ``sweep`` meta block and a trace's detector signals are
+derived here from a sweep's record. All frequency keys carry an explicit
+unit suffix (_mhz means ordinary frequency in MHz, converted to angular
+rad/s internally); powers are _mw or _uw, lengths _mm, temperatures _c or
+_k, densities _per_cm3 or _per_m3, magnetic field _g.
 
 Exit codes: 0 success, 1 configuration error (including a number that is
 not finite or out of its domain, a bad command-line flag, and an output that
@@ -52,7 +54,7 @@ from .atom import (
     TWO_PI,
     rabi_from_power,
 )
-from .detection import recover_angle
+from .detection import JonesVector, detector_intensities, propagate_cell, recover_angle
 from .dynamics import RelaxationRates
 from .scenarios import (
     NumericError,
@@ -340,9 +342,10 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
 
 
 # CSV cells (see write_csv). A table of fewer cells is formatted by one
-# ``%``: ``_format_cells`` spends about 0.1 ms on numpy calls at any size,
-# and measured after a sweep the two break even at 300-540 cells.
-_VECTOR_CELLS = 1024
+# ``%``: ``_format_cells`` spends about 0.05 ms on numpy calls at any size,
+# and measured in process on spectrum and eit-peaks tables the two break
+# even at 200-400 cells.
+_VECTOR_CELLS = 300
 # 10**0 ... 10**22, all exact, then 22 ones: a * _POW10[k] / _POW10[-k] is
 # a * 10**k rounded once, as one multiply or one divide, for |k| <= 22.
 _POW10 = np.array([float(10 ** k) for k in range(23)] + [1.0] * 22)
@@ -553,7 +556,10 @@ TRACE_CSV_COLUMNS = ["detuning_mhz", "i_d1", "i_d2", "i_d3", "i_d4", "phi_deg"]
 
 
 def _trace_table(result: SweepResult) -> np.ndarray:
-    s = result.signals
+    """The detector intensities of the linear probe after the cell, each
+    over the input intensity, and the angle they recover."""
+    s = detector_intensities(
+        propagate_cell(JonesVector.linear(), result.pair, result.medium), 1.0)
     return np.column_stack((
         result.detunings / TWO_PI / 1e6,
         s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0,
@@ -561,14 +567,25 @@ def _trace_table(result: SweepResult) -> np.ndarray:
     ))
 
 
+def _labelled(cfg: ScenarioConfig, populations: dict) -> dict:
+    """Ground-sublevel populations by label, in the scheme's order."""
+    scheme = cfg.scheme()
+    return {scheme.label(s): populations[s] for s in scheme.ground()}
+
+
 def _sweep(spec: RunSpec, log):
-    cfg = spec.config
-    log(f"sweeping {cfg.points} detuning points")
-    result = sweep_probe_detuning(cfg)
+    log(f"sweeping {spec.config.points} detuning points")
+    result = sweep_probe_detuning(spec.config)
     columns, table = ((SPECTRUM_CSV_COLUMNS, _spectrum_table(result))
                       if spec.scenario == "spectrum" else
                       (TRACE_CSV_COLUMNS, _trace_table(result)))
-    extra = {"sweep": result.metadata}
+    cfg, medium = result.cfg, result.medium
+    extra = {"sweep": {
+        "scheme": cfg.scheme_id, "populations": _labelled(cfg, result.populations),
+        "population_policy": cfg.population_policy,
+        "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
+        "density_m3": medium.density, "temperature_k": medium.temperature,
+        "v_width_ms": medium.v_width}}
     peaks = find_dispersion_peaks(result)
     if peaks.found:  # a pi_f2 spectrum has none
         extra["peaks"] = dict(zip(_PEAK_KEYS, _peak_values(peaks, spec.scenario)))
@@ -622,9 +639,7 @@ def _eit_peaks(spec: RunSpec, log):
 
 
 def _populations(spec: RunSpec, log):
-    pops = steady_populations(spec.config)
-    scheme = spec.config.scheme()
-    populations = {scheme.label(s): pops[s] for s in scheme.ground()}
+    populations = _labelled(spec.config, steady_populations(spec.config))
     triple = " ".join(
         f"{lab}={val:.3f}" for lab, val in populations.items() if lab.startswith("a"))
     return (_files(spec, partial(_write_populations, populations=populations),

@@ -5,14 +5,15 @@ A sweep has two stages. The atom stage resolves a ScenarioConfig into
 everything the cell temperature does not change: the level scheme, field
 drives, light shifts, steady-state populations and probe pathways. The
 medium stage takes the Doppler width and density from the temperature and
-evaluates the susceptibilities, angle and metadata of a stack of sweeps on
-one grid: a power scan runs one atom stage per power, a temperature scan
-one in all, and either one medium stage for the whole scan. The probe
-pathways do not depend on the probe detuning, so one set serves a sweep's
-grid, and the sweeps of a stack share one call of the closed-form kernel,
-which evaluates their pathways in blocks of rows. The detection chain runs
-on those arrays only when a detector trace is written
-(``SweepResult.signals``).
+evaluates the susceptibilities and angle of a stack of sweeps on one grid:
+a power scan runs one atom stage per power, a temperature scan one in all,
+and either one medium stage for the whole scan. The probe pathways do not
+depend on the probe detuning, so one set serves a sweep's grid, and the
+sweeps of a stack share one call of the closed-form kernel, which evaluates
+their pathways in blocks of rows. A ``SweepResult`` holds values only: its
+config, medium and populations at two-photon resonance, from which
+``eitrot.cli`` builds the ``sweep`` meta block, and the arrays, from which
+it composes the detector signals of a trace.
 Ground-state populations follow one of two policies: the default solves the
 steady state once at two-photon resonance and reuses it across the sweep
 (the line shapes then come entirely from the Doppler-averaged
@@ -42,7 +43,6 @@ from .atom import (
     SCHEME_IDS,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    TWO_PI,
     FieldDrive,
     LevelScheme,
     build_level_scheme,
@@ -50,12 +50,6 @@ from .atom import (
     probe_pathways,
     rabi_from_power,
     stark_shifts,
-)
-from .detection import (
-    DetectorSignals,
-    JonesVector,
-    detector_intensities,
-    propagate_cell,
 )
 from .dynamics import (
     _RESIDUAL_TOL,
@@ -202,14 +196,8 @@ class SweepResult(NamedTuple):
     pair: SusceptibilityPair  # one array per field, over the detunings
     medium: MediumParams
     phi_exact: np.ndarray
-    metadata: dict
-
-    @property
-    def signals(self) -> DetectorSignals:
-        """The detector intensities of the linear probe after the cell, one
-        array per detector, computed on each access."""
-        return detector_intensities(
-            propagate_cell(JonesVector.linear(), self.pair, self.medium), 1.0)
+    cfg: ScenarioConfig  # the atom stage's; ``medium`` holds the medium
+    populations: dict  # ground sublevel -> occupation at two-photon resonance
 
 
 class TransmissionCurve(NamedTuple):
@@ -222,8 +210,7 @@ def steady_populations(cfg: ScenarioConfig) -> dict:
     two-photon resonance (probe detuning equal to the coupling detuning),
     the representative point for the fixed-population policy.
     """
-    resonance = np.array([cfg.coupling_detuning])
-    return _atom_stage(replace(cfg, population_policy="fixed"), resonance).populations
+    return _atom_stage(replace(cfg, population_policy="fixed")).populations
 
 
 class _Atom(NamedTuple):
@@ -231,45 +218,39 @@ class _Atom(NamedTuple):
     temperature and density leave unchanged."""
 
     cfg: ScenarioConfig
-    detunings: np.ndarray
     paths: tuple[list, list]  # probe pathways, sigma-minus then sigma-plus
     populations: dict  # ground sublevel -> occupation, or one per detuning
-    metadata: dict  # the sweep's metadata without the medium
+    resonance: dict  # ground sublevel -> occupation at two-photon resonance
 
 
-def _atom_stage(cfg: ScenarioConfig, dets: np.ndarray) -> _Atom:
-    """The atom of ``cfg`` on the grid ``dets``, which the atoms of a scan
-    share; only the ``per_point`` policy reads it."""
+def _atom_stage(cfg: ScenarioConfig) -> _Atom:
+    """The atom of ``cfg``; only the ``per_point`` policy reads its
+    detuning grid."""
     scheme = cfg.scheme()
     coupling = cfg.coupling_drive()
     stark = cfg.stark(scheme)
     probe = cfg.probe_drive(cfg.coupling_detuning)
 
-    # h is built at two-photon resonance, the point the metadata always
+    # h is built at two-photon resonance, the point a sweep always
     # reports, so that point is solved first under either policy; its one
     # factorization serves every other detuning (see ``dynamics._factor``)
     h = build_hamiltonian(scheme, probe, coupling, stark, cfg.b_field)
     per_point = cfg.population_policy == "per_point"
     record, rows = _population_record(scheme, h, cfg.rates, per_point)
-    resonance = record.x0[rows]
-    _check_populations(scheme, resonance[None], [cfg.coupling_detuning])
-    idx, values = scheme.index, resonance.tolist()
-    meta_pops = {s: values[idx[s]] for s in scheme.ground()}
-    pops = meta_pops
+    x0 = record.x0[rows]
+    _check_populations(scheme, x0[None], [cfg.coupling_detuning])
+    idx, values = scheme.index, x0.tolist()
+    pops = resonance = {s: values[idx[s]] for s in scheme.ground()}
     if per_point:
+        dets = cfg.detunings()
         all_pops = _evaluate(record, dets - cfg.coupling_detuning, rows)
         _check_populations(scheme, all_pops, dets)
-        pops = {s: all_pops[:, idx[s]] for s in meta_pops}
+        pops = {s: all_pops[:, idx[s]] for s in resonance}
 
     # pathways carry no probe detuning, so one set serves the whole grid
     paths = [probe_pathways(scheme, probe, coupling, component, stark)
              for component in (SIGMA_MINUS, SIGMA_PLUS)]
-    return _Atom(cfg, dets, (*paths,), pops, {
-        "scheme": cfg.scheme_id,
-        "populations": {scheme.label(s): v for s, v in meta_pops.items()},
-        "population_policy": cfg.population_policy,
-        "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
-    })
+    return _Atom(cfg, (*paths,), pops, resonance)
 
 
 def _check_populations(scheme: LevelScheme, pops: np.ndarray, dets) -> None:
@@ -290,25 +271,22 @@ def _check_populations(scheme: LevelScheme, pops: np.ndarray, dets) -> None:
 
 def _medium_stage(pairs: Sequence[tuple[_Atom, MediumParams]]) -> list[SweepResult]:
     """The sweep of each (atom, medium) pair, in order, from one kernel
-    call; the atoms share one grid."""
-    first = pairs[0][0]
+    call; the atoms share one grid, read from the first one's config."""
+    first = pairs[0][0].cfg
+    dets = first.detunings()
     chis = susceptibility_arrays(
         [(*atom.paths, atom.populations, medium) for atom, medium in pairs],
-        first.detunings, first.cfg.coupling_detuning, first.cfg.rates,
-        first.cfg.b_field)
+        dets, first.coupling_detuning, first.rates, first.b_field)
     results = []
     for (atom, medium), (chi_m, chi_p) in zip(pairs, chis):
         bad = np.count_nonzero(~(np.isfinite(chi_m) & np.isfinite(chi_p)))
         if bad:
             raise NumericError(f"susceptibility not finite at {bad} of "
-                               f"{atom.detunings.size} detunings")
+                               f"{dets.size} detunings")
 
         pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
-        metadata = {**atom.metadata, "density_m3": medium.density,
-                    "temperature_k": medium.temperature, "v_width_ms": medium.v_width}
-        results.append(SweepResult(detunings=atom.detunings, pair=pair, medium=medium,
-                                   phi_exact=rotation_angle(pair, medium).exact,
-                                   metadata=metadata))
+        results.append(SweepResult(dets, pair, medium, rotation_angle(pair, medium).exact,
+                                   atom.cfg, atom.resonance))
     return results
 
 
@@ -316,7 +294,7 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
     """One detuning sweep: the medium stage of its atom stage. The medium is
     built first, so that one that cannot be built fails before any solve."""
     medium = cfg.medium()
-    return _medium_stage([(_atom_stage(cfg, cfg.detunings()), medium)])[0]
+    return _medium_stage([(_atom_stage(cfg), medium)])[0]
 
 
 def find_dispersion_peaks(result: SweepResult) -> PeakPair:
@@ -336,7 +314,7 @@ def find_dispersion_peaks(result: SweepResult) -> PeakPair:
     if len(crossings) == 0:
         return PeakPair(None, None)
     idx_nonzero = np.flatnonzero(nonzero)
-    center = result.metadata.get("coupling_detuning_mhz", 0.0) * TWO_PI * 1e6
+    center = result.cfg.coupling_detuning
     mid = lambda c: 0.5 * (
         dets[idx_nonzero[c]] + dets[idx_nonzero[c + 1]]
     )
@@ -372,9 +350,8 @@ def sweep_coupling_power(
     check_powers(powers)
     medium = cfg.medium()
     rabis = [rabi_from_power(p, COUPLING) for p in powers]
-    dets = cfg.detunings()
-    results = _medium_stage([(_atom_stage(replace(cfg, coupling_rabi=rabi), dets),
-                              medium) for rabi in rabis])
+    results = _medium_stage([(_atom_stage(replace(cfg, coupling_rabi=rabi)), medium)
+                             for rabi in rabis])
     return [(p, rabi, find_dispersion_peaks(result))
             for p, rabi, result in zip(powers, rabis, results)]
 
@@ -391,7 +368,7 @@ def sweep_temperature(
     serve the whole scan.
     """
     media = [replace(cfg, temperature=t, density=None).medium() for t in temps]
-    atom = _atom_stage(cfg, cfg.detunings())
+    atom = _atom_stage(cfg)
     return list(zip(temps, _medium_stage([(atom, medium) for medium in media])))
 
 

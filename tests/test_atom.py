@@ -307,7 +307,7 @@ def _records() -> dict:
         "PeakPair": peaks,
         "SweepResult": result,
         "TransmissionCurve": scenarios.eit_transmission(cfg, SIGMA_MINUS),
-        "_Atom": scenarios._atom_stage(cfg, cfg.detunings()),
+        "_Atom": scenarios._atom_stage(cfg),
         "RunSpec": parse_config({"scenario": "spectrum"}),
     }
 

@@ -23,6 +23,7 @@ import eitrot
 from eitrot import cli, spectra
 from eitrot.atom import TWO_PI
 from eitrot.cli import TRACE_CSV_COLUMNS, ConfigError, main, parse_config, write_csv
+from eitrot.detection import JonesVector, detector_intensities, propagate_cell
 from eitrot.scenarios import sweep_probe_detuning
 
 SPECTRUM_YAML = """\
@@ -693,7 +694,8 @@ class TestOtherScenarios:
         cfg = write(tmp_path, "scenario: detector-trace\n")
         assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 0
         result = sweep_probe_detuning(parse_config({"scenario": "detector-trace"}).config)
-        s = result.signals
+        s = detector_intensities(
+            propagate_cell(JonesVector.linear(), result.pair, result.medium), 1.0)
         phi = np.degrees(0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2)))
         write_csv(tmp_path / "want.csv", TRACE_CSV_COLUMNS, np.column_stack((
             result.detunings / TWO_PI / 1e6,
@@ -786,7 +788,7 @@ class TestWriteCsv:
            seed=st.integers(0, 2**32 - 1))
     def test_large_tables_match_the_per_cell_format(self, shape, picks, share, seed):
         # spectrum-like cells of any exponent, a share of them replaced by
-        # the drawn values; from 1024 cells on, in blocks of whole rows
+        # the drawn values; from _VECTOR_CELLS cells on, in blocks of whole rows
         rng = np.random.default_rng(seed)
         table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 40, shape)
         table = np.where(rng.random(shape) < share, rng.choice(picks, shape), table)
@@ -794,7 +796,8 @@ class TestWriteCsv:
         with mock.patch.object(cli, "_format_cells",
                                wraps=cli._format_cells) as vectorized:
             self._check(table)
-        assert vectorized.call_count == (blocks if table.size >= 1024 else 0)
+        vector = table.size >= cli._VECTOR_CELLS
+        assert vectorized.call_count == (blocks if vector else 0)
 
     @pytest.mark.parametrize("shift", [-1.0, 1.0])
     def test_an_exponent_one_off_is_corrected(self, shift):

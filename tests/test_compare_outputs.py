@@ -18,10 +18,11 @@ META = {"version": "0.1.0", "sweep": {"scheme": "sigma_f2", "density_m3": 1.62e1
                                       "populations": {"a1": 0.125}}}
 
 
-def write_outputs(directory: Path, csv_text=CSV, meta=META) -> Path:
+def write_outputs(directory: Path, csv_text=CSV, meta=META, indent=2) -> Path:
     directory.mkdir()
     (directory / "spectrum.csv").write_text(csv_text, encoding="utf-8")
-    (directory / "spectrum.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    (directory / "spectrum.meta.json").write_text(
+        json.dumps(meta, indent=indent, sort_keys=True) + "\n", encoding="utf-8")
     return directory
 
 
@@ -82,6 +83,14 @@ def test_changed_meta_string_fails(tmp_path):
     assert "value of sweep.scheme differs" in lines[1]
 
 
+def test_meta_layout_change_fails(tmp_path):
+    # the same value, indented by four spaces instead of two
+    ok, lines = compare(tmp_path, indent=4)
+    assert not ok
+    assert lines[1] == ("spectrum.meta.json: head is not laid out as"
+                        " json.dumps(indent=2, sort_keys=True) plus a newline")
+
+
 def test_missing_file_fails(tmp_path):
     base = write_outputs(tmp_path / "base")
     head = write_outputs(tmp_path / "head")
@@ -98,14 +107,30 @@ def golden_record(shift=0.0, sha="aa", code=0):
             "meta": {"spectrum.meta.json": meta}, "sha256": {"spectrum.csv": sha}}
 
 
+def case_record(indent=2, **golden):
+    """A ``golden_case`` record: the golden record's meta files as text."""
+    record = golden_record(**golden)
+    record["meta"] = {name: json.dumps(meta, indent=indent, sort_keys=True) + "\n"
+                      for name, meta in record["meta"].items()}
+    return record
+
+
 def test_golden_record_within_the_tolerance_matches():
     assert compare_outputs.golden_problems(
-        "case", golden_record(), golden_record(shift=1e-15), "abc1234") == []
+        "case", golden_record(), case_record(shift=1e-15), "abc1234") == []
+
+
+def test_golden_meta_layout_change_fails():
+    assert compare_outputs.golden_problems(
+        "case", golden_record(), case_record(indent=4), "abc1234") == [
+        "case case, spectrum.meta.json: head is not laid out as json.dumps(indent=2,"
+        " sort_keys=True) plus a newline; see python tools/compare_outputs.py"
+        " --against abc1234"]
 
 
 def test_golden_mismatch_names_case_file_and_command():
     problems = compare_outputs.golden_problems(
-        "case", golden_record(), golden_record(shift=1e-6, sha="bb", code=2), "abc1234")
+        "case", golden_record(), case_record(shift=1e-6, sha="bb", code=2), "abc1234")
     see = "; see python tools/compare_outputs.py --against abc1234"
     assert problems == [
         "case case, runs differ: [[0, 'spectrum: 3 points\\n', '']]"

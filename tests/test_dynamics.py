@@ -390,7 +390,7 @@ class TestSteadyState:
         monkeypatch.setattr(scenarios, "build_hamiltonian", nan_hamiltonian)
         cfg = ScenarioConfig(population_policy="per_point")
         with pytest.raises(SteadyStateError, match="not finite") as err:
-            scenarios._atom_stage(cfg, np.array([TWO_PI * 3e6]))
+            scenarios._atom_stage(cfg)
         assert "null-space dimension" not in str(err.value)
 
     def test_overflowing_solution_raises_without_diagnosis(self):

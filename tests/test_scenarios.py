@@ -84,15 +84,21 @@ def assert_same_sweep(a, b):
     assert np.array_equal(a.pair.chi_minus, b.pair.chi_minus)
     assert np.array_equal(a.pair.chi_plus, b.pair.chi_plus)
     assert np.array_equal(a.phi_exact, b.phi_exact)
-    assert a.metadata == b.metadata
+    assert (a.cfg, a.medium, a.populations) == (b.cfg, b.medium, b.populations)
 
 
-def synthetic_sweep(phi, detunings, coupling_detuning_mhz=0.0):
+def synthetic_sweep(phi, detunings, coupling_detuning=0.0):
     return SweepResult(
         detunings=np.asarray(detunings, dtype=float), pair=None, medium=None,
         phi_exact=np.asarray(phi, dtype=float),
-        metadata={"coupling_detuning_mhz": coupling_detuning_mhz},
+        cfg=ScenarioConfig(coupling_detuning=coupling_detuning), populations={},
     )
+
+
+def signals(result):
+    """The detector intensities of the linear probe after the sweep's cell."""
+    return detector_intensities(
+        propagate_cell(JonesVector.linear(), result.pair, result.medium), 1.0)
 
 
 def choi_floor(lio):
@@ -168,10 +174,10 @@ class TestPeakFinding:
         # two zero crossings; the one nearer the stated resonance wins
         x = np.linspace(-4.0, 4.0, 1601)
         phi = np.sin(x) * np.exp(-0.1 * x * x)
-        center_mhz = 3.0 / (TWO_PI * 1e6)
-        peaks = find_dispersion_peaks(synthetic_sweep(phi, x, center_mhz))
+        peaks = find_dispersion_peaks(synthetic_sweep(phi, x, coupling_detuning=3.0))
         assert peaks.found
-        assert peaks.left.detuning < math.pi  # crossing at pi, not at 0
+        # crossing at pi, not at 0 (whose right peak would lie below pi)
+        assert peaks.left.detuning < math.pi < peaks.right.detuning
 
 
 class TestSweep:
@@ -188,31 +194,33 @@ class TestSweep:
         assert peaks.left.phi > 0 > peaks.right.phi
         assert abs(peaks.left.phi) != pytest.approx(abs(peaks.right.phi), rel=0.05)
         # detector trace and direct angle agree point by point
-        s = result.signals
+        s = signals(result)
         rec = 0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2))
         assert rec == pytest.approx(result.phi_exact, abs=1e-9)
 
     def test_detector_arrays_match_scalar_chain(self):
         result = sweep_probe_detuning(FIG_CFG)
         medium = FIG_CFG.medium()
+        trace = signals(result)
         for i in (0, 17, 40, 63, 80):
             pair = SusceptibilityPair.from_chis(
                 complex(result.pair.chi_minus[i]), complex(result.pair.chi_plus[i]), medium)
             point = detector_intensities(
                 propagate_cell(JonesVector.linear(), pair, medium), 1.0)
             for name in ("d1", "d2", "d3", "d4"):
-                assert getattr(result.signals, name)[i] == pytest.approx(
+                assert getattr(trace, name)[i] == pytest.approx(
                     getattr(point, name), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("b_field", [0.0, 10e-4])
     def test_shifted_diagonal_populations_match_direct_solve(self, b_field):
-        cfg = replace(FIG_CFG, b_field=b_field, coupling_detuning=TWO_PI * 2e6)
+        # -40 to 40 MHz in steps of 4 MHz, two-photon resonance at 4 MHz
+        grid = replace(FIG_CFG, b_field=b_field, points=21, population_policy="per_point")
+        dets = grid.detunings()
+        cfg = replace(grid, coupling_detuning=dets[11])
         scheme = cfg.scheme()
         coupling = cfg.coupling_drive()
         stark = cfg.stark(scheme)
-        dets = TWO_PI * np.array([-40e6, -7.5e6, 0.0, 2e6, 3.1e6, 25e6])
-        pops = scenarios._atom_stage(replace(cfg, population_policy="per_point"),
-                                     dets).populations
+        pops = scenarios._atom_stage(cfg).populations
         for k, det in enumerate(dets):
             h = build_hamiltonian(scheme, cfg.probe_drive(det), coupling, stark,
                                   cfg.b_field)
@@ -223,8 +231,8 @@ class TestSweep:
 
     def test_population_metadata_and_policy(self):
         fixed = sweep_probe_detuning(replace(FIG_CFG, points=11))
-        assert fixed.metadata["population_policy"] == "fixed"
-        pops = fixed.metadata["populations"]
+        assert fixed.cfg.population_policy == "fixed"
+        pops = {FIG_CFG.scheme().label(s): v for s, v in fixed.populations.items()}
         assert set(pops) >= {"a1", "a2", "a3", "b1"}
         assert all(v >= 0 for v in pops.values())
         # the strong coupling parks a good fraction in the excited manifold,
@@ -232,7 +240,7 @@ class TestSweep:
         assert 0.6 < sum(pops.values()) < 1.0
         per_point = sweep_probe_detuning(
             replace(FIG_CFG, points=11, population_policy="per_point"))
-        assert per_point.metadata["population_policy"] == "per_point"
+        assert per_point.cfg.population_policy == "per_point"
         assert np.max(np.abs(per_point.phi_exact - fixed.phi_exact)) > 0.0
 
     def test_steady_populations_default_point(self):
@@ -289,7 +297,7 @@ class TestInvariants:
         cfg = replace(cfg, population_policy="per_point",
                       probe_rabi=0.0 if probe_off else cfg.probe_rabi,
                       coupling_rabi=0.0 if coupling_off else cfg.coupling_rabi)
-        scenarios._atom_stage(cfg, cfg.detunings())
+        scenarios._atom_stage(cfg)
 
     def test_fixed_policy_fails_the_population_check_at_resonance(self):
         # gamma_ca = gamma/2 is not enough for a Lindblad generator: transit
@@ -329,8 +337,8 @@ class TestScans:
     def test_temperature_scan_follows_vapor_curve(self):
         cfg = replace(FIG_CFG, points=41, density=1.8e17)
         rows = sweep_temperature(cfg, [328.15, 338.15])
-        n_cold = rows[0][1].metadata["density_m3"]
-        n_hot = rows[1][1].metadata["density_m3"]
+        n_cold = rows[0][1].medium.density
+        n_hot = rows[1][1].medium.density
         # explicit density is dropped; both points sit on the curve
         assert n_cold == pytest.approx(1.62e17, rel=1e-9)
         assert n_hot / n_cold == pytest.approx(2.302, abs=0.002)
@@ -349,7 +357,10 @@ class TestScans:
             assert np.array_equal(result.pair.chi_minus, alone.pair.chi_minus)
             assert np.array_equal(result.pair.chi_plus, alone.pair.chi_plus)
             assert np.array_equal(result.phi_exact, alone.phi_exact)
-            assert result.metadata == alone.metadata
+            assert (result.medium, result.populations) == (alone.medium, alone.populations)
+            # the scan's one atom differs from each sweep's only in the medium
+            assert result.cfg == replace(alone.cfg, temperature=cfg.temperature,
+                                         density=cfg.density)
 
     @pytest.mark.parametrize("b_field", [0.0, 10e-4])
     @pytest.mark.parametrize("policy", ["fixed", "per_point"])

@@ -10,8 +10,9 @@ directories:
 
 * each CSV file is byte-identical, or the report names its first differing
   cell and the largest absolute and relative difference per column;
-* each ``meta.json`` has the same keys and the same non-float values, and
-  the report gives its largest float difference;
+* each ``meta.json`` is laid out as ``eitrot.cli`` writes it
+  (``meta_text``), has the same keys and the same non-float values, and the
+  report gives its largest float difference;
 * each run has the same exit code, stdout and stderr.
 
 Exits 0 when every CSV is identical, every meta float lies within
@@ -22,7 +23,7 @@ documents come from ``perfbench/workloads.py``, which is only imported.
 ``--write-golden`` runs every case in this process, through this tree's
 ``eitrot.cli.main``, and writes ``tests/golden.json``: per case the exit
 code, stdout and stderr of each run, the SHA-256 of each other file and
-each meta file in full, with the commit checked out. A tier-1 test runs the
+each meta file's value, with the commit checked out. A tier-1 test runs the
 cases the same way and compares (``golden_problems``).
 """
 
@@ -177,19 +178,21 @@ def run_in_process(docs: list[dict], outdir: Path) -> list[tuple]:
 
 
 def golden_case(docs: list[dict], outdir: Path) -> dict:
-    """One case's golden record: its runs, then each file of ``outdir``,
-    a meta file in full and any other by its SHA-256."""
+    """One case's record: its runs, then each file of ``outdir``, a meta
+    file as its text and any other by its SHA-256. The golden record holds
+    each meta file's value instead."""
     runs = run_in_process(docs, outdir)
     files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
     return {"runs": runs,
-            "meta": {n: json.loads(d) for n, d in files.items() if n.endswith(".json")},
+            "meta": {n: d.decode("utf-8")
+                     for n, d in files.items() if n.endswith(".json")},
             "sha256": {n: hashlib.sha256(d).hexdigest()
                        for n, d in files.items() if not n.endswith(".json")}}
 
 
 def golden_problems(name: str, want: dict, got: dict, revision: str) -> list[str]:
-    """What differs between a case's golden record ``want`` and ``got``; a
-    meta float counts within ``META_ATOL``."""
+    """What differs between a case's golden record ``want`` and its record
+    ``got`` from ``golden_case``; a meta float counts within ``META_ATOL``."""
     problems = []
     if want["runs"] != got["runs"]:
         problems.append(f"runs differ: {want['runs']} vs {got['runs']}")
@@ -200,8 +203,7 @@ def golden_problems(name: str, want: dict, got: dict, revision: str) -> list[str
                         f" only this tree {sorted(names_g - names_w)}")
     for file in sorted(names_w & names_g):
         if file in want["meta"]:
-            same, report = compare_meta(json.dumps(want["meta"][file]),
-                                        json.dumps(got["meta"][file]))
+            same, report = compare_meta(meta_text(want["meta"][file]), got["meta"][file])
         else:
             same, report = want["sha256"][file] == got["sha256"][file], ["bytes differ"]
         if not same:
@@ -216,6 +218,8 @@ def write_golden() -> None:
                               capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
         cases = {name: golden_case(docs, Path(tmp) / name) for name, docs in MATRIX}
+    for case in cases.values():
+        case["meta"] = {name: json.loads(text) for name, text in case["meta"].items()}
     GOLDEN.write_text(json.dumps({"revision": revision, "cases": cases}, indent=1,
                                  sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases at {revision} to {GOLDEN.relative_to(REPO)}")
@@ -277,10 +281,21 @@ def _leaves(node, path=""):
         yield path, node
 
 
-def compare_meta(base: bytes, head: bytes) -> tuple[bool, list[str]]:
-    """(within ``META_ATOL``, report lines) for two meta.json files' contents."""
-    leaves_b = dict(_leaves(json.loads(base)))
-    leaves_h = dict(_leaves(json.loads(head)))
+def meta_text(value) -> str:
+    """The text of a meta file of ``value``, laid out as ``eitrot.cli``
+    writes it."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def compare_meta(base: str, head: str) -> tuple[bool, list[str]]:
+    """(both laid out by ``meta_text`` and within ``META_ATOL``, report
+    lines) for two meta.json files' texts."""
+    values = json.loads(base), json.loads(head)
+    for which, text, value in zip(("base", "head"), (base, head), values):
+        if text != meta_text(value):
+            return False, [f"{which} is not laid out as json.dumps(indent=2,"
+                           " sort_keys=True) plus a newline"]
+    leaves_b, leaves_h = (dict(_leaves(value)) for value in values)
     if leaves_b.keys() != leaves_h.keys():
         keys = sorted(leaves_b.keys() ^ leaves_h.keys())
         return False, [f"keys differ: {keys}"]
@@ -310,7 +325,7 @@ def compare_dirs(base: Path, head: Path) -> tuple[bool, list[str]]:
     for name in sorted(names_b & names_h):
         data_b, data_h = (base / name).read_bytes(), (head / name).read_bytes()
         if name.endswith(".json"):
-            same, report = compare_meta(data_b, data_h)
+            same, report = compare_meta(data_b.decode("utf-8"), data_h.decode("utf-8"))
         elif name.endswith(".csv"):
             same, report = compare_csv(data_b, data_h)
         else:
