@@ -23,8 +23,11 @@ longer earlier scan of the same basename left.
 
 Only ``main``, ``apply_overrides`` and ``build_parser`` import ``yaml`` and
 ``argparse``, so a caller that parses documents and runs them in process
-(``parse_config`` and ``run``) never loads either. Importing it sets glibc's
-mmap and trim thresholds once, unless the environment sets them.
+(``parse_config`` and ``run``) never loads either. ``run`` itself traps
+floating-point overflow, division by zero and invalid operations, so such a
+caller meets the same ``FloatingPointError`` that ``main`` reports as exit
+2. Importing it sets glibc's mmap and trim thresholds once, unless the
+environment sets them.
 """
 
 from __future__ import annotations
@@ -690,16 +693,18 @@ def _commit(outdir: Path, files: list, stale: list[Path]) -> list[Path]:
 
 def run(spec: RunSpec, outdir: Path, verbose: bool = False) -> list[Path]:
     """Execute the scenario, put its files in place and print its console
-    line; returns the files written."""
+    line; returns the files written. An overflow or undefined operation
+    anywhere raises FloatingPointError and writes nothing."""
     outdir.mkdir(parents=True, exist_ok=True)
     log = partial(print, file=sys.stderr) if verbose else lambda msg: None
-    files, line = _SCENARIOS[spec.scenario](spec, log)
-    stale = []
-    if spec.scenario == "temp-scan":  # the tables of a longer earlier scan
-        table = re.compile(re.escape(spec.basename) + r"_t([1-9][0-9]*)\.csv")
-        stale = [outdir / name for name in os.listdir(outdir)
-                 if (k := table.fullmatch(name)) and int(k[1]) > len(spec.temperatures_k)]
-    written = _commit(outdir, files, stale)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        files, line = _SCENARIOS[spec.scenario](spec, log)
+        stale = []
+        if spec.scenario == "temp-scan":  # the tables of a longer earlier scan
+            table = re.compile(re.escape(spec.basename) + r"_t([1-9][0-9]*)\.csv")
+            stale = [outdir / name for name in os.listdir(outdir)
+                     if (k := table.fullmatch(name)) and int(k[1]) > len(spec.temperatures_k)]
+        written = _commit(outdir, files, stale)
     print(line, flush=True)
     return written
 
@@ -742,17 +747,17 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         try:
             doc = yaml.safe_load(text)
         except yaml.YAMLError as exc:
-            raise ConfigError(f"malformed YAML: {exc}") from exc
+            mark = getattr(exc, "problem_mark", None)
+            problem = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+                       if mark else str(exc).partition("\n")[0])
+            raise ConfigError(f"malformed YAML: {problem}") from exc
         doc = apply_overrides(doc if doc is not None else {}, args.overrides)
-        spec = parse_config(doc)
-        # an overflow or undefined operation anywhere fails the run
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            run(spec, Path(args.outdir), verbose=args.verbose)
+        run(parse_config(doc), Path(args.outdir), verbose=args.verbose)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1

@@ -223,6 +223,76 @@ class TestMainErrors:
                      "--outdir", str(tmp_path)]) == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(b"scenario: spectrum # \xff\xfe\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: config: cannot read config: 'utf-8' codec can't decode byte"
+            " 0xff in position 21: invalid start byte\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("text, problem", [
+        ("scenario: [1, 2\n", "expected ',' or ']', but got '<stream end>'"
+                              " at line 2, column 1"),
+        ("? [1]\n: 2\n", "found unhashable key at line 1, column 3"),
+        # a reader error has no line and column
+        ("scenario: spec\x01trum\n",
+         "unacceptable character #x0001: special characters are not allowed"),
+    ], ids=["unclosed-flow-sequence", "unhashable-key", "control-character"])
+    def test_malformed_yaml_is_one_line(self, tmp_path, capsys, text, problem):
+        cfg = write(tmp_path, text)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: config: malformed YAML: {problem}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("text, message", [
+        ("- 1\n- 2\n", "configuration must be a mapping"),
+        ("scenario: spectrum\nprobe.points: 11\n", "unknown key 'probe.points'"),
+        ("scenario: spectrum\nprobe: 3\n", "key 'probe' must be a mapping"),
+        ("scenario: spectrum\nprobe: {rabi_mhz: fast}\n",
+         "key 'probe.rabi_mhz' must be a number"),
+        ("scenario: rotate\n", "unknown scenario 'rotate'; choose from spectrum,"
+                               " power-scan, temp-scan, eit-peaks, detector-trace,"
+                               " populations"),
+        ("scenario: spectrum\nstark_shifts: 1\n", "key 'stark_shifts' must be a boolean"),
+        ("scenario: power-scan\npower_scan: {powers_mw: []}\n",
+         "key 'power_scan.powers_mw' must be a non-empty number list"),
+        # a null value is absent: here the required scenario
+        ("scenario: ~\nprobe: {points: 11}\n", "missing required key 'scenario'"),
+    ], ids=["not-a-mapping", "dotted-top-level-key", "section-not-a-mapping",
+            "not-a-number", "unknown-scenario", "not-a-boolean", "empty-scan-list",
+            "null-scenario"])
+    def test_config_error_line(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path, text)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_null_value_in_a_section_is_absent(self, tmp_path, capsys):
+        # were the null rabi_mhz given, it would over-specify the probe drive
+        cfg = write(tmp_path, "scenario: spectrum\n"
+                              "probe: {rabi_mhz: ~, power_uw: 5, points: 3}\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads((tmp_path / "spectrum.meta.json").read_text())
+        assert meta["config"]["probe"]["rabi_mhz"] == pytest.approx(
+            cli.rabi_from_power(5e-6, cli.PROBE) / cli.MHZ, rel=1e-12)
+
+    def test_run_in_process_traps_floating_point_failures(self, tmp_path, capsys):
+        # the exit-2 failure of main comes from run itself, so an in-process
+        # caller meets it too, and no file is written
+        cfg = write(tmp_path, "scenario: spectrum\nprobe: {points: 5}\n"
+                              "coupling: {detuning_mhz: 1e300}\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "cli")]) == 2
+        assert capsys.readouterr().err == ("error: numeric: floating-point failure:"
+                                           " overflow encountered in dot\n")
+        spec = parse_config(yaml.safe_load(cfg.read_text()))
+        with pytest.raises(FloatingPointError, match="overflow encountered in dot"):
+            cli.run(spec, tmp_path / "lib")
+        assert list((tmp_path / "lib").iterdir()) == []
+        assert list((tmp_path / "cli").iterdir()) == []
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # no fields and no transit exchange: each of the eight ground
         # populations is stationary on its own, so the population block

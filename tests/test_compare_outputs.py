@@ -1,5 +1,5 @@
-"""The output comparison of ``tools/compare_outputs.py`` on hand-made
-directories; no git and no CLI run."""
+"""The output comparison of ``tools/compare_outputs.py`` on hand-made case
+records; no git and no CLI run."""
 
 import importlib.util
 import json
@@ -18,17 +18,23 @@ META = {"version": "0.1.0", "sweep": {"scheme": "sigma_f2", "density_m3": 1.62e1
                                       "populations": {"a1": 0.125}}}
 
 
-def write_outputs(directory: Path, csv_text=CSV, meta=META, indent=2) -> Path:
+def outputs(directory: Path, csv_text=CSV, meta=META, indent=2) -> dict:
+    """The ``case_record`` of a run that wrote these files into ``directory``."""
     directory.mkdir()
     (directory / "spectrum.csv").write_text(csv_text, encoding="utf-8")
     (directory / "spectrum.meta.json").write_text(
         json.dumps(meta, indent=indent, sort_keys=True) + "\n", encoding="utf-8")
-    return directory
+    return compare_outputs.case_record(directory, [[0, "", ""]])
+
+
+def report(base: dict, head: dict) -> tuple[bool, list[str]]:
+    """(match, report lines) as ``--against`` prints them for one case."""
+    items = compare_outputs.compare_records(base, head)
+    return all(same for same, _ in items), [line for _, lines in items for line in lines]
 
 
 def compare(tmp_path, **head):
-    return compare_outputs.compare_dirs(write_outputs(tmp_path / "base"),
-                                        write_outputs(tmp_path / "head", **head))
+    return report(outputs(tmp_path / "base"), outputs(tmp_path / "head", **head))
 
 
 def test_identical_outputs_match(tmp_path):
@@ -92,10 +98,10 @@ def test_meta_layout_change_fails(tmp_path):
 
 
 def test_missing_file_fails(tmp_path):
-    base = write_outputs(tmp_path / "base")
-    head = write_outputs(tmp_path / "head")
-    (head / "spectrum.csv").unlink()
-    ok, lines = compare_outputs.compare_dirs(base, head)
+    base = outputs(tmp_path / "base")
+    head = outputs(tmp_path / "head")
+    del head["files"]["spectrum.csv"]
+    ok, lines = report(base, head)
     assert not ok
     assert lines[0] == "files differ: only in base ['spectrum.csv'], only in head []"
 

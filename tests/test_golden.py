@@ -27,3 +27,14 @@ def test_outputs_match_golden(tmp_path, name, docs):
     problems = compare_outputs.golden_problems(
         name, GOLDEN["cases"][name], got, GOLDEN["revision"])
     assert not problems, "\n".join(problems)
+
+
+def test_one_fresh_interpreter_matches_golden(tmp_path):
+    # the path of --against and --write-golden: every case through
+    # run_in_process in one interpreter that puts this tree's src/ first
+    records = compare_outputs.run_tree(compare_outputs.REPO, tmp_path / "out")
+    assert sorted(records) == sorted(GOLDEN["cases"])
+    problems = [problem for name, record in records.items()
+                for problem in compare_outputs.golden_problems(
+                    name, GOLDEN["cases"][name], record, GOLDEN["revision"])]
+    assert not problems, "\n".join(problems)

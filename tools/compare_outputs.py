@@ -4,9 +4,8 @@
     python tools/compare_outputs.py --write-golden
 
 Checks ``<rev>`` out into a temporary local ``git worktree``, runs every
-case of ``MATRIX`` in both trees (each document in a fresh interpreter with
-that tree's ``src/`` first on the path) and compares the output
-directories:
+case of ``MATRIX`` through ``run_in_process`` in one fresh interpreter per
+tree, with that tree's ``src/`` first on the path, and compares the records:
 
 * each CSV file is byte-identical, or the report names its first differing
   cell and the largest absolute and relative difference per column;
@@ -20,11 +19,10 @@ Exits 0 when every CSV is identical, every meta float lies within
 otherwise. The worktree is removed either way. The benchmark's workload
 documents come from ``perfbench/workloads.py``, which is only imported.
 
-``--write-golden`` runs every case in this process, through this tree's
-``eitrot.cli.main``, and writes ``tests/golden.json``: per case the exit
-code, stdout and stderr of each run, the SHA-256 of each other file and
-each meta file's value, with the commit checked out. A tier-1 test runs the
-cases the same way and compares (``golden_problems``).
+``--write-golden`` runs the cases through this tree the same way and writes
+``tests/golden.json``: per case each run's exit code, stdout and stderr,
+each CSV file's SHA-256 and each meta file's value, with the commit checked
+out. ``tests/test_golden.py`` compares against it (``golden_problems``).
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import importlib.util
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -129,41 +126,26 @@ MATRIX = [
                   "transit_mhz": 3}}]),
 ]
 
-# Runs the CLI of the tree whose src/ is argv[1], failing if eitrot would
-# come from anywhere else.
-_CLI_RUNNER = """\
-import sys
+# Runs every case of MATRIX through the eitrot of the tree whose src/ is
+# argv[1], each into argv[2]/<case>, failing if eitrot would come from
+# anywhere else; prints each case's runs as JSON. argv[3] is this directory.
+_RUNNER = """\
+import json, sys
 from pathlib import Path
-src = Path(sys.argv[1]).resolve()
-sys.path.insert(0, str(src))
+src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
+sys.path[:0] = [str(src), sys.argv[3]]
 import eitrot.cli
 if src not in Path(eitrot.cli.__file__).resolve().parents:
     sys.exit(f"eitrot imported from {eitrot.cli.__file__}, not {src}")
-sys.exit(eitrot.cli.main(sys.argv[2:]))
+from compare_outputs import MATRIX, run_in_process
+print(json.dumps({name: run_in_process(docs, out / name) for name, docs in MATRIX}))
 """
 
 
-def run_case(tree: Path, docs: list[dict], outdir: Path) -> list[tuple]:
-    """Run each document through ``tree``'s CLI into ``outdir``; returns
-    (exit code, stdout, stderr) per document."""
-    outdir.mkdir(parents=True)
-    runs = []
-    for i, doc in enumerate(docs):
-        config = outdir.parent / f"{outdir.name}.{i}.yaml"
-        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-c", _CLI_RUNNER, str(tree / "src"),
-             "--config", str(config), "--outdir", str(outdir)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(tree / "src")})
-        runs.append((proc.returncode, proc.stdout, proc.stderr))
-    return runs
-
-
-def run_in_process(docs: list[dict], outdir: Path) -> list[tuple]:
-    """``run_case`` through this tree's ``eitrot.cli.main`` in this process."""
-    if str(REPO / "src") not in sys.path:
-        sys.path.insert(0, str(REPO / "src"))
+def run_in_process(docs: list[dict], outdir: Path) -> list[list]:
+    """Run each document through ``eitrot.cli.main`` in this process, the
+    ``eitrot`` first on ``sys.path``, into ``outdir``; returns [exit code,
+    stdout, stderr] per document."""
     from eitrot.cli import main as cli_main
     outdir.mkdir(parents=True)
     runs = []
@@ -177,49 +159,43 @@ def run_in_process(docs: list[dict], outdir: Path) -> list[tuple]:
     return runs
 
 
-def golden_case(docs: list[dict], outdir: Path) -> dict:
-    """One case's record: its runs, then each file of ``outdir``, a meta
-    file as its text and any other by its SHA-256. The golden record holds
-    each meta file's value instead."""
-    runs = run_in_process(docs, outdir)
+def case_record(outdir: Path, runs: list) -> dict:
+    """A case's record: its runs, each meta file of ``outdir`` as its text
+    and each other file as its bytes. The golden record holds each meta
+    file's value and each other file's SHA-256 instead."""
     files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
     return {"runs": runs,
-            "meta": {n: d.decode("utf-8")
-                     for n, d in files.items() if n.endswith(".json")},
-            "sha256": {n: hashlib.sha256(d).hexdigest()
-                       for n, d in files.items() if not n.endswith(".json")}}
+            "meta": {n: d.decode("utf-8") for n, d in files.items() if n.endswith(".json")},
+            "files": {n: d for n, d in files.items() if not n.endswith(".json")}}
 
 
-def golden_problems(name: str, want: dict, got: dict, revision: str) -> list[str]:
-    """What differs between a case's golden record ``want`` and its record
-    ``got`` from ``golden_case``; a meta float counts within ``META_ATOL``."""
-    problems = []
-    if want["runs"] != got["runs"]:
-        problems.append(f"runs differ: {want['runs']} vs {got['runs']}")
-    names_w = want["meta"].keys() | want["sha256"].keys()
-    names_g = got["meta"].keys() | got["sha256"].keys()
-    if names_w != names_g:
-        problems.append(f"files differ: only golden {sorted(names_w - names_g)},"
-                        f" only this tree {sorted(names_g - names_w)}")
-    for file in sorted(names_w & names_g):
-        if file in want["meta"]:
-            same, report = compare_meta(meta_text(want["meta"][file]), got["meta"][file])
-        else:
-            same, report = want["sha256"][file] == got["sha256"][file], ["bytes differ"]
-        if not same:
-            problems.append(f"{file}: {report[0]}")
-    return [f"case {name}, {problem}; see python tools/compare_outputs.py"
-            f" --against {revision}" for problem in problems]
+def golden_case(docs: list[dict], outdir: Path) -> dict:
+    """One case's record, run by ``run_in_process``."""
+    return case_record(outdir, run_in_process(docs, outdir))
+
+
+def run_tree(tree: Path, out: Path) -> dict:
+    """Every case's record, run through ``tree``'s eitrot in one fresh
+    interpreter into ``out``."""
+    proc = subprocess.run([sys.executable, "-c", _RUNNER, str(tree / "src"), str(out),
+                           str(REPO / "tools")], capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"error: cannot run the cases in {tree}:\n{proc.stderr}")
+    return {name: case_record(out / name, runs)
+            for name, runs in json.loads(proc.stdout).items()}
 
 
 def write_golden() -> None:
-    """Write ``GOLDEN`` from every case of ``MATRIX``, run in this process."""
+    """Write ``GOLDEN`` from every case of ``MATRIX``, run by this tree."""
     revision = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--short", "HEAD"],
                               capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
-        cases = {name: golden_case(docs, Path(tmp) / name) for name, docs in MATRIX}
-    for case in cases.values():
-        case["meta"] = {name: json.loads(text) for name, text in case["meta"].items()}
+        records = run_tree(REPO, Path(tmp) / "out_head")
+    cases = {name: {"runs": record["runs"],
+                    "meta": {n: json.loads(text) for n, text in record["meta"].items()},
+                    "sha256": {n: hashlib.sha256(data).hexdigest()
+                               for n, data in record["files"].items()}}
+             for name, record in records.items()}
     GOLDEN.write_text(json.dumps({"revision": revision, "cases": cases}, indent=1,
                                  sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases at {revision} to {GOLDEN.relative_to(REPO)}")
@@ -314,25 +290,48 @@ def compare_meta(base: str, head: str) -> tuple[bool, list[str]]:
     return largest <= META_ATOL, [report]
 
 
-def compare_dirs(base: Path, head: Path) -> tuple[bool, list[str]]:
-    """(outputs match, report lines) for two output directories."""
-    names_b = {p.name for p in base.iterdir()}
-    names_h = {p.name for p in head.iterdir()}
-    ok, lines = names_b == names_h, []
-    if not ok:
-        lines.append(f"files differ: only in base {sorted(names_b - names_h)},"
-                     f" only in head {sorted(names_h - names_b)}")
-    for name in sorted(names_b & names_h):
-        data_b, data_h = (base / name).read_bytes(), (head / name).read_bytes()
+def _contents(record: dict) -> dict:
+    """Each file of a case record: a meta file's text, any other file's
+    bytes or, in a golden record, its SHA-256."""
+    return {**{name: meta if isinstance(meta, str) else meta_text(meta)
+               for name, meta in record["meta"].items()},
+            **record.get("files", {}), **record.get("sha256", {})}
+
+
+def _sha256(data: bytes | str) -> str:
+    return data if isinstance(data, str) else hashlib.sha256(data).hexdigest()
+
+
+def compare_records(base: dict, head: dict) -> list[tuple[bool, list[str]]]:
+    """(match, report lines) for two case records' runs and file names where
+    they differ, and for each file both hold: a CSV by ``compare_csv`` if
+    both hold its bytes, else by its SHA-256; a meta file by ``compare_meta``."""
+    items = []
+    if base["runs"] != head["runs"]:
+        items.append((False, [f"runs differ: {base['runs']} vs {head['runs']}"]))
+    files_b, files_h = _contents(base), _contents(head)
+    if files_b.keys() != files_h.keys():
+        items.append((False, [f"files differ: only in base {sorted(files_b - files_h.keys())},"
+                              f" only in head {sorted(files_h - files_b.keys())}"]))
+    for name in sorted(files_b.keys() & files_h.keys()):
+        data_b, data_h = files_b[name], files_h[name]
         if name.endswith(".json"):
-            same, report = compare_meta(data_b.decode("utf-8"), data_h.decode("utf-8"))
-        elif name.endswith(".csv"):
+            same, report = compare_meta(data_b, data_h)
+        elif isinstance(data_b, bytes) and isinstance(data_h, bytes):
             same, report = compare_csv(data_b, data_h)
         else:
-            same, report = data_b == data_h, ["identical" if data_b == data_h else "differs"]
-        ok &= same
-        lines += [f"{name}: {report[0]}", *(f"  {line}" for line in report[1:])]
-    return ok, lines
+            same = _sha256(data_b) == _sha256(data_h)
+            report = ["identical" if same else "bytes differ"]
+        items.append((same, [f"{name}: {report[0]}", *(f"  {line}" for line in report[1:])]))
+    return items
+
+
+def golden_problems(name: str, want: dict, got: dict, revision: str) -> list[str]:
+    """What differs between a case's golden record ``want`` (the base) and
+    its record ``got`` from ``golden_case`` (the head)."""
+    return [f"case {name}, {report[0]}; see python tools/compare_outputs.py"
+            f" --against {revision}"
+            for same, report in compare_records(want, got) if not same]
 
 
 @contextlib.contextmanager
@@ -347,20 +346,16 @@ def worktree(rev: str, path: Path):
         subprocess.run([*git, "prune"], check=False)
 
 
-def report_case(name: str, docs: list[dict], base_tree: Path, tmp: Path) -> bool:
-    """Run one matrix case in both trees, print its comparison, and return
-    whether the outputs match."""
-    base, head = tmp / "out_base" / name, tmp / "out_head" / name
-    runs_b, runs_h = run_case(base_tree, docs, base), run_case(REPO, docs, head)
-    ok, lines = compare_dirs(base, head)
-    if runs_b != runs_h:
-        ok = False
-        lines.append(f"runs differ: {runs_b} vs {runs_h}")
-    codes = ",".join(str(code) for code, _, _ in runs_h)
-    errors = "".join(err for _, _, err in runs_h).strip()
+def report_case(name: str, base: dict, head: dict) -> bool:
+    """Print the comparison of one case's records from the two trees, and
+    return whether they match."""
+    items = compare_records(base, head)
+    ok = all(same for same, _ in items)
+    codes = ",".join(str(code) for code, _, _ in head["runs"])
+    errors = "".join(err for _, _, err in head["runs"]).strip()
     print(f"{name}: {'match' if ok else 'DIFFER'} (exit {codes}"
           f"{', ' + errors if errors else ''})")
-    print("".join(f"  {line}\n" for line in lines), end="")
+    print("".join(f"  {line}\n" for _, lines in items for line in lines), end="")
     return ok
 
 
@@ -375,16 +370,16 @@ def main(argv: list[str] | None = None) -> int:
         write_golden()
         return 0
 
-    ok = True
     with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
         tmp = Path(tmp)
         try:
             with worktree(args.against, tmp / "base") as base_tree:
-                for name, docs in MATRIX:
-                    ok &= report_case(name, docs, base_tree, tmp)
+                base = run_tree(base_tree, tmp / "out_base")
         except subprocess.CalledProcessError as exc:
             print(f"error: cannot check out {args.against}: {exc}", file=sys.stderr)
             return 1
+        head = run_tree(REPO, tmp / "out_head")
+    ok = all([report_case(name, base[name], head[name]) for name, _ in MATRIX])
     print("all outputs match" if ok else "outputs differ")
     return 0 if ok else 1
 
