@@ -10,19 +10,20 @@ unit suffix (_mhz means ordinary frequency in MHz, converted to angular
 rad/s internally); powers are _mw or _uw, lengths _mm, temperatures _c or
 _k, densities _per_cm3 or _per_m3, magnetic field _g.
 
-Exit codes: 0 success, 1 configuration error (including a number that is
-not finite or out of its domain, a bad command-line flag, and an output that
-cannot be written), 2 numerical failure (including a scan step without
-dispersion peaks, a susceptibility that is not finite, a floating-point
-overflow, and running out of memory), 130 an interrupt and 141 a stdout whose
-reader has gone (128 + SIGINT or SIGPIPE, as a shell reports them). Errors are
-single lines on stderr: ``error: config: ...``, ``error: numeric: ...`` or
-``error: interrupted``. A run replaces its files all or none, then prints its
+Exit codes: 0 success, 1 configuration error (including YAML that does not
+load or gives a key twice, a number that is not finite or out of its
+domain, a bad command-line flag, and an output that cannot be written), 2
+numerical failure (including a scan step without dispersion peaks, a
+susceptibility that is not finite, a floating-point overflow, and running
+out of memory), 130 an interrupt and 141 a stdout whose reader has gone
+(128 + SIGINT or SIGPIPE, as a shell reports them). Errors are single lines
+on stderr: ``error: config: ...``, ``error: numeric: ...`` or ``error:
+interrupted``. A run replaces its files all or none, then prints its
 summary line; a ``temp-scan`` also removes the per-temperature tables that a
 longer earlier scan of the same basename left.
 
-Only ``main``, ``apply_overrides`` and ``build_parser`` import ``yaml`` and
-``argparse``, so a caller that parses documents and runs them in process
+Only ``_load_yaml`` and ``build_parser`` import ``yaml`` and ``argparse``,
+so a caller that parses documents and runs them in process
 (``parse_config`` and ``run``) never loads either. ``run`` itself traps
 floating-point overflow, division by zero and invalid operations, so such a
 caller meets the same ``FloatingPointError`` that ``main`` reports as exit
@@ -195,12 +196,12 @@ def _number(value, key: str, convert=float) -> float:
     after. Accepts '1e17'-style strings (YAML 1.1 leaves exponent forms
     without a sign as plain strings)."""
     number = None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = float(value)
-    elif isinstance(value, str):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             number = float(value)
-        except ValueError:
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        except ValueError:  # a string that is not a number
             pass
     if number is None:
         raise ConfigError(f"key '{key}' must be a number")
@@ -312,10 +313,47 @@ def parse_config(doc: dict) -> RunSpec:
                    resolved=_nested(values), **scans)
 
 
-def apply_overrides(doc: dict, assignments: list[str]) -> dict:
-    """Apply dotted-path overrides like ``coupling.power_mw=10`` to a doc."""
+def _load_yaml(text: str, context: str = ""):
+    """The YAML document ``text``. A key given twice in one mapping is an
+    error, as YAML 1.2 has it; merge keys (``<<``) may still supply keys that
+    the mapping also gives. Every failure to load, an integer too long for
+    Python or an impossible date included, is a one-line ConfigError
+    ``<context>malformed YAML: <problem>``."""
     import yaml
 
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def flatten_mapping(self, node):
+            # a mapping is flattened before it is built, and again each time
+            # a merge key names it, which adds the merged keys to its own
+            if not getattr(node, "checked", False):
+                node.checked = True
+                seen = set()
+                for key_node, _ in node.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue
+                    key = self.construct_object(key_node)
+                    try:
+                        repeated = key in seen
+                        seen.add(key)
+                    except TypeError:  # unhashable: the base class reports it
+                        continue
+                    if repeated:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}", key_node.start_mark)
+            super().flatten_mapping(node)
+
+    try:
+        return yaml.load(text, Loader=UniqueKeyLoader)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        mark = getattr(exc, "problem_mark", None)
+        problem = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+                   if mark else str(exc).partition("\n")[0])
+        raise ConfigError(f"{context}malformed YAML: {problem}") from exc
+
+
+def apply_overrides(doc: dict, assignments: list[str]) -> dict:
+    """Apply dotted-path overrides like ``coupling.power_mw=10`` to a doc."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a mapping")
     for item in assignments:
@@ -325,10 +363,7 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
         keys = path.strip().split(".")
         if not all(keys):
             raise ConfigError(f"override '{item}' has an empty path segment")
-        try:
-            value = yaml.safe_load(raw)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"override '{item}': unparseable value") from exc
+        value = _load_yaml(raw, f"override '{item}': ")
         node = doc
         for key in keys[:-1]:
             nxt = node.get(key)
@@ -559,13 +594,13 @@ TRACE_CSV_COLUMNS = ["detuning_mhz", "i_d1", "i_d2", "i_d3", "i_d4", "phi_deg"]
 
 
 def _trace_table(result: SweepResult) -> np.ndarray:
-    """The detector intensities of the linear probe after the cell, each
-    over the input intensity, and the angle they recover."""
+    """The detector intensities of the linear probe after the cell, in units
+    of the input intensity, and the angle they recover."""
     s = detector_intensities(
         propagate_cell(JonesVector.linear(), result.pair, result.medium), 1.0)
     return np.column_stack((
         result.detunings / TWO_PI / 1e6,
-        s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0,
+        s.d1, s.d2, s.d3, s.d4,
         np.degrees(recover_angle(s)),
     ))
 
@@ -740,47 +775,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    import yaml
+# the line boundaries of str.splitlines, escaped: an error is one line even
+# where it quotes a value or a path that holds one
+_ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
+
+def _error(message: str) -> None:
+    print(f"error: {message}".translate(_ONE_LINE), file=sys.stderr)
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            problem = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
-                       if mark else str(exc).partition("\n")[0])
-            raise ConfigError(f"malformed YAML: {problem}") from exc
+        doc = _load_yaml(text)
         doc = apply_overrides(doc if doc is not None else {}, args.overrides)
         run(parse_config(doc), Path(args.outdir), verbose=args.verbose)
     except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
+        _error(f"config: {exc}")
         return 1
     except BrokenPipeError:
         # stdout's reader has gone: point stdout at devnull for the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
     except OSError as exc:  # reading the config raises ConfigError instead
-        print(f"error: config: cannot write output: {exc}", file=sys.stderr)
+        _error(f"config: cannot write output: {exc}")
         return 1
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _error("interrupted")
         return 130  # 128 + SIGINT
     except NumericError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
+        _error(f"numeric: {exc}")
         return 2
     except (FloatingPointError, OverflowError) as exc:
         # args[-1] is the message alone, without the errno of a math overflow
-        print(f"error: numeric: floating-point failure: {exc.args[-1]}",
-              file=sys.stderr)
+        _error(f"numeric: floating-point failure: {exc.args[-1]}")
         return 2
     except MemoryError as exc:
-        print(f"error: numeric: out of memory: {exc}", file=sys.stderr)
+        _error(f"numeric: out of memory: {exc}")
         return 2
     return 0
 

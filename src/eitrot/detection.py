@@ -66,31 +66,22 @@ class JonesVector(NamedTuple):
 
 @dataclass(frozen=True)
 class DetectorSignals:
-    """The four analysis-arm intensities plus the input intensity i0.
+    """The four analysis-arm intensities, non-negative: scalars, or arrays
+    of one shape.
 
-    With ideal optics d1 + d2 = d3 + d4 (each arm carries half the output
-    power), and everything scales linearly with i0. The four intensities are
-    scalars, or arrays of one shape; i0 is a scalar.
+    With ideal optics d1 + d2 = d3 + d4, since each arm carries half the
+    output power.
     """
 
     d1: float
     d2: float
     d3: float
     d4: float
-    i0: float
 
     def __post_init__(self):
         for name in ("d1", "d2", "d3", "d4"):
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def transmitted_difference(self) -> float:
-        return self.d1 - self.d2
-
-    @property
-    def reflected_difference(self) -> float:
-        return self.d3 - self.d4
 
 
 def propagate_cell(
@@ -125,7 +116,7 @@ def detector_intensities(e_out: JonesVector, i0: float) -> DetectorSignals:
     (m00, m01), (m10, m11) = HALF_WAVE_MATRIX / math.sqrt(2.0)
     d3 = abs(m00 * e_out.ex + m01 * e_out.ey) ** 2 * i0
     d4 = abs(m10 * e_out.ex + m11 * e_out.ey) ** 2 * i0
-    return DetectorSignals(d1=d1, d2=d2, d3=d3, d4=d4, i0=i0)
+    return DetectorSignals(d1=d1, d2=d2, d3=d3, d4=d4)
 
 
 def recover_angle(signals: DetectorSignals) -> float | np.ndarray:
@@ -138,10 +129,10 @@ def recover_angle(signals: DetectorSignals) -> float | np.ndarray:
     polarization state there carries no angle information (e.g. pure
     circular light or a dark output) and the call raises.
     """
-    num = -signals.reflected_difference
-    den = -signals.transmitted_difference
+    num = signals.d4 - signals.d3
+    den = signals.d2 - signals.d1
     total = signals.d1 + signals.d2 + signals.d3 + signals.d4
-    if np.any((np.hypot(num, den) <= _ANGLE_FLOOR * total) | (total == 0.0)):
+    if np.any(np.hypot(num, den) <= _ANGLE_FLOOR * total):
         raise IndeterminateAngleError(
             "difference signals below the indeterminacy floor"
         )

@@ -300,30 +300,24 @@ def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
 def find_dispersion_peaks(result: SweepResult) -> PeakPair:
     """Extremal angle on each side of the zero crossing nearest resonance.
 
-    Spectra whose largest |phi| sits below ``_FLAT_TOL`` (radians) carry no
+    A crossing sits midway between neighbouring nonzero samples of opposite
+    sign; ties go to the first crossing and the first extremum. Spectra
+    whose largest |phi| sits below ``_FLAT_TOL`` (radians) carry no
     dispersion feature and give an empty pair, as do spectra that never
     change sign.
     """
-    phi = result.phi_exact
-    dets = result.detunings
-    if np.max(np.abs(phi)) < _FLAT_TOL:
+    phi, dets = result.phi_exact, result.detunings
+    size = np.abs(phi)
+    (nonzero,) = phi.nonzero()
+    sign = np.sign(phi[nonzero])
+    (flips,) = (sign[1:] != sign[:-1]).nonzero()
+    if size.max() < _FLAT_TOL or flips.size == 0:
         return PeakPair(None, None)
-    sign = np.sign(phi)
-    nonzero = sign != 0
-    crossings = np.flatnonzero(np.diff(sign[nonzero]) != 0)
-    if len(crossings) == 0:
-        return PeakPair(None, None)
-    idx_nonzero = np.flatnonzero(nonzero)
-    center = result.cfg.coupling_detuning
-    mid = lambda c: 0.5 * (
-        dets[idx_nonzero[c]] + dets[idx_nonzero[c + 1]]
-    )
-    central = min(crossings, key=lambda c: abs(mid(c) - center))
-    split = idx_nonzero[central]
-    left_half = np.abs(phi[: split + 1])
-    right_half = np.abs(phi[split + 1:])
-    i_left = int(np.argmax(left_half))
-    i_right = split + 1 + int(np.argmax(right_half))
+    before, after = nonzero[flips], nonzero[flips + 1]
+    mids = 0.5 * (dets[before] + dets[after])
+    split = before[np.argmin(np.abs(mids - result.cfg.coupling_detuning))]
+    i_left = int(np.argmax(size[:split + 1]))
+    i_right = split + 1 + int(np.argmax(size[split + 1:]))
     return PeakPair(
         left=Peak(float(dets[i_left]), float(phi[i_left])),
         right=Peak(float(dets[i_right]), float(phi[i_right])),

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -91,6 +92,96 @@ EDGE_VALUES = [0, 1, -1, 10, -10, 1e6, -1e6, 1e-300, -1e-300, 1e300, -1e300]
 NUMERIC_KEYS = sorted(
     [key for key, (_, factor) in cli._FIELDS.items() if factor is not None]
     + list(cli._ALTERNATIVES))
+
+
+# Valid documents for the raw-text property: every scenario, small scans.
+RAW_BASES = [
+    "scenario: spectrum\nscheme: sigma_f2\nmagnetic_field_g: 1\nprobe:\n"
+    "  rabi_mhz: 10\n  detuning_min_mhz: -40\n  detuning_max_mhz: 40\n"
+    "coupling:\n  rabi_mhz: 80\nmedium:\n  temperature_c: 55\n",
+    "scenario: detector-trace\ncoupling: {power_mw: 15, detuning_mhz: 2}\n",
+    "scenario: power-scan\npower_scan:\n  powers_mw: [1, 10]\n",
+    "scenario: temp-scan\ntemp_scan:\n  temperatures_c: [40, 60]\n",
+    "scenario: eit-peaks\nrates:\n  gamma_ba_mhz: 0.01\n  transit_mhz: 0.1\n",
+    "scenario: populations\nmedium: {density_per_cm3: 1.0e11, cell_length_mm: 75}\n",
+]
+# What may stand where a number goes: a string, a list, a mapping, integers
+# beyond the float range and beyond Python's digit limit, an impossible
+# date, deep nesting, and the edges of the numeric domains.
+RAW_VALUES = ["fast", "[1, 2]", "{a: 1}", "7" * 400, "7" * 5000, "2020-13-45",
+              "[" * 500, "{a: " * 300, "~", ".nan", "-.inf", "1e999", "-1", "0"]
+RAW_KEYS = ["colour: 1", "probe.points: 3", "  unknown_mhz: 2", "rates: {gamma: 1}",
+            "probe: {rabi: 3}", "scenario: spectrum", "probe: {points: 7}"]
+_NUMBER = re.compile(rb"(?<=[:\[,] )-?[0-9][0-9.e]*|(?<=\[)-?[0-9][0-9.e]*")
+
+
+def _truncate(draw, data):
+    return data[:draw(st.integers(0, len(data)))]
+
+
+def _flip_byte(draw, data):
+    if not data:
+        return data
+    i = draw(st.integers(0, len(data) - 1))
+    return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+
+
+def _insert_bytes(draw, data):
+    i = draw(st.integers(0, len(data)))
+    return data[:i] + draw(st.binary(min_size=1, max_size=3)) + data[i:]
+
+
+def _duplicate_line(draw, data):
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    return b"\n".join(lines[:i + 1] + lines[i:])
+
+
+def _tab_indent(draw, data):
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    return b"\n".join(lines[:i] + [b"\t" + lines[i].lstrip(b" ")] + lines[i + 1:])
+
+
+def _bad_number(draw, data):
+    numbers = list(_NUMBER.finditer(data))
+    if not numbers:
+        return data
+    m = draw(st.sampled_from(numbers))
+    return data[:m.start()] + draw(st.sampled_from(RAW_VALUES)).encode() + data[m.end():]
+
+
+def _add_key(draw, data):
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines)))
+    return b"\n".join(lines[:i] + [draw(st.sampled_from(RAW_KEYS)).encode()] + lines[i:])
+
+
+RAW_MUTATIONS = [_truncate, _flip_byte, _insert_bytes, _duplicate_line, _tab_indent,
+                 _bad_number, _add_key]
+
+
+@st.composite
+def raw_configs(draw):
+    """A valid document's text, mutated one to three times."""
+    data = draw(st.sampled_from(RAW_BASES)).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        data = draw(st.sampled_from(RAW_MUTATIONS))(draw, data)
+    return data
+
+
+@st.composite
+def raw_overrides(draw):
+    """A ``--set`` string: a key and a bad value, or a valid override mutated."""
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(NUMERIC_KEYS + ["scenario", "probe", "colour",
+                                                   "probe.x.y", "probe..points"]))
+        return f"{key}={draw(st.sampled_from(RAW_VALUES + ['{points: 5, points: 7}']))}"
+    data = draw(st.sampled_from([b"probe.rabi_mhz=3", b"coupling={rabi_mhz: 20}",
+                                 b"temp_scan.temperatures_c=[50]"]))
+    data = draw(st.sampled_from(RAW_MUTATIONS))(draw, data)
+    # a command line passes non-UTF-8 bytes to Python as lone surrogates
+    return data.decode("utf-8", "surrogateescape")
 
 
 def write(tmp_path, text, name="run.yaml"):
@@ -239,12 +330,60 @@ class TestMainErrors:
         # a reader error has no line and column
         ("scenario: spec\x01trum\n",
          "unacceptable character #x0001: special characters are not allowed"),
-    ], ids=["unclosed-flow-sequence", "unhashable-key", "control-character"])
+        # YAML 1.2 requires unique keys; the first probe would be dropped
+        ("scenario: spectrum\nprobe: {points: 5}\nprobe: {rabi_mhz: 3}\n",
+         "found duplicate key 'probe' at line 3, column 1"),
+    ], ids=["unclosed-flow-sequence", "unhashable-key", "control-character",
+            "duplicate-key"])
     def test_malformed_yaml_is_one_line(self, tmp_path, capsys, text, problem):
         cfg = write(tmp_path, text)
         assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: config: malformed YAML: {problem}\n"
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_merge_key_may_supply_a_key_the_mapping_gives(self, tmp_path, capsys):
+        cfg = write(tmp_path, "scenario: spectrum\nprobe:\n"
+                              "  <<: {points: 5, rabi_mhz: 2}\n  points: 7\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        probe = json.loads((tmp_path / "spectrum.meta.json").read_text())["config"]["probe"]
+        assert (probe["points"], probe["rabi_mhz"]) == (7, 2)
+
+    @pytest.mark.parametrize("text, override, key", [
+        ("scenario: spectrum\n", "probe.a\nb=1", "probe.a\\nb"),
+        ('scenario: spectrum\n"a\\u2028b\\x85": 1\n', "probe.points=5", "a\\u2028b\\x85"),
+    ], ids=["newline-in-an-override", "line-separators-in-a-key"])
+    def test_error_that_quotes_a_line_break_is_one_line(self, tmp_path, capsys,
+                                                        text, override, key):
+        cfg = write(tmp_path, text)
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
+                     "--set", override]) == 1
+        assert capsys.readouterr().err == f"error: config: unknown key '{key}'\n"
+
+    @pytest.mark.parametrize("value, problem", [
+        # PyYAML's scanner is quadratic in the depth: 2000 takes over a second
+        ("[" * 1000, "maximum recursion depth exceeded"),
+        pytest.param("7" * 5000, "Exceeds the limit", marks=pytest.mark.skipif(
+            not hasattr(sys, "set_int_max_str_digits"),
+            reason="no limit on integer string conversion")),
+        ("2020-13-45", "month must be in 1..12"),
+    ], ids=["deep-nesting", "5000-digit-integer", "impossible-date"])
+    def test_unloadable_value_is_one_line(self, tmp_path, capsys, value, problem):
+        # the loader's RecursionError and ValueError end as malformed YAML,
+        # from the file and from an override alike
+        cfg = write(tmp_path, f"scenario: spectrum\nmagnetic_field_g: {value}\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: malformed YAML: {problem}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        ok = write(tmp_path, "scenario: spectrum\n", "ok.yaml")
+        item = f"magnetic_field_g={value}"
+        assert main(["--config", str(ok), "--outdir", str(tmp_path / "out"),
+                     "--set", item]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: override '{item}': malformed YAML: {problem}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert sorted(tmp_path.iterdir()) == [ok, cfg]
 
     @pytest.mark.parametrize("text, message", [
         ("- 1\n- 2\n", "configuration must be a mapping"),
@@ -356,7 +495,8 @@ class TestMainErrors:
             "error: config: configuration must be a mapping\n"
 
     @pytest.mark.parametrize("override", [
-        "probe.rabi_mhz", "probe..rabi_mhz=1", "=1", "probe.rabi_mhz=[1", "scenario.x=1"])
+        "probe.rabi_mhz", "probe..rabi_mhz=1", "=1", "probe.rabi_mhz=[1", "scenario.x=1",
+        "probe={points: 5, points: 7}"])
     def test_malformed_override_exit_code(self, tmp_path, capsys, override):
         cfg = write(tmp_path, SPECTRUM_YAML)
         assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out"),
@@ -389,6 +529,9 @@ class TestMainErrors:
         ("magnetic_field_g", ".inf"),
         ("probe.rabi_mhz", ".nan"),
         ("power_scan.powers_mw", "[.nan, 5]"),
+        # an integer beyond the float range
+        pytest.param("magnetic_field_g", "7" * 400, id="magnetic_field_g-400-digits"),
+        pytest.param("probe.rabi_mhz", "-" + "7" * 400, id="probe.rabi_mhz-400-digits"),
     ])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, key, value):
         cfg = write(tmp_path, SPECTRUM_YAML)
@@ -586,6 +729,39 @@ class TestContract:
                 assert len(err.getvalue().splitlines()) == 1
                 assert not outdir.exists() or not list(outdir.iterdir())
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=raw_configs(), overrides=st.lists(raw_overrides(), max_size=2))
+    @example(text=b"scenario: spectrum\nprobe: {points: 5}\nprobe: {rabi_mhz: 3}\n",
+             overrides=[])
+    @example(text=RAW_BASES[0].encode(), overrides=["probe={points: 5, points: 7}"])
+    @example(text=b"scenario: spectrum\nmagnetic_field_g: " + b"[" * 1000, overrides=[])
+    @example(text=b"scenario: spectrum\nmagnetic_field_g: " + b"7" * 5000, overrides=[])
+    @example(text=b"scenario: spectrum\nmagnetic_field_g: " + b"7" * 400, overrides=[])
+    @example(text=RAW_BASES[0].encode(), overrides=["probe.rabi_mhz=" + "7" * 400])
+    @example(text=b"scenario: spectrum\nmagnetic_field_g: 2020-13-45\n", overrides=[])
+    @example(text=RAW_BASES[0].encode(), overrides=["magnetic_field_g=2020-13-45"])
+    def test_every_raw_text_ends_in_a_stated_outcome(self, text, overrides):
+        # exit 0 in silence, or exit 1 or 2 with one error line and no
+        # output directory or an empty one; the grid stays tiny
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.yaml"
+            cfg.write_bytes(text)
+            outdir = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                # "--set=" keeps an item that starts with "-" a value
+                code = main(["--config", str(cfg), "--outdir", str(outdir)]
+                            + [f"--set={item}" for item in overrides]
+                            + ["--set", "probe.points=5"])
+            err = err.getvalue()
+            if code == 0:
+                assert err == ""
+            else:
+                assert code in (1, 2), err
+                assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+                assert err.startswith(("error: config:", "error: numeric:")), err
+                assert not outdir.exists() or not list(outdir.iterdir())
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("scenario", cli.SCENARIOS)
@@ -769,7 +945,7 @@ class TestOtherScenarios:
         phi = np.degrees(0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2)))
         write_csv(tmp_path / "want.csv", TRACE_CSV_COLUMNS, np.column_stack((
             result.detunings / TWO_PI / 1e6,
-            s.d1 / s.i0, s.d2 / s.i0, s.d3 / s.i0, s.d4 / s.i0, phi)))
+            s.d1, s.d2, s.d3, s.d4, phi)))
         assert ((tmp_path / "detector_trace.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 

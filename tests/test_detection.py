@@ -84,22 +84,22 @@ class TestIntensities:
             common = math.exp(-(am_d + ap_d) / 2)
             # the common optical phase k n d is ~4e5 rad, so double
             # precision leaves ~1e-11 of phase noise in the differences
-            assert s.transmitted_difference == pytest.approx(
+            assert s.d1 - s.d2 == pytest.approx(
                 -0.5 * common * math.cos(2 * phi), abs=1e-9)
-            assert s.reflected_difference == pytest.approx(
+            assert s.d3 - s.d4 == pytest.approx(
                 -0.5 * common * math.sin(2 * phi), abs=1e-9)
             assert s.d1 + s.d2 == pytest.approx(s.d3 + s.d4, rel=1e-12)
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
-            DetectorSignals(d1=-0.1, d2=0.0, d3=0.0, d4=0.0, i0=1.0)
+            DetectorSignals(d1=-0.1, d2=0.0, d3=0.0, d4=0.0)
 
 
 class TestRecovery:
     def test_arctangent_examples(self):
-        zero = DetectorSignals(d1=0.0, d2=0.3, d3=0.1, d4=0.1, i0=1.0)
+        zero = DetectorSignals(d1=0.0, d2=0.3, d3=0.1, d4=0.1)
         assert recover_angle(zero) == pytest.approx(0.0, abs=1e-15)
-        tilted = DetectorSignals(d1=0.0, d2=0.3, d3=0.0, d4=0.3, i0=1.0)
+        tilted = DetectorSignals(d1=0.0, d2=0.3, d3=0.0, d4=0.3)
         assert recover_angle(tilted) == pytest.approx(math.radians(22.5), rel=1e-12)
 
     def test_round_trip_with_random_dichroism(self):
@@ -143,7 +143,7 @@ class TestRecovery:
         assert got.shape == phis.shape
         for i, phi in enumerate(phis):
             point = DetectorSignals(d1=signals.d1[i], d2=signals.d2[i],
-                                    d3=signals.d3[i], d4=signals.d4[i], i0=1.0)
+                                    d3=signals.d3[i], d4=signals.d4[i])
             assert got[i] == recover_angle(point)
             assert got[i] == pytest.approx(phi, abs=1e-9)
 
@@ -178,14 +178,13 @@ class TestRecovery:
 
     def test_one_indeterminate_entry_fails_the_array(self):
         signals = DetectorSignals(d1=np.array([0.0, 0.25]), d2=np.array([0.3, 0.25]),
-                                  d3=np.array([0.1, 0.25]), d4=np.array([0.1, 0.25]),
-                                  i0=1.0)
+                                  d3=np.array([0.1, 0.25]), d4=np.array([0.1, 0.25]))
         with pytest.raises(IndeterminateAngleError):
             recover_angle(signals)
 
     def test_balanced_signals_are_indeterminate(self):
-        flat = DetectorSignals(d1=0.25, d2=0.25, d3=0.25, d4=0.25, i0=1.0)
+        flat = DetectorSignals(d1=0.25, d2=0.25, d3=0.25, d4=0.25)
         with pytest.raises(IndeterminateAngleError):
             recover_angle(flat)
         with pytest.raises(IndeterminateAngleError):
-            recover_angle(DetectorSignals(d1=0, d2=0, d3=0, d4=0, i0=0.0))
+            recover_angle(DetectorSignals(d1=0, d2=0, d3=0, d4=0))

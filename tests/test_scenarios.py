@@ -179,6 +179,22 @@ class TestPeakFinding:
         # crossing at pi, not at 0 (whose right peak would lie below pi)
         assert peaks.left.detuning < math.pi < peaks.right.detuning
 
+    @pytest.mark.parametrize("phi, center, want", [
+        # zeros between the signs: the crossing is the pair of nonzero
+        # samples around them
+        ([1, 2, 0, 0, -2, -1], 0.0, PeakPair(Peak(1.0, 2.0), Peak(4.0, -2.0))),
+        # two crossings (0.5 and 2.5) equally near the centre: the first wins
+        ([-1, 1, 1, -1, 0, 0], 1.5, PeakPair(Peak(0.0, -1.0), Peak(1.0, 1.0))),
+        # equal extrema on a side: the first wins
+        ([3, 3, -1, -2, -2, 0], 0.0, PeakPair(Peak(0.0, 3.0), Peak(3.0, -2.0))),
+        # one nonzero sample crosses nothing
+        ([0, 0, 3, 0, 0, 0], 0.0, PeakPair(None, None)),
+    ], ids=["zeros-in-crossing", "tied-crossings", "tied-extrema", "lone-sample"])
+    def test_tie_rules(self, phi, center, want):
+        x = np.arange(6.0)
+        got = find_dispersion_peaks(synthetic_sweep(phi, x, coupling_detuning=center))
+        assert got == want
+
 
 class TestSweep:
     def test_symmetric_scheme_never_rotates(self):
