@@ -10,10 +10,10 @@ a power scan runs one atom stage per power, a temperature scan one in all,
 and either one medium stage for the whole scan. The probe pathways do not
 depend on the probe detuning, so one set serves a sweep's grid, and the
 sweeps of a stack share one call of the closed-form kernel, which evaluates
-their pathways in blocks of rows. A ``SweepResult`` holds values only: its
-config, medium and populations at two-photon resonance, from which
-``eitrot.cli`` builds the ``sweep`` meta block, and the arrays, from which
-it composes the detector signals of a trace.
+all their pathways over blocks of detunings. A ``SweepResult`` holds values
+only: its config, medium and populations at two-photon resonance, from
+which ``eitrot.cli`` builds the ``sweep`` meta block, and the arrays, from
+which it composes the detector signals of a trace.
 Ground-state populations follow one of two policies: the default solves the
 steady state once at two-photon resonance and reuses it across the sweep
 (the line shapes then come entirely from the Doppler-averaged

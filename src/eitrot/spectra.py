@@ -21,11 +21,11 @@ non-negative gamma_ba guarantee (``RelaxationRates`` enforces both). On that
 upper half-plane w is evaluated by Weideman's rational approximation
 (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)) with
 N = ``_FADDEEVA_N`` terms, accurate to a few 1e-14 relative. The kernel
-evaluates it for every pathway of a stack of sweeps on one grid,
-elementwise (a row per pathway, with its sweep's k V) in blocks of rows
-that stay in cache, and sums the partials per sweep and circular component
-into chi- and chi+, hence refractive indices, absorption coefficients, and
-the rotation angle of the linear probe polarization.
+evaluates it elementwise for every pathway (a row, with its sweep's k V)
+of a stack of sweeps on one grid, in blocks of detunings that stay in
+cache, and sums each block per sweep and circular component into chi- and
+chi+, hence refractive indices, absorption coefficients, and the rotation
+angle of the linear probe polarization.
 
 The mapping from cell temperature to vapor density uses the liquid-phase Rb
 vapor-pressure curve rescaled to pass through a measured anchor point, so
@@ -259,8 +259,8 @@ def susceptibility_arrays(
     per sublevel or one array per sublevel with one entry per detuning.
     The pathways of all items are the rows of one array over the detunings,
     each with the k V and density of its item's medium. The Faddeeva kernel
-    takes them in blocks of whole rows, at most ``_STACK_ELEMENTS`` elements
-    or one row each.
+    takes every row over blocks of at least one detuning and at most
+    ``_STACK_ELEMENTS`` elements, and writes each block's sums into chi.
     """
     dets = np.atleast_1d(np.asarray(detunings, dtype=float))
     paths, kv, weights = [], [], []
@@ -271,23 +271,23 @@ def susceptibility_arrays(
             kv.append(medium.wavevector * medium.v_width)
             weights.append(
                 prefactor * p.probe_dipole ** 2 * populations.get(p.ground, 0.0))
-    rows = max(1, _STACK_ELEMENTS // dets.size)
-    blocks = []
+    ends = np.cumsum([0] + [len(side) for item in items for side in item[:2]])
+    chi = np.empty((len(ends) - 1, dets.size), dtype=complex)
+    width = max(1, _STACK_ELEMENTS // len(paths))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(paths), rows):
-            denominators = pathway_denominator(paths[start:start + rows], dets,
-                                               coupling_detuning, rates, b_field)
+        for start in range(0, dets.size, width):
+            cols = slice(start, start + width)
+            denom = pathway_denominator(paths, dets[cols], coupling_detuning, rates, b_field)
             # An undamped ground coherence (gamma_ba = 0) at exact two-photon
             # resonance makes the dressed denominator infinite; the average
             # then tends to zero: that pathway is fully transparent.
-            blocks.append(np.where(np.isinf(denominators), 0.0, doppler_average(
-                denominators, np.reshape(kv[start:start + rows], (-1, 1)))))
-            for row, weight in zip(blocks[-1], weights[start:start + rows]):
-                row *= weight  # a number, or one per detuning
-    partials = np.concatenate(blocks)
-    ends = np.cumsum([len(side) for item in items for side in item[:2]])
-    sums = [_component_sum(part) for part in np.split(partials, ends[:-1])]
-    return list(zip(sums[::2], sums[1::2]))
+            partials = np.where(np.isinf(denom), 0.0, doppler_average(
+                denom, np.reshape(kv, (-1, 1))))
+            for row, weight in zip(partials, weights):
+                row *= weight if np.ndim(weight) == 0 else weight[cols]
+            for component, (first, end) in enumerate(zip(ends[:-1], ends[1:])):
+                chi[component, cols] = _component_sum(partials[first:end])
+    return list(zip(chi[::2], chi[1::2]))
 
 
 def rotation_angle(pair: SusceptibilityPair, medium: MediumParams) -> RotationAngle:

@@ -405,29 +405,38 @@ class TestScans:
 
     @pytest.mark.parametrize("scan, points, calls", [
         ("power", 161, 1), ("temperature", 161, 1), ("power", 1201, 5),
-        ("spectrum", 1201, 1), ("spectrum", 4001, 3)])
+        ("spectrum", 1201, 1), ("spectrum", 4001, 3), ("spectrum", 20001, 15),
+        ("per_point", 10001, 8)])
     def test_kernel_calls_per_scan(self, scan, points, calls, monkeypatch):
-        # the kernel takes a scan's pathway rows in blocks of the element
-        # budget: 5 x 6 x 161 elements are one, 6 rows of 1201 one, 6 rows
-        # of 4001 three
-        count = []
+        # the kernel takes every pathway row of a scan over blocks of as many
+        # detunings as the element budget holds: the 5 x 6 rows of a power
+        # scan over 273, so 161 points are one block and 1201 five; the
+        # 3 x 6 rows of a temperature scan over 455; the 6 rows of a spectrum
+        # over 1365, so 1201 points are one block, 4001 three, 20001 fifteen
+        # and 10001 eight. No block exceeds the budget at any grid length.
+        sizes = []
         kernel = spectra.doppler_average
         monkeypatch.setattr(spectra, "doppler_average",
-                            lambda *args: count.append(1) or kernel(*args))
+                            lambda denom, kv: sizes.append(denom.size) or kernel(denom, kv))
         cfg = ScenarioConfig(points=points)
         if scan == "power":
             sweep_coupling_power(cfg, SCAN_POWERS)
         elif scan == "temperature":
             sweep_temperature(cfg, [318.15, 328.15, 338.15])
+        elif scan == "per_point":
+            sweep_probe_detuning(replace(cfg, population_policy="per_point", b_field=10e-4))
         else:
             sweep_probe_detuning(cfg)
-        assert len(count) == calls
+        rows = {"power": 5 * 6, "temperature": 3 * 6}.get(scan, 6)
+        assert len(sizes) == calls
+        assert max(sizes) <= max(spectra._STACK_ELEMENTS, rows)
 
     def test_a_long_power_scan_weights_each_kernel_block_in_place(self):
-        # the 1201-point power scan takes its 30 pathway rows in 5 kernel
-        # blocks; weighting each block as it is computed peaks at about
-        # 1510 KiB under tracemalloc, against about 2075 KiB for a separate
-        # array of weighted partials filled after the last block
+        # the 1201-point power scan takes its 30 pathway rows over 5 kernel
+        # blocks of detunings; weighting each block as it is computed and
+        # writing its sums into chi peaks at about 1245 KiB under
+        # tracemalloc, against about 2075 KiB for a separate array of
+        # weighted partials filled after the last block
         sweep_coupling_power(ScenarioConfig(), SCAN_POWERS)  # warm the caches
         tracemalloc.start()
         try:

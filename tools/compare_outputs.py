@@ -64,6 +64,11 @@ MATRIX = [
     ("power_scan", [{"scenario": "power-scan"}]),
     ("temp_scan", [{"scenario": "temp-scan"}]),
     ("power_scan_161_per_point_10g", [{"scenario": "power-scan", **_SCAN_161}]),
+    # 5 per-point atoms, whose 30 pathway rows take 5 Doppler-kernel blocks,
+    # each with its own slice of every row's per-detuning weights
+    ("power_scan_1201_per_point_10g", [{"scenario": "power-scan",
+                                        "population_policy": "per_point",
+                                        "magnetic_field_g": 10}]),
     ("temp_scan_161_per_point_10g", [{"scenario": "temp-scan", **_SCAN_161}]),
     ("eit_peaks", [{"scenario": "eit-peaks"}]),
     ("detector_trace", [{"scenario": "detector-trace"}]),
@@ -86,7 +91,7 @@ MATRIX = [
                                  "magnetic_field_g": 10}]),
     ("power_scan_no_stark_10g", [{"scenario": "power-scan", "stark_shifts": False,
                                   "magnetic_field_g": 10}]),
-    # one sweep whose pathway rows span several Doppler-kernel blocks
+    # one sweep whose detunings span several Doppler-kernel blocks
     ("spectrum_4001", [{"scenario": "spectrum", "probe": {"points": 4001}}]),
     # 22 CSV row blocks; under the malloc thresholds that eitrot.cli sets,
     # its tables and kernel temporaries come from the heap, not from mmap,
