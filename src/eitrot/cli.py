@@ -65,9 +65,9 @@ from .scenarios import (
     PeakPair,
     ScenarioConfig,
     SweepResult,
+    _eit_transmissions,
     check_powers,
     count_transmission_peaks,
-    eit_transmission,
     find_dispersion_peaks,
     steady_populations,
     sweep_coupling_power,
@@ -164,6 +164,7 @@ _KEYS = (*_FIELDS, *_ALTERNATIVES, *_SCANS)
 _SECTIONS = {key.partition(".")[0] for key in _KEYS if "." in key}
 _DEFAULTS = ScenarioConfig()
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
+_MAX_FLOW_DEPTH = 100  # of YAML [...] and {...}; PyYAML's scan is quadratic in it
 
 
 def _flatten(doc) -> dict:
@@ -317,11 +318,17 @@ def _load_yaml(text: str, context: str = ""):
     """The YAML document ``text``. A key given twice in one mapping is an
     error, as YAML 1.2 has it; merge keys (``<<``) may still supply keys that
     the mapping also gives. Every failure to load, an integer too long for
-    Python or an impossible date included, is a one-line ConfigError
-    ``<context>malformed YAML: <problem>``."""
+    Python, an impossible date or too deep a flow included, is a one-line
+    ConfigError ``<context>malformed YAML: <problem>``."""
     import yaml
 
     class UniqueKeyLoader(yaml.SafeLoader):
+        def fetch_flow_collection_start(self, token_class):
+            if self.flow_level == _MAX_FLOW_DEPTH:
+                raise yaml.scanner.ScannerError(None, None, "flow collections nested deeper"
+                                                f" than {_MAX_FLOW_DEPTH}", self.get_mark())
+            super().fetch_flow_collection_start(token_class)
+
         def flatten_mapping(self, node):
             # a mapping is flattened before it is built, and again each time
             # a merge key names it, which adds the merged keys to its own
@@ -666,8 +673,7 @@ EIT_CSV_COLUMNS = ["detuning_mhz", "transmission_sigma_minus", "transmission_sig
 
 
 def _eit_peaks(spec: RunSpec, log):
-    curves = {comp: eit_transmission(spec.config, comp)
-              for comp in (SIGMA_MINUS, SIGMA_PLUS)}
+    curves = _eit_transmissions(spec.config, (SIGMA_MINUS, SIGMA_PLUS))
     counts = {comp: count_transmission_peaks(c) for comp, c in curves.items()}
     table = np.column_stack((curves[SIGMA_MINUS].detunings / MHZ,
                              *(c.transmission for c in curves.values())))

@@ -7,13 +7,13 @@ drives, light shifts, steady-state populations and probe pathways. The
 medium stage takes the Doppler width and density from the temperature and
 evaluates the susceptibilities and angle of a stack of sweeps on one grid:
 a power scan runs one atom stage per power, a temperature scan one in all,
-and either one medium stage for the whole scan. The probe pathways do not
-depend on the probe detuning, so one set serves a sweep's grid, and the
-sweeps of a stack share one call of the closed-form kernel, which evaluates
-all their pathways over blocks of detunings. A ``SweepResult`` holds values
-only: its config, medium and populations at two-photon resonance, from
-which ``eitrot.cli`` builds the ``sweep`` meta block, and the arrays, from
-which it composes the detector signals of a trace.
+the EIT census one per circular probe, and each one medium stage. The probe
+pathways carry no probe detuning, so one set serves a sweep's grid. A
+stack's sweeps share one call of the closed-form kernel, which weights and
+sums their pathways in blocks of detunings, and one readout pass. A
+``SweepResult`` holds values only: its config, medium and populations at
+two-photon resonance, for the ``sweep`` meta block that ``eitrot.cli``
+builds, and rows of the stack's arrays, for a trace's detector signals.
 Ground-state populations follow one of two policies: the default solves the
 steady state once at two-photon resonance and reuses it across the sweep
 (the line shapes then come entirely from the Doppler-averaged
@@ -65,7 +65,7 @@ from .spectra import (
     VAPOR_CURVE_RANGE_K,
     MediumParams,
     SusceptibilityPair,
-    rotation_angle,
+    _exact_angle,
     susceptibility_arrays,
 )
 
@@ -270,24 +270,22 @@ def _check_populations(scheme: LevelScheme, pops: np.ndarray, dets) -> None:
 
 
 def _medium_stage(pairs: Sequence[tuple[_Atom, MediumParams]]) -> list[SweepResult]:
-    """The sweep of each (atom, medium) pair, in order, from one kernel
-    call; the atoms share one grid, read from the first one's config."""
-    first = pairs[0][0].cfg
+    """The sweep of each (atom, medium) pair, in order, from one kernel call on
+    the first atom's grid; the media must share a wavelength and a cell length."""
+    first, shared = pairs[0][0].cfg, pairs[0][1]
+    if len({(medium.wavelength, medium.cell_length) for _, medium in pairs}) > 1:
+        raise ValueError("the media of a stack must share a wavelength and a cell length")
     dets = first.detunings()
-    chis = susceptibility_arrays(
+    chi = susceptibility_arrays(
         [(*atom.paths, atom.populations, medium) for atom, medium in pairs],
         dets, first.coupling_detuning, first.rates, first.b_field)
-    results = []
-    for (atom, medium), (chi_m, chi_p) in zip(pairs, chis):
-        bad = np.count_nonzero(~(np.isfinite(chi_m) & np.isfinite(chi_p)))
-        if bad:
-            raise NumericError(f"susceptibility not finite at {bad} of "
-                               f"{dets.size} detunings")
-
-        pair = SusceptibilityPair.from_chis(chi_m, chi_p, medium)
-        results.append(SweepResult(dets, pair, medium, rotation_angle(pair, medium).exact,
-                                   atom.cfg, atom.resonance))
-    return results
+    if not np.isfinite(chi).all():
+        bad = np.count_nonzero(~np.isfinite(chi).all(axis=1), axis=1)
+        raise NumericError(f"susceptibility not finite at {bad[bad > 0][0]} of "
+                           f"{dets.size} detunings")
+    stack = SusceptibilityPair.from_chis(chi[:, 0], chi[:, 1], shared)
+    return [SweepResult(dets, SusceptibilityPair(*row), medium, phi, atom.cfg, atom.resonance)
+            for (atom, medium), *row, phi in zip(pairs, *stack, _exact_angle(stack, shared))]
 
 
 def sweep_probe_detuning(cfg: ScenarioConfig) -> SweepResult:
@@ -372,14 +370,18 @@ def eit_transmission(cfg: ScenarioConfig, component: str) -> TransmissionCurve:
     The steady state is solved with the probe restricted to that component,
     matching a measurement where only one circular polarization enters.
     """
-    if component not in (SIGMA_MINUS, SIGMA_PLUS):
+    return _eit_transmissions(cfg, [component])[component]
+
+
+def _eit_transmissions(cfg: ScenarioConfig, components) -> dict[str, TransmissionCurve]:
+    """``eit_transmission`` of each component, from one medium stage."""
+    if not all(c in (SIGMA_MINUS, SIGMA_PLUS) for c in components):
         raise ValueError("component must be sigma_minus or sigma_plus")
-    sub = replace(cfg, probe_polarization=component)
-    result = sweep_probe_detuning(sub)
-    pair = result.pair
-    alpha = pair.alpha_minus if component == SIGMA_MINUS else pair.alpha_plus
-    transmission = np.exp(-alpha * result.medium.cell_length)
-    return TransmissionCurve(result.detunings, transmission)
+    medium = cfg.medium()
+    atoms = [_atom_stage(replace(cfg, probe_polarization=c)) for c in components]
+    return {c: TransmissionCurve(r.detunings, np.exp(-(
+        r.pair.alpha_minus if c == SIGMA_MINUS else r.pair.alpha_plus) * medium.cell_length))
+        for c, r in zip(components, _medium_stage([(atom, medium) for atom in atoms]))}
 
 
 def count_transmission_peaks(curve: TransmissionCurve) -> int:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -154,19 +155,13 @@ class SusceptibilityPair(NamedTuple):
 
     @classmethod
     def from_chis(cls, chi_minus, chi_plus, medium: MediumParams):
-        """n and alpha from the complex index sqrt(1 + chi): n = Re,
-        alpha = 2 k Im."""
+        """n and alpha from the complex index sqrt(1 + chi): n = Re, as a
+        copy that does not keep the complex index alive, alpha = 2 k Im."""
         k = medium.wavevector
-        index_minus = np.sqrt(1.0 + np.asarray(chi_minus, dtype=complex))
-        index_plus = np.sqrt(1.0 + np.asarray(chi_plus, dtype=complex))
-        return cls(
-            chi_minus=chi_minus,
-            chi_plus=chi_plus,
-            n_minus=index_minus.real,
-            n_plus=index_plus.real,
-            alpha_minus=2.0 * k * index_minus.imag,
-            alpha_plus=2.0 * k * index_plus.imag,
-        )
+        index_minus, index_plus = (np.sqrt(1.0 + np.asarray(chi, dtype=complex))
+                                   for chi in (chi_minus, chi_plus))
+        return cls(chi_minus, chi_plus, index_minus.real.copy(), index_plus.real.copy(),
+                   2.0 * k * index_minus.imag, 2.0 * k * index_plus.imag)
 
 
 class RotationAngle(NamedTuple):
@@ -237,10 +232,12 @@ def doppler_average(denominator, kv):
 _STACK_ELEMENTS = 8192
 
 
-def _component_sum(partials: np.ndarray) -> np.ndarray:
-    # Summing in a canonical order makes mirror-image pathway sets, whose
-    # partials agree bit for bit, give bit-identical totals.
-    return np.sort(partials, axis=0).sum(axis=0)
+@lru_cache
+def _component_rows(heights: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each number of pathways in ``heights`` (one per component): its components
+    and their rows. Sorted, mirror-image pathway sets' partials sum identically."""
+    h, ends = np.array(heights), np.cumsum(heights)
+    return [(h == k, (ends - h)[h == k, None] + np.arange(k)) for k in set(heights) - {0}]
 
 
 def susceptibility_arrays(
@@ -250,17 +247,17 @@ def susceptibility_arrays(
     coupling_detuning: float,
     rates: RelaxationRates,
     b_field: float = 0.0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> np.ndarray:
     """chi- and chi+ at each probe detuning in ``detunings`` (rad/s), in a
     longitudinal field ``b_field`` (tesla), for each item
-    ``(paths_minus, paths_plus, populations, medium)``.
+    ``(paths_minus, paths_plus, populations, medium)``, shaped (items, 2, detunings).
 
     ``populations`` maps ground sublevels to occupations, either one number
     per sublevel or one array per sublevel with one entry per detuning.
     The pathways of all items are the rows of one array over the detunings,
     each with the k V and density of its item's medium. The Faddeeva kernel
     takes every row over blocks of at least one detuning and at most
-    ``_STACK_ELEMENTS`` elements, and writes each block's sums into chi.
+    ``_STACK_ELEMENTS`` elements, weights each block, and writes its sums into chi.
     """
     dets = np.atleast_1d(np.asarray(detunings, dtype=float))
     paths, kv, weights = [], [], []
@@ -269,10 +266,10 @@ def susceptibility_arrays(
         for p in (*paths_minus, *paths_plus):
             paths.append(p)
             kv.append(medium.wavevector * medium.v_width)
-            weights.append(
-                prefactor * p.probe_dipole ** 2 * populations.get(p.ground, 0.0))
-    ends = np.cumsum([0] + [len(side) for item in items for side in item[:2]])
-    chi = np.empty((len(ends) - 1, dets.size), dtype=complex)
+            weights.append(prefactor * p.probe_dipole ** 2 * populations.get(p.ground, 0.0))
+    groups = _component_rows(tuple(len(side) for item in items for side in item[:2]))
+    column = np.reshape(weights, (-1, 1)) if all(np.ndim(w) == 0 for w in weights) else None
+    chi = np.zeros((2 * len(items), dets.size), dtype=complex)
     width = max(1, _STACK_ELEMENTS // len(paths))
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, dets.size, width):
@@ -283,17 +280,20 @@ def susceptibility_arrays(
             # then tends to zero: that pathway is fully transparent.
             partials = np.where(np.isinf(denom), 0.0, doppler_average(
                 denom, np.reshape(kv, (-1, 1))))
-            for row, weight in zip(partials, weights):
-                row *= weight if np.ndim(weight) == 0 else weight[cols]
-            for component, (first, end) in enumerate(zip(ends[:-1], ends[1:])):
-                chi[component, cols] = _component_sum(partials[first:end])
-    return list(zip(chi[::2], chi[1::2]))
+            if column is not None:  # one number per row
+                partials *= column
+            else:
+                for row, weight in zip(partials, weights):
+                    row *= weight if np.ndim(weight) == 0 else weight[cols]
+            for components, rows in groups:
+                chi[components, cols] = np.sort(partials[rows], axis=1).sum(axis=1)
+    return chi.reshape(len(items), 2, dets.size)
+
+
+def _exact_angle(pair: SusceptibilityPair, medium: MediumParams):
+    return math.pi / medium.wavelength * (pair.n_plus - pair.n_minus) * medium.cell_length
 
 
 def rotation_angle(pair: SusceptibilityPair, medium: MediumParams) -> RotationAngle:
-    d = medium.cell_length
-    lam = medium.wavelength
-    return RotationAngle(
-        exact=math.pi / lam * (pair.n_plus - pair.n_minus) * d,
-        approx=math.pi / (2.0 * lam) * (pair.chi_plus - pair.chi_minus).real * d,
-    )
+    return RotationAngle(_exact_angle(pair, medium), math.pi / (2.0 * medium.wavelength)
+                         * (pair.chi_plus - pair.chi_minus).real * medium.cell_length)

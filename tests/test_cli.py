@@ -208,6 +208,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="scheme"):
             parse_config({"scenario": "spectrum", "scheme": "sigma_f9"})
 
+    @pytest.mark.parametrize("doc", [["scenario", "spectrum"], "scenario: spectrum", 7])
+    def test_non_mapping_is_rejected(self, doc):
+        # the CLI's override step rejects these first; a direct call still must
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == "configuration must be a mapping"
+
     def test_defaults_resolve(self):
         spec = parse_config({"scenario": "spectrum"})
         assert spec.basename == "spectrum"
@@ -361,15 +368,16 @@ class TestMainErrors:
         assert capsys.readouterr().err == f"error: config: unknown key '{key}'\n"
 
     @pytest.mark.parametrize("value, problem", [
-        # PyYAML's scanner is quadratic in the depth: 2000 takes over a second
-        ("[" * 1000, "maximum recursion depth exceeded"),
+        # PyYAML's scanner is quadratic in the flow depth, so the loader stops
+        # past a bound; unbounded, 2000 took about a second
+        ("[" * 1000, "flow collections nested deeper than 100 at line "),
         pytest.param("7" * 5000, "Exceeds the limit", marks=pytest.mark.skipif(
             not hasattr(sys, "set_int_max_str_digits"),
             reason="no limit on integer string conversion")),
         ("2020-13-45", "month must be in 1..12"),
     ], ids=["deep-nesting", "5000-digit-integer", "impossible-date"])
     def test_unloadable_value_is_one_line(self, tmp_path, capsys, value, problem):
-        # the loader's RecursionError and ValueError end as malformed YAML,
+        # the loader's ScannerError and ValueError end as malformed YAML,
         # from the file and from an override alike
         cfg = write(tmp_path, f"scenario: spectrum\nmagnetic_field_g: {value}\n")
         assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
@@ -384,6 +392,15 @@ class TestMainErrors:
         assert err.startswith(f"error: config: override '{item}': malformed YAML: {problem}")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert sorted(tmp_path.iterdir()) == [ok, cfg]
+
+    def test_deep_block_nesting_is_one_line(self, tmp_path, capsys):
+        # block collections have no depth bound; the composer's RecursionError
+        # ends as malformed YAML
+        cfg = write(tmp_path, "scenario: spectrum\nmagnetic_field_g:\n" + "- " * 1000 + "1\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: malformed YAML: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("text, message", [
         ("- 1\n- 2\n", "configuration must be a mapping"),

@@ -16,6 +16,7 @@ from eitrot.atom import SCHEME_IDS, SIGMA_MINUS, SIGMA_PLUS, TWO_PI
 from eitrot.detection import JonesVector, detector_intensities, propagate_cell
 from eitrot import dynamics, scenarios, spectra
 from eitrot.dynamics import (
+    NumericError,
     RelaxationRates,
     SteadyStateError,
     build_hamiltonian,
@@ -81,8 +82,8 @@ def power_scan_sweeps(cfg, powers, monkeypatch):
 
 
 def assert_same_sweep(a, b):
-    assert np.array_equal(a.pair.chi_minus, b.pair.chi_minus)
-    assert np.array_equal(a.pair.chi_plus, b.pair.chi_plus)
+    for name in SusceptibilityPair._fields:  # chi, n and alpha of each component
+        assert np.array_equal(getattr(a.pair, name), getattr(b.pair, name)), name
     assert np.array_equal(a.phi_exact, b.phi_exact)
     assert (a.cfg, a.medium, a.populations) == (b.cfg, b.medium, b.populations)
 
@@ -390,6 +391,64 @@ class TestScans:
             assert_same_sweep(result, alone)
             assert peaks == find_dispersion_peaks(alone)
 
+    @pytest.mark.parametrize("policy", ["fixed", "per_point"])
+    @pytest.mark.parametrize("scan", ["power", "temperature", "eit-peaks"])
+    def test_each_sweep_of_a_stack_equals_it_run_alone(self, scan, policy, monkeypatch):
+        # a stack is weighted, summed and read out in one pass, and no bit of
+        # a sweep depends on the other sweeps of its stack
+        base = EIT_CFG if scan == "eit-peaks" else FIG_CFG
+        cfg = replace(base, points=41, b_field=10e-4, population_policy=policy)
+        stacks, medium_stage = [], scenarios._medium_stage
+        monkeypatch.setattr(scenarios, "_medium_stage",
+                            lambda pairs: stacks.append(medium_stage(pairs)) or stacks[-1])
+        if scan == "power":
+            sweep_coupling_power(cfg, SCAN_POWERS)
+            alone = [replace(cfg, coupling_rabi=r.cfg.coupling_rabi) for r in stacks[0]]
+        elif scan == "temperature":
+            temps = [318.15, 328.15, 338.15]
+            sweep_temperature(cfg, temps)
+            alone = [replace(cfg, temperature=t, density=None) for t in temps]
+        else:
+            curves = scenarios._eit_transmissions(cfg, (SIGMA_MINUS, SIGMA_PLUS))
+            alone = [replace(cfg, probe_polarization=c) for c in (SIGMA_MINUS, SIGMA_PLUS)]
+        monkeypatch.undo()
+        [stack] = stacks
+        assert len(stack) == len(alone)
+        for result, one in zip(stack, alone):
+            single = sweep_probe_detuning(one)
+            for name in SusceptibilityPair._fields:
+                assert np.array_equal(getattr(result.pair, name), getattr(single.pair, name))
+            assert np.array_equal(result.phi_exact, single.phi_exact)
+            assert (result.medium, result.populations) == (single.medium, single.populations)
+        if scan == "eit-peaks":
+            for component, curve in curves.items():
+                single = eit_transmission(cfg, component)
+                assert np.array_equal(curve.transmission, single.transmission)
+
+    @pytest.mark.parametrize("field", ["cell_length", "wavelength"])
+    def test_a_stack_of_unlike_cells_is_refused(self, field):
+        # the readout takes one wavelength and one cell length for the stack
+        cfg = replace(FIG_CFG, points=41)
+        atom, medium = scenarios._atom_stage(cfg), cfg.medium()
+        other = replace(medium, **{field: 2 * getattr(medium, field)})
+        with pytest.raises(ValueError, match="share a wavelength and a cell length"):
+            scenarios._medium_stage([(atom, medium), (atom, other)])
+
+    def test_a_stack_reports_its_first_sweep_that_is_not_finite(self, monkeypatch):
+        cfg = replace(FIG_CFG, points=41)
+        atom, medium = scenarios._atom_stage(cfg), cfg.medium()
+        arrays = scenarios.susceptibility_arrays
+
+        def spoiled(*args):
+            chi = arrays(*args)
+            chi[1, 1, :3] = np.nan  # sweep 1: chi+ at 3 detunings
+            chi[2, :, :5] = np.inf  # sweep 2: both at 5
+            return chi
+
+        monkeypatch.setattr(scenarios, "susceptibility_arrays", spoiled)
+        with pytest.raises(NumericError, match="not finite at 3 of 41 detunings"):
+            scenarios._medium_stage([(atom, medium)] * 3)
+
     def test_scans_split_at_the_element_budget_are_unchanged(self, monkeypatch):
         cfg = replace(FIG_CFG, points=41, b_field=10e-4, population_policy="per_point")
         temps = [318.15, 328.15, 338.15]
@@ -406,14 +465,15 @@ class TestScans:
     @pytest.mark.parametrize("scan, points, calls", [
         ("power", 161, 1), ("temperature", 161, 1), ("power", 1201, 5),
         ("spectrum", 1201, 1), ("spectrum", 4001, 3), ("spectrum", 20001, 15),
-        ("per_point", 10001, 8)])
+        ("per_point", 10001, 8), ("eit-peaks", 1201, 1)])
     def test_kernel_calls_per_scan(self, scan, points, calls, monkeypatch):
         # the kernel takes every pathway row of a scan over blocks of as many
         # detunings as the element budget holds: the 5 x 6 rows of a power
         # scan over 273, so 161 points are one block and 1201 five; the
         # 3 x 6 rows of a temperature scan over 455; the 6 rows of a spectrum
         # over 1365, so 1201 points are one block, 4001 three, 20001 fifteen
-        # and 10001 eight. No block exceeds the budget at any grid length.
+        # and 10001 eight; eit-peaks' two probes, 3 rows each, over 1365 too.
+        # No block exceeds the budget at any grid length.
         sizes = []
         kernel = spectra.doppler_average
         monkeypatch.setattr(spectra, "doppler_average",
@@ -425,10 +485,14 @@ class TestScans:
             sweep_temperature(cfg, [318.15, 328.15, 338.15])
         elif scan == "per_point":
             sweep_probe_detuning(replace(cfg, population_policy="per_point", b_field=10e-4))
+        elif scan == "eit-peaks":
+            scenarios._eit_transmissions(replace(cfg, b_field=10e-4), (SIGMA_MINUS, SIGMA_PLUS))
         else:
             sweep_probe_detuning(cfg)
         rows = {"power": 5 * 6, "temperature": 3 * 6}.get(scan, 6)
         assert len(sizes) == calls
+        if calls == 1:
+            assert sizes == [rows * points]
         assert max(sizes) <= max(spectra._STACK_ELEMENTS, rows)
 
     def test_a_long_power_scan_weights_each_kernel_block_in_place(self):

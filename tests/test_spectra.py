@@ -287,6 +287,22 @@ class TestSusceptibility:
             assert chi_m[i] == pytest.approx(pair.chi_minus, rel=1e-12)
             assert chi_p[i] == pytest.approx(pair.chi_plus, rel=1e-12)
 
+    def test_a_stack_of_unequal_components_equals_each_item_alone(self):
+        # components with 3, 0, 1 and 2 pathways are sorted and summed by
+        # number, and numbers and per-detuning arrays of populations mix;
+        # each item's chi is still bit for bit its chi alone
+        dets = TWO_PI * np.linspace(-40e6, 40e6, 41)
+        paths = [probe_pathways(SCHEME, probe_at(0.0), WC80, c, stark_shifts(WC80, SCHEME))
+                 for c in (SIGMA_MINUS, SIGMA_PLUS)]
+        per_point = {s: v * np.linspace(0.5, 1.5, dets.size) for s, v in self.pops.items()}
+        items = [(*paths, self.pops, self.medium), (paths[0], (), per_point, self.medium),
+                 (paths[0][:1], paths[1][:2], self.pops, self.medium)]
+        stack = susceptibility_arrays(items, dets, WC80.detuning, self.rates)
+        assert stack.shape == (3, 2, dets.size)
+        for item, chi in zip(items, stack):
+            alone = susceptibility_arrays([item], dets, WC80.detuning, self.rates)
+            assert np.array_equal(chi, alone[0])
+
     def test_undamped_two_photon_resonance_is_transparent_limit(self):
         # gamma_ba = 0 at exact two-photon resonance: each lambda pathway's
         # denominator is infinite, and chi is the limit of tiny gamma_ba

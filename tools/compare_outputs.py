@@ -71,6 +71,10 @@ MATRIX = [
                                         "magnetic_field_g": 10}]),
     ("temp_scan_161_per_point_10g", [{"scenario": "temp-scan", **_SCAN_161}]),
     ("eit_peaks", [{"scenario": "eit-peaks"}]),
+    # the two probes' per-point atoms in one stack, each with per-detuning
+    # weights on its own component's pathway rows
+    ("eit_peaks_per_point_10g", [{"scenario": "eit-peaks", "population_policy": "per_point",
+                                  "magnetic_field_g": 10}]),
     ("detector_trace", [{"scenario": "detector-trace"}]),
     ("populations_0g", [{"scenario": "populations"}]),
     ("populations_10g", [{"scenario": "populations", "magnetic_field_g": 10}]),
