@@ -522,24 +522,24 @@ def _format_cells(table: np.ndarray) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
-def write_csv(path, columns: Sequence[str], table) -> None:
-    """Write a 2-D table under its header line, each cell exactly
+def write_csv(path, header: Sequence[str], columns) -> None:
+    """Write equal-length columns under their header line, each cell exactly
     ``'%.9g' % x``, comma separated, with LF line ends on every platform.
 
-    A table of ``_VECTOR_CELLS`` cells or more is formatted by
-    ``_format_cells`` in blocks of whole rows, at most ``_STACK_ELEMENTS``
-    cells or one row each; a smaller one by one ``%``.
+    The columns are stacked one block of whole rows at a time, at most
+    ``_STACK_ELEMENTS`` cells or one row each. A table of ``_VECTOR_CELLS``
+    cells or more is formatted by ``_format_cells``; a smaller one by ``%``.
     """
-    table = np.asarray(table, dtype=float)
+    size, width = len(columns[0]), len(columns)
+    vector = size * width >= _VECTOR_CELLS
+    line = ",".join(["%.9g"] * width) + "\n"
+    rows = max(1, _STACK_ELEMENTS // width)
     with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        if table.size < _VECTOR_CELLS:
-            row = ",".join(["%.9g"] * table.shape[1]) + "\n"
-            fh.write((row * len(table) % tuple(table.ravel().tolist())).encode())
-            return
-        rows = max(1, _STACK_ELEMENTS // table.shape[1])
-        for start in range(0, len(table), rows):
-            fh.write(_format_cells(table[start:start + rows]))
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, size, rows):
+            block = np.column_stack([c[start:start + rows] for c in columns])
+            fh.write(_format_cells(block) if vector else
+                     (line * len(block) % tuple(block.ravel().tolist())).encode())
 
 
 def _write_populations(path, populations: dict) -> None:
@@ -585,31 +585,27 @@ SPECTRUM_CSV_COLUMNS = [
 ]
 
 
-def _spectrum_table(result: SweepResult) -> np.ndarray:
+def _spectrum_table(result: SweepResult) -> tuple:
     p = result.pair
-    return np.column_stack((
-        result.detunings / TWO_PI / 1e6,
-        p.chi_minus.real, p.chi_minus.imag,
-        p.chi_plus.real, p.chi_plus.imag,
-        p.n_plus - p.n_minus,
-        p.alpha_plus, p.alpha_minus,
-        np.degrees(result.phi_exact),
-    ))
+    return (result.detunings / TWO_PI / 1e6,
+            p.chi_minus.real, p.chi_minus.imag,
+            p.chi_plus.real, p.chi_plus.imag,
+            p.n_plus - p.n_minus,
+            p.alpha_plus, p.alpha_minus,
+            np.degrees(result.phi_exact))
 
 
 TRACE_CSV_COLUMNS = ["detuning_mhz", "i_d1", "i_d2", "i_d3", "i_d4", "phi_deg"]
 
 
-def _trace_table(result: SweepResult) -> np.ndarray:
+def _trace_table(result: SweepResult) -> tuple:
     """The detector intensities of the linear probe after the cell, in units
     of the input intensity, and the angle they recover."""
     s = detector_intensities(
         propagate_cell(JonesVector.linear(), result.pair, result.medium), 1.0)
-    return np.column_stack((
-        result.detunings / TWO_PI / 1e6,
-        s.d1, s.d2, s.d3, s.d4,
-        np.degrees(recover_angle(s)),
-    ))
+    return (result.detunings / TWO_PI / 1e6,
+            s.d1, s.d2, s.d3, s.d4,
+            np.degrees(recover_angle(s)))
 
 
 def _labelled(cfg: ScenarioConfig, populations: dict) -> dict:
@@ -621,9 +617,11 @@ def _labelled(cfg: ScenarioConfig, populations: dict) -> dict:
 def _sweep(spec: RunSpec, log):
     log(f"sweeping {spec.config.points} detuning points")
     result = sweep_probe_detuning(spec.config)
-    columns, table = ((SPECTRUM_CSV_COLUMNS, _spectrum_table(result))
-                      if spec.scenario == "spectrum" else
-                      (TRACE_CSV_COLUMNS, _trace_table(result)))
+    peaks = find_dispersion_peaks(result)
+    max_phi = math.degrees(abs(result.phi_exact).max())
+    header, columns = ((SPECTRUM_CSV_COLUMNS, _spectrum_table(result))
+                       if spec.scenario == "spectrum" else
+                       (TRACE_CSV_COLUMNS, _trace_table(result)))
     cfg, medium = result.cfg, result.medium
     extra = {"sweep": {
         "scheme": cfg.scheme_id, "populations": _labelled(cfg, result.populations),
@@ -631,11 +629,9 @@ def _sweep(spec: RunSpec, log):
         "coupling_detuning_mhz": cfg.coupling_detuning / TWO_PI / 1e6,
         "density_m3": medium.density, "temperature_k": medium.temperature,
         "v_width_ms": medium.v_width}}
-    peaks = find_dispersion_peaks(result)
     if peaks.found:  # a pi_f2 spectrum has none
         extra["peaks"] = dict(zip(_PEAK_KEYS, _peak_values(peaks, spec.scenario)))
-    max_phi = math.degrees(abs(result.phi_exact).max())
-    return (_files(spec, partial(write_csv, columns=columns, table=table), extra),
+    return (_files(spec, partial(write_csv, header=header, columns=columns), extra),
             f"{spec.scenario}: {cfg.points} points, max |phi| = {max_phi:.6g} deg")
 
 
@@ -647,7 +643,8 @@ def _power_scan(spec: RunSpec, log):
     log(f"scanning {len(spec.powers_w)} powers over {cfg.points} detuning points")
     rows = [(power * 1e3, rabi / MHZ, *_peak_values(peaks, f"{power * 1e3:g} mW"))
             for power, rabi, peaks in sweep_coupling_power(cfg, list(spec.powers_w))]
-    return (_files(spec, partial(write_csv, columns=POWER_SCAN_CSV_COLUMNS, table=rows)),
+    return (_files(spec, partial(write_csv, header=POWER_SCAN_CSV_COLUMNS,
+                                 columns=list(zip(*rows)))),
             f"power-scan: {len(rows)} powers")
 
 
@@ -662,9 +659,10 @@ def _temp_scan(spec: RunSpec, log):
              *_peak_values(find_dispersion_peaks(result), f"{t:.2f} K"),
              math.degrees(abs(result.phi_exact).max())) for t, result in results]
     tables = [(f"{spec.basename}_t{i}.csv", partial(
-        write_csv, columns=SPECTRUM_CSV_COLUMNS, table=_spectrum_table(result)))
+        write_csv, header=SPECTRUM_CSV_COLUMNS, columns=_spectrum_table(result)))
         for i, (_, result) in enumerate(results, start=1)]
-    return (_files(spec, partial(write_csv, columns=TEMP_SCAN_CSV_COLUMNS, table=rows),
+    return (_files(spec, partial(write_csv, header=TEMP_SCAN_CSV_COLUMNS,
+                                 columns=list(zip(*rows))),
                    {"per_temperature_files": [name for name, _ in tables]}, tables),
             f"temp-scan: {len(rows)} temperatures")
 
@@ -675,9 +673,9 @@ EIT_CSV_COLUMNS = ["detuning_mhz", "transmission_sigma_minus", "transmission_sig
 def _eit_peaks(spec: RunSpec, log):
     curves = _eit_transmissions(spec.config, (SIGMA_MINUS, SIGMA_PLUS))
     counts = {comp: count_transmission_peaks(c) for comp, c in curves.items()}
-    table = np.column_stack((curves[SIGMA_MINUS].detunings / MHZ,
-                             *(c.transmission for c in curves.values())))
-    return (_files(spec, partial(write_csv, columns=EIT_CSV_COLUMNS, table=table),
+    columns = (curves[SIGMA_MINUS].detunings / MHZ,
+               *(c.transmission for c in curves.values()))
+    return (_files(spec, partial(write_csv, header=EIT_CSV_COLUMNS, columns=columns),
                    {"peak_counts": counts}),
             f"eit-peaks: sigma_minus={counts[SIGMA_MINUS]} sigma_plus={counts[SIGMA_PLUS]}")
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import eitrot
-from eitrot import cli, spectra
+from eitrot import cli
 from eitrot.atom import TWO_PI
 from eitrot.cli import TRACE_CSV_COLUMNS, ConfigError, main, parse_config, write_csv
 from eitrot.detection import JonesVector, detector_intensities, propagate_cell
@@ -847,11 +848,11 @@ class TestAllOrNone:
         before = snapshot(outdir)
         calls = []
 
-        def failing(path, columns, table):
+        def failing(path, header, columns):
             calls.append(Path(path).name)
             if len(calls) == 3:
                 raise OSError(28, "No space left on device")
-            write_csv(path, columns, table)
+            write_csv(path, header, columns)
 
         monkeypatch.setattr(cli, "write_csv", failing)
         capsys.readouterr()
@@ -960,9 +961,9 @@ class TestOtherScenarios:
         s = detector_intensities(
             propagate_cell(JonesVector.linear(), result.pair, result.medium), 1.0)
         phi = np.degrees(0.5 * np.arctan2(-(s.d3 - s.d4), -(s.d1 - s.d2)))
-        write_csv(tmp_path / "want.csv", TRACE_CSV_COLUMNS, np.column_stack((
+        write_csv(tmp_path / "want.csv", TRACE_CSV_COLUMNS, (
             result.detunings / TWO_PI / 1e6,
-            s.d1, s.d2, s.d3, s.d4, phi)))
+            s.d1, s.d2, s.d3, s.d4, phi))
         assert ((tmp_path / "detector_trace.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
@@ -1027,12 +1028,12 @@ class TestWriteCsv:
             ",".join(f"{float(x):.9g}" for x in row) + "\n" for row in table)).encode()
 
     def _check(self, table):
-        columns = [f"c{j}" for j in range(table.shape[1])]
+        header = [f"c{j}" for j in range(table.shape[1])]
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/table.csv"
-            write_csv(path, columns, table)
+            write_csv(path, header, list(table.T))
             with open(path, "rb") as fh:
-                assert fh.read() == self._want(columns, table)
+                assert fh.read() == self._want(header, table)
 
     # cutoff 0 takes every table through the vectorized formatter
     @pytest.mark.parametrize("cutoff", [cli._VECTOR_CELLS, 0])
@@ -1051,13 +1052,15 @@ class TestWriteCsv:
            seed=st.integers(0, 2**32 - 1))
     def test_large_tables_match_the_per_cell_format(self, shape, picks, share, seed):
         # spectrum-like cells of any exponent, a share of them replaced by
-        # the drawn values; from _VECTOR_CELLS cells on, in blocks of whole rows
+        # the drawn values; from _VECTOR_CELLS cells on, in blocks of whole
+        # rows, here of at most 64 cells, so that a table of any width can
+        # span many blocks and end in a short one
         rng = np.random.default_rng(seed)
         table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 40, shape)
         table = np.where(rng.random(shape) < share, rng.choice(picks, shape), table)
-        blocks = math.ceil(shape[0] / (spectra._STACK_ELEMENTS // shape[1]))
-        with mock.patch.object(cli, "_format_cells",
-                               wraps=cli._format_cells) as vectorized:
+        blocks = math.ceil(shape[0] / (64 // shape[1]))
+        with mock.patch.object(cli, "_format_cells", wraps=cli._format_cells) as vectorized, \
+                mock.patch.object(cli, "_STACK_ELEMENTS", 64):
             self._check(table)
         vector = table.size >= cli._VECTOR_CELLS
         assert vectorized.call_count == (blocks if vector else 0)
@@ -1151,3 +1154,20 @@ def test_import_keeps_freed_memory_for_the_next_run(env, keeps):
                           env={**child_env, **env, "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, check=True)
     assert (float(done.stdout.split()[-1]) < 50) == keeps, done.stdout[-40:]
+
+
+def test_a_long_spectrum_holds_no_whole_table_copy(tmp_path):
+    # write_csv stacks one row block of the columns at a time, and _sweep
+    # finds the peaks before it builds the columns, so a warm run's traced
+    # peak stays near its sweep arrays, about 112 B a point; stacking the
+    # whole 9-column table at once reads 184 B
+    points = 100_001
+    spec = parse_config({"scenario": "spectrum", "probe": {"points": points}})
+    cli.run(spec, tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        cli.run(spec, tmp_path / "traced")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 140 * points, f"{peak / points:.0f} B a point"

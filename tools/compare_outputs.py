@@ -120,6 +120,13 @@ MATRIX = [
                                             "magnetic_field_g": 10,
                                             "probe": {"points": 2001}}]),
     ("temp_scan_1201", [{"scenario": "temp-scan", "probe": {"points": 1201}}]),
+    # the scan_campaign census document at 4001 points: a 3-column table in
+    # two row blocks (2730 + 1271 rows)
+    ("eit_peaks_4001_10g", [{"scenario": "eit-peaks", "magnetic_field_g": 10,
+                             "probe": {"rabi_mhz": 1, "detuning_min_mhz": -30,
+                                       "detuning_max_mhz": 30, "points": 4001},
+                             "coupling": {"rabi_mhz": 30},
+                             "medium": {"density_per_m3": 1e17}}]),
     # rates outside the Lindblad domain whose populations stay positive
     *((f"gamma_ca_0.3_{policy}", [{"scenario": "spectrum", "population_policy": policy,
                                    "rates": {"gamma_ca_mhz": 0.3}}])
