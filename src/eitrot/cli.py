@@ -58,7 +58,8 @@ from .atom import (
     TWO_PI,
     rabi_from_power,
 )
-from .detection import JonesVector, detector_intensities, propagate_cell, recover_angle
+from .detection import (IndeterminateAngleError, JonesVector, detector_intensities,
+                        propagate_cell, recover_angle)
 from .dynamics import RelaxationRates
 from .scenarios import (
     NumericError,
@@ -74,7 +75,6 @@ from .scenarios import (
     sweep_probe_detuning,
     sweep_temperature,
 )
-from .spectra import _STACK_ELEMENTS
 
 # glibc gives each freed block of 128 KiB or more, and a heap top above 128
 # KiB, back to the kernel, so the next CSV block faults it in again. These are
@@ -391,6 +391,10 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
 # and measured in process on spectrum and eit-peaks tables the two break
 # even at 200-400 cells.
 _VECTOR_CELLS = 300
+# Most cells that write_csv formats at once: the default 1201 x 9 spectrum
+# in one ``_format_cells`` call, which has a fixed numpy overhead. 16384 and
+# 32768 tied on that table in process; 8192 (two calls) was 12% slower.
+_CSV_BLOCK_CELLS = 16384
 # 10**0 ... 10**22, all exact, then 22 ones: a * _POW10[k] / _POW10[-k] is
 # a * 10**k rounded once, as one multiply or one divide, for |k| <= 22.
 _POW10 = np.array([float(10 ** k) for k in range(23)] + [1.0] * 22)
@@ -527,13 +531,15 @@ def write_csv(path, header: Sequence[str], columns) -> None:
     ``'%.9g' % x``, comma separated, with LF line ends on every platform.
 
     The columns are stacked one block of whole rows at a time, at most
-    ``_STACK_ELEMENTS`` cells or one row each. A table of ``_VECTOR_CELLS``
-    cells or more is formatted by ``_format_cells``; a smaller one by ``%``.
+    ``_CSV_BLOCK_CELLS`` cells or one row each, so a table of n rows of w
+    cells takes ceil(n / max(1, _CSV_BLOCK_CELLS // w)) blocks. A table of
+    ``_VECTOR_CELLS`` cells or more is formatted by one ``_format_cells``
+    call per block; a smaller one by ``%``.
     """
     size, width = len(columns[0]), len(columns)
     vector = size * width >= _VECTOR_CELLS
     line = ",".join(["%.9g"] * width) + "\n"
-    rows = max(1, _STACK_ELEMENTS // width)
+    rows = max(1, _CSV_BLOCK_CELLS // width)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, size, rows):
@@ -603,9 +609,13 @@ def _trace_table(result: SweepResult) -> tuple:
     of the input intensity, and the angle they recover."""
     s = detector_intensities(
         propagate_cell(JonesVector.linear(), result.pair, result.medium), 1.0)
-    return (result.detunings / TWO_PI / 1e6,
-            s.d1, s.d2, s.d3, s.d4,
-            np.degrees(recover_angle(s)))
+    mhz = result.detunings / TWO_PI / 1e6
+    try:
+        phi = recover_angle(s)
+    except IndeterminateAngleError as exc:
+        raise NumericError(f"{exc} at {exc.at.size} of {mhz.size} detunings,"
+                           f" first at {mhz[exc.at[0]]:g} MHz") from None
+    return mhz, s.d1, s.d2, s.d3, s.d4, np.degrees(phi)
 
 
 def _labelled(cfg: ScenarioConfig, populations: dict) -> dict:

@@ -48,7 +48,12 @@ _ANGLE_FLOOR = 1e-12
 
 
 class IndeterminateAngleError(NumericError):
-    """Both difference signals vanished, so the angle is undefined."""
+    """Both difference signals vanished, so the angle is undefined; ``at``
+    holds the flat indices of the entries where they did."""
+
+    def __init__(self, at: np.ndarray):
+        super().__init__("difference signals below the indeterminacy floor")
+        self.at = at
 
 
 class JonesVector(NamedTuple):
@@ -127,14 +132,14 @@ def recover_angle(signals: DetectorSignals) -> float | np.ndarray:
     common attenuation cancels. If both differences sit below
     ``_ANGLE_FLOOR`` times the total detected power at any entry, the
     polarization state there carries no angle information (e.g. pure
-    circular light or a dark output) and the call raises.
+    circular light or a dark output) and the call raises, naming those
+    entries.
     """
     num = signals.d4 - signals.d3
     den = signals.d2 - signals.d1
     total = signals.d1 + signals.d2 + signals.d3 + signals.d4
-    if np.any(np.hypot(num, den) <= _ANGLE_FLOOR * total):
-        raise IndeterminateAngleError(
-            "difference signals below the indeterminacy floor"
-        )
+    low = np.hypot(num, den) <= _ANGLE_FLOOR * total
+    if np.any(low):
+        raise IndeterminateAngleError(np.flatnonzero(low))
     phi = 0.5 * np.arctan2(num, den)
     return np.where(phi <= -np.pi / 2.0, phi + np.pi, phi)[()]

@@ -207,8 +207,9 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     The result is (2 p(Z) / lz + 1 / sqrt(pi)) / lz with lz = L - i z, not
     2 p(Z) / lz^2 + ..., which would overflow for large finite |z|.
     """
-    lz = _FADDEEVA_L - 1j * z
-    big_z = (_FADDEEVA_L + 1j * z) / lz
+    iz = 1j * z
+    lz = _FADDEEVA_L - iz
+    big_z = (_FADDEEVA_L + iz) / lz
     p = np.full_like(big_z, _FADDEEVA_COEFFS[0])
     for c in _FADDEEVA_COEFFS[1:]:
         p *= big_z
@@ -230,6 +231,22 @@ def doppler_average(denominator, kv):
 # temporary of 128 KB). A larger block is slower: the working set of the
 # Faddeeva kernel leaves the cache.
 _STACK_ELEMENTS = 8192
+
+
+def _sorted_sum(block: np.ndarray) -> np.ndarray:
+    """np.sort(block, axis=1).sum(axis=1) of a complex (c, k, w) block, bit for
+    bit where it holds no NaN, without the sort: an odd-even transposition
+    network of np.minimum and np.maximum orders the k rows lexicographically,
+    as the sort does. Both return their first argument on a tie, so they take
+    each pair in opposite orders and the network only permutes the rows. The
+    sum is the sort's own call on an array of the same layout, since the
+    order in which numpy adds the rows depends on the layout."""
+    rows = list(block.swapaxes(0, 1))
+    for i in range(len(rows)):
+        for j in range(i % 2, len(rows) - 1, 2):
+            a, b = rows[j], rows[j + 1]
+            rows[j], rows[j + 1] = np.minimum(a, b), np.maximum(b, a)
+    return np.stack(rows, axis=1).sum(axis=1)
 
 
 @lru_cache
@@ -257,7 +274,8 @@ def susceptibility_arrays(
     The pathways of all items are the rows of one array over the detunings,
     each with the k V and density of its item's medium. The Faddeeva kernel
     takes every row over blocks of at least one detuning and at most
-    ``_STACK_ELEMENTS`` elements, weights each block, and writes its sums into chi.
+    ``_STACK_ELEMENTS`` elements, weights each block, sums it per component
+    in sorted order (``_sorted_sum``) and writes the sums into chi.
     """
     dets = np.atleast_1d(np.asarray(detunings, dtype=float))
     paths, kv, weights = [], [], []
@@ -286,7 +304,7 @@ def susceptibility_arrays(
                 for row, weight in zip(partials, weights):
                     row *= weight if np.ndim(weight) == 0 else weight[cols]
             for components, rows in groups:
-                chi[components, cols] = np.sort(partials[rows], axis=1).sum(axis=1)
+                chi[components, cols] = _sorted_sum(partials[rows])
     return chi.reshape(len(items), 2, dets.size)
 
 

@@ -25,8 +25,8 @@ import eitrot
 from eitrot import cli
 from eitrot.atom import TWO_PI
 from eitrot.cli import TRACE_CSV_COLUMNS, ConfigError, main, parse_config, write_csv
-from eitrot.detection import JonesVector, detector_intensities, propagate_cell
-from eitrot.scenarios import sweep_probe_detuning
+from eitrot.detection import _ANGLE_FLOOR, JonesVector, detector_intensities, propagate_cell
+from eitrot.scenarios import NumericError, sweep_probe_detuning
 
 SPECTRUM_YAML = """\
 scenario: spectrum
@@ -490,7 +490,17 @@ class TestMainErrors:
                      "--set", "scenario=detector-trace",
                      "--set", "medium.density_per_cm3=1e15"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: numeric: difference signals below the indeterminacy floor\n"
+        assert err == ("error: numeric: difference signals below the indeterminacy floor"
+                       " at 11 of 11 detunings, first at -40 MHz\n")
+
+    def test_a_hot_cell_loses_the_angle_where_the_light_is_circular(self, tmp_path, capsys):
+        # at 100 C the linear fraction falls to 0 at 571 of the 1201 default
+        # detunings; the error names them and the first of them
+        cfg = write(tmp_path, "scenario: detector-trace\nmedium:\n  temperature_c: 100\n")
+        assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: numeric: difference signals below the indeterminacy floor"
+            " at 571 of 1201 detunings, first at -200.667 MHz\n")
 
     def test_quadrature_section_is_unknown(self, tmp_path, capsys):
         cfg = write(tmp_path, SPECTRUM_YAML + "quadrature:\n  max_panels: 3\n")
@@ -967,6 +977,23 @@ class TestOtherScenarios:
         assert ((tmp_path / "detector_trace.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
+    def test_the_floor_error_names_the_detunings_at_the_floor(self):
+        # the count and the first detuning are those where the linear
+        # fraction hypot(d4 - d3, d2 - d1) / (d1 + d2 + d3 + d4) is at or
+        # below the floor
+        result = sweep_probe_detuning(parse_config(
+            {"scenario": "detector-trace", "medium": {"temperature_c": 100}}).config)
+        s = detector_intensities(
+            propagate_cell(JonesVector.linear(), result.pair, result.medium), 1.0)
+        fraction = np.hypot(s.d4 - s.d3, s.d2 - s.d1) / (s.d1 + s.d2 + s.d3 + s.d4)
+        low = np.flatnonzero(fraction <= _ANGLE_FLOOR)
+        with pytest.raises(NumericError) as info:
+            cli._trace_table(result)
+        assert str(info.value) == (
+            f"difference signals below the indeterminacy floor at {low.size} of"
+            f" {result.detunings.size} detunings, first at"
+            f" {result.detunings[low[0]] / TWO_PI / 1e6:g} MHz")
+
     def test_eit_peaks_counts(self, tmp_path, capsys):
         cfg = write(tmp_path, EIT_YAML)
         assert main(["--config", str(cfg), "--outdir", str(tmp_path)]) == 0
@@ -1060,10 +1087,19 @@ class TestWriteCsv:
         table = np.where(rng.random(shape) < share, rng.choice(picks, shape), table)
         blocks = math.ceil(shape[0] / (64 // shape[1]))
         with mock.patch.object(cli, "_format_cells", wraps=cli._format_cells) as vectorized, \
-                mock.patch.object(cli, "_STACK_ELEMENTS", 64):
+                mock.patch.object(cli, "_CSV_BLOCK_CELLS", 64):
             self._check(table)
         vector = table.size >= cli._VECTOR_CELLS
         assert vectorized.call_count == (blocks if vector else 0)
+
+    def test_the_default_spectrum_table_is_one_block(self, tmp_path):
+        # each _format_cells call pays its fixed numpy overhead, so the
+        # default 1201 x 9 spectrum table is formatted by one call
+        spec = parse_config({"scenario": "spectrum"})
+        with mock.patch.object(cli, "_format_cells", wraps=cli._format_cells) as vectorized:
+            cli.run(spec, tmp_path)
+        assert vectorized.call_count == 1
+        assert vectorized.call_args.args[0].shape == (1201, len(cli.SPECTRUM_CSV_COLUMNS))
 
     @pytest.mark.parametrize("shift", [-1.0, 1.0])
     def test_an_exponent_one_off_is_corrected(self, shift):

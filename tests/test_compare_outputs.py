@@ -145,3 +145,22 @@ def test_golden_mismatch_names_case_file_and_command():
         "case case, spectrum.meta.json: keys and non-float values equal, largest"
         " float difference 1e-06 (at sweep.populations.a1)" + see,
     ]
+
+
+def test_portable_names_the_settings_that_differ(monkeypatch, capsys):
+    settings = {"a": {"X": "1"}, "b": {"X": "2"}, "c": {"Y": "3"}}
+    monkeypatch.setattr(compare_outputs, "portable_settings", lambda: settings)
+    monkeypatch.setattr(compare_outputs, "portable_problems",
+                        lambda env, out: ["case x, runs differ"] if "X" in env else [])
+    assert compare_outputs.main(["--portable"]) == 1
+    assert capsys.readouterr().out == (
+        "a: DIFFER\n  case x, runs differ\nb: DIFFER\n  case x, runs differ\nc: match\n"
+        "differ from tests/golden.json: a, b\n")
+
+
+def test_portable_reports_a_host_that_cannot_take_the_settings(monkeypatch, capsys):
+    def unavailable():
+        raise RuntimeError("the settings are for x86-64, not arm64")
+    monkeypatch.setattr(compare_outputs, "portable_settings", unavailable)
+    assert compare_outputs.main(["--portable"]) == 1
+    assert capsys.readouterr().err == "error: the settings are for x86-64, not arm64\n"

@@ -179,8 +179,9 @@ class TestRecovery:
     def test_one_indeterminate_entry_fails_the_array(self):
         signals = DetectorSignals(d1=np.array([0.0, 0.25]), d2=np.array([0.3, 0.25]),
                                   d3=np.array([0.1, 0.25]), d4=np.array([0.1, 0.25]))
-        with pytest.raises(IndeterminateAngleError):
+        with pytest.raises(IndeterminateAngleError) as info:
             recover_angle(signals)
+        assert info.value.at.tolist() == [1]
 
     def test_balanced_signals_are_indeterminate(self):
         flat = DetectorSignals(d1=0.25, d2=0.25, d3=0.25, d4=0.25)

@@ -38,3 +38,14 @@ def test_one_fresh_interpreter_matches_golden(tmp_path):
                 for problem in compare_outputs.golden_problems(
                     name, GOLDEN["cases"][name], record, GOLDEN["revision"])]
     assert not problems, "\n".join(problems)
+
+
+def test_golden_bytes_hold_at_baseline_simd_and_generic_blas(tmp_path):
+    # one combined setting of --portable: numpy held to its baseline SIMD
+    # loops and OpenBLAS to its generic kernels, in a fresh interpreter
+    try:
+        baseline, _, generic, _ = compare_outputs.portable_settings().values()
+    except RuntimeError as exc:
+        pytest.skip(str(exc))
+    problems = compare_outputs.portable_problems({**baseline, **generic}, tmp_path / "out")
+    assert not problems, "\n".join(problems)

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import wofz
 
 from eitrot.atom import (
@@ -321,6 +322,49 @@ class TestSusceptibility:
         pair = susceptibility_pair(scheme, probe_at(TWO_PI * 2e6), coupling,
                                    self.rates, pops, self.medium)
         assert pair.chi_plus == pytest.approx(pair.chi_minus, rel=0, abs=1e-22)
+
+
+# Parts of the summed partials: signed zeros, infinities, subnormals, and
+# numbers whose sum depends on its order (1 + 2**-53 + 2**-53 is 1, 2**-53 +
+# 2**-53 + 1 is not; 1e16 + 1 - 1e16 is 0), beside hypothesis's own floats
+# (no nan: a nan partial fails the run whatever its sum)
+_SUM_PARTS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-320,
+                              1.0, -1.0, 3.0, 2.0 ** -53, 1e16, -1e16]) | st.floats(
+                                  allow_nan=False)
+
+
+@st.composite
+def _component_blocks(draw):
+    """A complex (c, k, w) block of k pathway rows, some rows copies of
+    others with the sign of each zero part drawn anew: exact ties."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 8)))
+    block = np.empty(shape, complex)
+    block.real = draw(arrays(np.float64, shape, elements=_SUM_PARTS))
+    block.imag = draw(arrays(np.float64, shape, elements=_SUM_PARTS))
+    k = shape[1]
+    for _ in range(draw(st.integers(0, k))):
+        row = block[:, draw(st.integers(0, k - 1))].copy()
+        for part in (row.real, row.imag):
+            flip = draw(arrays(np.bool_, part.shape)) & (part == 0)
+            part[flip] *= -1.0
+        block[:, draw(st.integers(0, k - 1))] = row
+    return block
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_component_blocks())
+# one detuning: numpy sums the k rows pairwise, (x0 + x1) + (x2 + x3), so a
+# sum from zeros row by row differs here; rows in reverse order, which an
+# odd-even network of k - 1 rounds leaves unsorted
+@example(block=np.array([2.0 ** 53 + 0j, 3, 3, 3]).reshape(1, 4, 1) * 1j)
+@example(block=np.array([1e16 + 0j, 3, 1, -1]).reshape(1, 4, 1))
+def test_sorted_sum_is_the_sum_of_the_sorted_rows(block):
+    # bit for bit, the sign of a zero sum included; only nan payloads may differ
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.sort(block, axis=1).sum(axis=1).view(np.float64)
+        got = spectra._sorted_sum(block).view(np.float64)
+    same = (want.view(np.uint64) == got.view(np.uint64)) | (np.isnan(want) & np.isnan(got))
+    assert same.all(), (want, got)
 
 
 class TestRotationAngle:

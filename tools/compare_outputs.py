@@ -19,6 +19,13 @@ Exits 0 when every CSV is identical, every meta float lies within
 otherwise. The worktree is removed either way. The benchmark's workload
 documents come from ``perfbench/workloads.py``, which is only imported.
 
+``--portable`` runs the cases through this tree the same way once for each
+of ``portable_settings``, the SIMD loops that numpy dispatches and the
+OpenBLAS kernels held to other choices than this host's best, and prints
+which settings give outputs other than ``tests/golden.json``. Only the
+environment of the child interpreter is set. The check covers x86-64
+dispatch of the installed numpy and OpenBLAS builds, and nothing else.
+
 ``--write-golden`` runs the cases through this tree the same way and writes
 ``tests/golden.json``: per case each run's exit code, stdout and stderr,
 each CSV file's SHA-256 and each meta file's value, with the commit checked
@@ -35,6 +42,8 @@ import importlib.util
 import io
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -76,6 +85,9 @@ MATRIX = [
     ("eit_peaks_per_point_10g", [{"scenario": "eit-peaks", "population_policy": "per_point",
                                   "magnetic_field_g": 10}]),
     ("detector_trace", [{"scenario": "detector-trace"}]),
+    # a hot cell: circular light at 571 of 1201 detunings, exit 2
+    ("detector_trace_100c", [{"scenario": "detector-trace",
+                              "medium": {"temperature_c": 100}}]),
     ("populations_0g", [{"scenario": "populations"}]),
     ("populations_10g", [{"scenario": "populations", "magnetic_field_g": 10}]),
     ("populations_pi_f2_10g", [{"scenario": "populations", "scheme": "pi_f2",
@@ -190,11 +202,12 @@ def golden_case(docs: list[dict], outdir: Path) -> dict:
     return case_record(outdir, run_in_process(docs, outdir))
 
 
-def run_tree(tree: Path, out: Path) -> dict:
+def run_tree(tree: Path, out: Path, env: dict | None = None) -> dict:
     """Every case's record, run through ``tree``'s eitrot in one fresh
-    interpreter into ``out``."""
+    interpreter into ``out``, with ``env`` added to its environment."""
     proc = subprocess.run([sys.executable, "-c", _RUNNER, str(tree / "src"), str(out),
-                           str(REPO / "tools")], capture_output=True, text=True)
+                           str(REPO / "tools")], capture_output=True, text=True,
+                          env={**os.environ, **(env or {})})
     if proc.returncode:
         sys.exit(f"error: cannot run the cases in {tree}:\n{proc.stderr}")
     return {name: case_record(out / name, runs)
@@ -350,6 +363,60 @@ def golden_problems(name: str, want: dict, got: dict, revision: str) -> list[str
             for same, report in compare_records(want, got) if not same]
 
 
+def portable_settings() -> dict[str, dict[str, str]]:
+    """``--portable``'s settings by name, as environment variables: numpy
+    held to its baseline SIMD, numpy without AVX-512, the generic OpenBLAS
+    kernels and OpenBLAS on two threads. Raises ``RuntimeError`` saying why
+    this host cannot take them."""
+    import numpy
+
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        raise RuntimeError(f"the settings are for x86-64, not {platform.machine()}")
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__
+    except ImportError:
+        raise RuntimeError(f"numpy {numpy.__version__} does not report its SIMD dispatch")
+    if not __cpu_dispatch__:
+        raise RuntimeError("numpy is built without runtime SIMD dispatch")
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        raise RuntimeError(f"numpy's BLAS is {blas}, not OpenBLAS")
+    avx512 = [f for f in __cpu_dispatch__ if "AVX512" in f or f == "X86_V4"]
+    return {f"numpy at {' '.join(__cpu_baseline__)}": {
+                "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)},
+            "numpy without AVX-512": {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)},
+            "OPENBLAS_CORETYPE=Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+            "OPENBLAS_NUM_THREADS=2": {"OPENBLAS_NUM_THREADS": "2"}}
+
+
+def portable_problems(env: dict, out: Path) -> list[str]:
+    """What differs from ``tests/golden.json`` when every case runs through
+    this tree with ``env`` added to the environment, into ``out``."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return [problem for name, record in run_tree(REPO, out, env).items()
+            for problem in golden_problems(name, golden["cases"][name], record,
+                                           golden["revision"])]
+
+
+def check_portable() -> int:
+    """``--portable``: run every setting, print which differ."""
+    try:
+        settings = portable_settings()
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    differ = []
+    with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
+        for i, (name, env) in enumerate(settings.items()):
+            problems = portable_problems(env, Path(tmp) / f"out{i}")
+            print(f"{name}: {'DIFFER' if problems else 'match'}")
+            print("".join(f"  {line}\n" for line in problems), end="")
+            differ += [name] if problems else []
+    print(f"differ from {GOLDEN.relative_to(REPO)}: {', '.join(differ)}" if differ else
+          f"every setting matches {GOLDEN.relative_to(REPO)}")
+    return 1 if differ else 0
+
+
 @contextlib.contextmanager
 def worktree(rev: str, path: Path):
     """A detached local checkout of ``rev`` at ``path``, removed on exit."""
@@ -381,10 +448,15 @@ def main(argv: list[str] | None = None) -> int:
     which.add_argument("--against", help="git revision to compare with")
     which.add_argument("--write-golden", action="store_true",
                        help=f"write {GOLDEN.relative_to(REPO)} from this tree")
+    which.add_argument("--portable", action="store_true",
+                       help=f"check {GOLDEN.relative_to(REPO)} under other SIMD and"
+                            " BLAS kernel choices")
     args = parser.parse_args(argv)
     if args.write_golden:
         write_golden()
         return 0
+    if args.portable:
+        return check_portable()
 
     with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
         tmp = Path(tmp)
